@@ -1170,7 +1170,6 @@ let publish_written t ctx lctx =
           match Store.read_immediate t.store page with
           | None -> None (* evicted under the lock; nothing left to publish *)
           | Some img ->
-            let img = Bytes.copy img in
             let parent =
               Option.value
                 (Gaddr.Table.find_opt lctx.ctx_parents page)
@@ -1496,11 +1495,9 @@ let read t ctx ~addr ~len =
         if Trace.enabled () then
           Trace.event ~engine:t.engine ~node:t.id ~span "store.read"
             ~attrs:[ ("page", Gaddr.to_string page) ];
-        match Store.read t.store page with
-        | Some bytes ->
-          Bytes.blit bytes off out written n;
+        if Store.read_into t.store page ~off out ~dst_off:written ~len:n then
           copy (Gaddr.add_int addr n) (remaining - n) (written + n)
-        | None -> Error (`Unavailable "page missing from local store")
+        else Error (`Unavailable "page missing from local store")
       end
     in
     let result =
@@ -1579,7 +1576,7 @@ let flush_through t ~ctx (region : Region.t) pages =
             | Some slot -> Machine.packed_version slot.packed
             | None -> 0
           in
-          Some (page, Bytes.copy img, version)
+          Some (page, img, version)
         | None -> None)
       pages
   in

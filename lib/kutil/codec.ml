@@ -1,23 +1,59 @@
 exception Decode_error of string
 
-type encoder = Buffer.t
+(* A growable byte buffer with [Buffer]'s growth policy (start at 256
+   bytes, double on overflow), but with its bytes and length exposed so a
+   caller can reuse it across messages and write from it directly. *)
+type encoder = { mutable buf : bytes; mutable len : int }
 
-let encoder () = Buffer.create 256
-let to_bytes e = Buffer.to_bytes e
+let encoder () = { buf = Bytes.create 256; len = 0 }
+let to_bytes e = Bytes.sub e.buf 0 e.len
+let reset e = e.len <- 0
+let length e = e.len
+let contents e = e.buf
+
+let grow e need =
+  let cap = ref (Bytes.length e.buf) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit e.buf 0 b 0 e.len;
+  e.buf <- b
+
+let[@inline] reserve e n =
+  if e.len + n > Bytes.length e.buf then grow e (e.len + n)
+
+let check_u32 name v =
+  if v < 0 || v > 0xFFFF_FFFF then invalid_arg ("Codec." ^ name ^ ": out of range")
 
 let u8 e v =
   if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
-  Buffer.add_char e (Char.chr v)
+  reserve e 1;
+  Bytes.unsafe_set e.buf e.len (Char.unsafe_chr v);
+  e.len <- e.len + 1
 
 let u16 e v =
   if v < 0 || v > 0xFFFF then invalid_arg "Codec.u16: out of range";
-  Buffer.add_uint16_be e v
+  reserve e 2;
+  Bytes.set_uint16_be e.buf e.len v;
+  e.len <- e.len + 2
 
 let u32 e v =
-  if v < 0 || v > 0xFFFF_FFFF then invalid_arg "Codec.u32: out of range";
-  Buffer.add_int32_be e (Int32.of_int (v land 0xFFFF_FFFF))
+  check_u32 "u32" v;
+  reserve e 4;
+  Bytes.set_int32_be e.buf e.len (Int32.of_int v);
+  e.len <- e.len + 4
 
-let u64 e v = Buffer.add_int64_be e v
+let patch_u32 e ~at v =
+  check_u32 "patch_u32" v;
+  if at < 0 || at + 4 > e.len then invalid_arg "Codec.patch_u32: offset";
+  Bytes.set_int32_be e.buf at (Int32.of_int v)
+
+let u64 e v =
+  reserve e 8;
+  Bytes.set_int64_be e.buf e.len v;
+  e.len <- e.len + 8
+
 let int e v = u64 e (Int64.of_int v)
 
 let u128 e (v : U128.t) =
@@ -27,8 +63,11 @@ let u128 e (v : U128.t) =
 let bool e v = u8 e (if v then 1 else 0)
 
 let string e s =
-  u32 e (String.length s);
-  Buffer.add_string e s
+  let n = String.length s in
+  u32 e n;
+  reserve e n;
+  Bytes.blit_string s 0 e.buf e.len n;
+  e.len <- e.len + n
 
 let bytes e b = string e (Bytes.unsafe_to_string b)
 
@@ -42,10 +81,17 @@ let option e f = function
     u8 e 1;
     f x
 
-type decoder = { buf : bytes; mutable pos : int }
+(* A cursor over [buf.[pos] .. buf.[limit - 1]]; nothing past [limit] is
+   ever read, whatever the backing buffer holds beyond it. *)
+type decoder = { buf : bytes; mutable pos : int; limit : int }
 
-let decoder buf = { buf; pos = 0 }
-let remaining d = Bytes.length d.buf - d.pos
+let decoder_sub buf ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Codec.decoder_sub: slice out of bounds";
+  { buf; pos = off; limit = off + len }
+
+let decoder buf = { buf; pos = 0; limit = Bytes.length buf }
+let remaining d = d.limit - d.pos
 
 let need d n =
   if remaining d < n then

@@ -2,8 +2,9 @@
 
     Khazana stores its own metadata (address-map tree nodes, file-system
     inodes, object headers) inside ordinary pages, so structured values must
-    round-trip through bytes. Encoders append to a buffer; decoders consume
-    from a cursor and raise {!Decode_error} on malformed input. *)
+    round-trip through bytes. Encoders append to a growable buffer that can
+    be reset and reused; decoders consume from a cursor over a whole buffer
+    or a slice of one and raise {!Decode_error} on malformed input. *)
 
 exception Decode_error of string
 
@@ -12,7 +13,25 @@ exception Decode_error of string
 type encoder
 
 val encoder : unit -> encoder
+(** A fresh, empty encoder (256 bytes of capacity, doubling as needed). *)
+
 val to_bytes : encoder -> bytes
+(** An exact copy of the bytes encoded so far. *)
+
+val reset : encoder -> unit
+(** Forget the encoded bytes, keeping the capacity for reuse. *)
+
+val length : encoder -> int
+(** Number of bytes encoded since creation or the last {!reset}. *)
+
+val contents : encoder -> bytes
+(** The underlying buffer, not a copy: its first {!length} bytes are the
+    encoding. Valid only until the next write to or {!reset} of the
+    encoder; a caller that keeps the bytes longer must copy them. *)
+
+val patch_u32 : encoder -> at:int -> int -> unit
+(** Overwrite the 4 already-encoded bytes at offset [at] with a big-endian
+    u32, e.g. a length prefix reserved with [u32 e 0]. *)
 
 val u8 : encoder -> int -> unit
 val u16 : encoder -> int -> unit
@@ -31,6 +50,12 @@ val option : encoder -> ('a -> unit) -> 'a option -> unit
 type decoder
 
 val decoder : bytes -> decoder
+
+val decoder_sub : bytes -> off:int -> len:int -> decoder
+(** A decoder over [len] bytes of [buf] starting at [off]. Every read and
+    length-prefix guard stops at the slice's end, never the buffer's.
+    Decoded strings and bytes are fresh copies, so they outlive [buf]. *)
+
 val remaining : decoder -> int
 
 val read_u8 : decoder -> int

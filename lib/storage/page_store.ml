@@ -247,14 +247,17 @@ let verify_disk t addr frame =
     false
   end
 
-let read t addr =
+(* The data-plane read shared by [read] and [read_into]: charge the tier's
+   latency, promote disk hits into RAM, and return the frame's own bytes,
+   which the caller copies out and must neither keep nor mutate. *)
+let read_frame t addr =
   match Gaddr.Table.find_opt t.ram addr with
   | Some frame ->
     t.ram_hits <- t.ram_hits + 1;
     touch t frame;
     let epoch = t.epoch in
     Ksim.Fiber.sleep t.cfg.ram_latency;
-    if t.epoch = epoch then Some (Bytes.copy frame.data) else None
+    if t.epoch = epoch then Some frame.data else None
   | None -> (
     match Gaddr.Table.find_opt t.disk addr with
     | Some frame when verify_disk t addr frame ->
@@ -270,7 +273,7 @@ let read t addr =
            durable copy of a committed image, and a read must not turn
            durable data into RAM-only data. A copy fronts it in RAM;
            pins move to the RAM copy (pin/unpin resolve RAM first). *)
-        let data = Bytes.copy frame.data in
+        let data = frame.data in
         (match Gaddr.Table.find_opt t.disk addr with
          | Some f when f == frame && not (Gaddr.Table.mem t.ram addr) ->
            let ram_frame =
@@ -292,6 +295,15 @@ let read t addr =
     | Some _ | None ->
       t.misses <- t.misses + 1;
       None)
+
+let read t addr = Option.map Bytes.copy (read_frame t addr)
+
+let read_into t addr ~off dst ~dst_off ~len =
+  match read_frame t addr with
+  | Some data ->
+    Bytes.blit data off dst dst_off len;
+    true
+  | None -> false
 
 let write t addr data ~dirty =
   let data = Bytes.copy data in

@@ -67,6 +67,13 @@ val read : t -> Kutil.Gaddr.t -> bytes option
     disk images are dropped, not served. [None] also when the store
     crashed while the read slept. *)
 
+val read_into :
+  t -> Kutil.Gaddr.t -> off:int -> bytes -> dst_off:int -> len:int -> bool
+(** [read_into t addr ~off dst ~dst_off ~len] is {!read} (same latency,
+    promotion and crash fencing) that blits [len] bytes of the page from
+    [off] into [dst] at [dst_off] instead of returning a copy of the whole
+    page. [false] wherever {!read} would return [None]. *)
+
 val write : t -> Kutil.Gaddr.t -> bytes -> dirty:bool -> unit
 (** Install or overwrite the page in RAM. [dirty] marks it as needing
     writeback before the local copy may be discarded. A disk-resident

@@ -3,13 +3,22 @@ module Policy = Krpc.Policy
 
 let frame_header = 4
 
+(* An accepted connection. Received bytes live in [in_buf.[in_lo ..
+   in_hi - 1]]; [Unix.read] writes straight into the free tail, complete
+   frames are decoded where they lie, and the buffer is compacted in place
+   (or doubled, when the frame being assembled cannot fit) only once the
+   tail is full. *)
 type incoming = {
   in_fd : Unix.file_descr;
-  in_buf : Buffer.t;
+  mutable in_buf : bytes;
+  mutable in_lo : int;
+  mutable in_hi : int;
   mutable in_src : int option;
       (* learned from the first decoded frame; lets [sever] target the
          connection a given peer speaks on *)
 }
+
+let initial_in_buf = 4096
 
 (* Seeded frame-level fault shim: probabilities roll per frame from a
    dedicated deterministic stream, so a given seed always mutilates the
@@ -47,6 +56,7 @@ module Make (W : Transport.WIRE) = struct
     outgoing : (int, Unix.file_descr) Hashtbl.t;
     mutable incoming : incoming list;
     mutable server : T.handler option;
+    enc : Codec.encoder;  (* reused for every outgoing frame *)
     pending : (int, W.response Ksim.Promise.t) Hashtbl.t;
     mutable next_call : int;
     mutable coalescing : bool;
@@ -86,8 +96,14 @@ module Make (W : Transport.WIRE) = struct
   and tag_oneway = 3
   and tag_batch = 4
 
-  let encode_msg ~src msg =
-    let enc = Codec.encoder () in
+  (* Encode [msg] as one length-prefixed frame into the endpoint's encoder:
+     reserve the 4-byte length, encode the payload, patch the length. The
+     frame is [Codec.contents t.enc] up to [Codec.length t.enc], valid until
+     the next encode. *)
+  let encode_frame t msg =
+    let enc = t.enc and src = t.id in
+    Codec.reset enc;
+    Codec.u32 enc 0;
     (match msg with
      | Request { call; span; body } ->
        Codec.u8 enc tag_request;
@@ -113,15 +129,9 @@ module Make (W : Transport.WIRE) = struct
            Codec.int enc span;
            W.encode_request enc body)
          items);
-    let payload = Codec.to_bytes enc in
-    let n = Bytes.length payload in
-    let frame = Bytes.create (frame_header + n) in
-    Bytes.set_int32_be frame 0 (Int32.of_int n);
-    Bytes.blit payload 0 frame frame_header n;
-    frame
+    Codec.patch_u32 enc ~at:0 (Codec.length enc - frame_header)
 
-  let decode_payload payload =
-    let dec = Codec.decoder payload in
+  let decode_payload dec =
     let tag = Codec.read_u8 dec in
     let src = Codec.read_u32 dec in
     let msg =
@@ -154,9 +164,9 @@ module Make (W : Transport.WIRE) = struct
     Hashtbl.replace t.by_kind k
       (1 + Option.value (Hashtbl.find_opt t.by_kind k) ~default:0)
 
-  let account_sent t msg frame =
+  let account_sent t msg len =
     t.sent <- t.sent + 1;
-    t.bytes_sent <- t.bytes_sent + Bytes.length frame;
+    t.bytes_sent <- t.bytes_sent + len;
     match msg with
     | Request { body; _ } | Oneway { body; _ } ->
       account_kind t (W.request_kind body)
@@ -288,8 +298,7 @@ module Make (W : Transport.WIRE) = struct
         go ()
       end
 
-  let write_all fd b =
-    let n = Bytes.length b in
+  let write_all fd b n =
     let rec go off =
       if off < n then go (off + Unix.write fd b off (n - off))
     in
@@ -305,14 +314,14 @@ module Make (W : Transport.WIRE) = struct
      itself failed — no connection and the dial was refused, or the write
      hit a dead socket (peer vanished: evict the cached connection so the
      next send re-dials). Either way the frame is counted dropped. *)
-  let send_frame t ~dst frame =
+  let send_frame t ~dst frame len =
     match connect_out t dst with
     | None ->
       t.dropped <- t.dropped + 1;
       false
     | Some fd -> (
       try
-        write_all fd frame;
+        write_all fd frame len;
         true
       with Unix.Unix_error _ ->
         drop_outgoing t dst;
@@ -324,8 +333,9 @@ module Make (W : Transport.WIRE) = struct
      peer is unreachable right now; shim losses return [true] because the
      frame left this endpoint as far as the caller can tell. *)
   let rec transmit t ~dst msg =
-    let frame = encode_msg ~src:t.id msg in
-    account_sent t msg frame;
+    encode_frame t msg;
+    let frame = Codec.contents t.enc and len = Codec.length t.enc in
+    account_sent t msg len;
     if fault_blocked t t.id dst then begin
       t.dropped <- t.dropped + 1;
       false
@@ -347,41 +357,47 @@ module Make (W : Transport.WIRE) = struct
           then 2
           else 1
         in
+        (* Whatever outlives this call must not alias the encoder: a
+           self-send is decoded now (the decoded message owns its bytes),
+           a deferred write sends a copy. *)
         let push () =
           if dst = t.id then begin
-            let payload =
-              Bytes.sub frame frame_header (Bytes.length frame - frame_header)
-            in
-            ignore
-              (Ksim.Engine.schedule t.engine ~after:(local_delay + delay_ns)
-                 (fun () -> deliver_payload t payload));
+            receive t frame ~off:frame_header ~len:(len - frame_header)
+              ~after:(local_delay + delay_ns);
             true
           end
           else if delay_ns > 0 then begin
+            let frame = Bytes.sub frame 0 len in
             ignore
               (Ksim.Engine.schedule t.engine ~after:delay_ns (fun () ->
-                   ignore (send_frame t ~dst frame)));
+                   ignore (send_frame t ~dst frame len)));
             true
           end
-          else send_frame t ~dst frame
+          else send_frame t ~dst frame len
         in
         let ok = push () in
         if copies > 1 then begin
           (* duplicated on the wire: more bytes, same logical message *)
-          t.bytes_sent <- t.bytes_sent + Bytes.length frame;
+          t.bytes_sent <- t.bytes_sent + len;
           ignore (push ())
         end;
         ok
       end
     end
 
-  (* Decode and dispatch one received payload, filtering frames whose
-     speaker this endpoint currently believes down or partitioned away. *)
-  and deliver_payload t payload =
-    match decode_payload payload with
+  (* Decode one frame's payload where it lies in [buf] and schedule its
+     delivery [after] ns from now, so handlers run inside an engine event
+     exactly as under simulation (and fibers they resume are driven by the
+     engine, not the socket pump's stack). Frames whose speaker this
+     endpoint believes down or partitioned away are filtered at delivery;
+     a malformed frame is counted dropped. *)
+  and receive t buf ~off ~len ~after =
+    match decode_payload (Codec.decoder_sub buf ~off ~len) with
     | src, msg ->
-      if fault_blocked t src t.id then t.dropped <- t.dropped + 1
-      else deliver t ~src msg
+      ignore
+        (Ksim.Engine.schedule t.engine ~after (fun () ->
+             if fault_blocked t src t.id then t.dropped <- t.dropped + 1
+             else deliver t ~src msg))
     | exception Codec.Decode_error _ -> t.dropped <- t.dropped + 1
 
   and deliver t ~src msg =
@@ -417,14 +433,6 @@ module Make (W : Transport.WIRE) = struct
           (fun (span, body) -> server ~src ~span body ~reply:(fun _ -> ()))
           items)
 
-  (* Incoming frames dispatch from inside an engine event, so handlers run
-     in the same context as under simulation (and fibers they resume are
-     driven by the engine, not by the socket pump's stack). *)
-  let dispatch_payload t payload =
-    ignore
-      (Ksim.Engine.schedule t.engine ~after:0 (fun () ->
-           deliver_payload t payload))
-
   (* ---------------- socket pump ---------------- *)
 
   let accept_all t =
@@ -433,7 +441,13 @@ module Make (W : Transport.WIRE) = struct
       | fd, _ ->
         Unix.set_nonblock fd;
         t.incoming <-
-          { in_fd = fd; in_buf = Buffer.create 4096; in_src = None }
+          {
+            in_fd = fd;
+            in_buf = Bytes.create initial_in_buf;
+            in_lo = 0;
+            in_hi = 0;
+            in_src = None;
+          }
           :: t.incoming;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
@@ -441,42 +455,74 @@ module Make (W : Transport.WIRE) = struct
     in
     go ()
 
-  (* Returns [false] when the connection is gone and should be removed. *)
-  let read_into t c =
-    let chunk = Bytes.create 65536 in
+  (* Decode every complete frame buffered on [c]. [false] means the stream
+     is corrupt (a length no frame can have) and the connection must go. *)
+  let take_frames t c =
     let rec go () =
-      match Unix.read c.in_fd chunk 0 (Bytes.length chunk) with
+      let avail = c.in_hi - c.in_lo in
+      if avail < frame_header then true
+      else
+        let n = Int32.to_int (Bytes.get_int32_be c.in_buf c.in_lo) in
+        if n < 0 then false
+        else if avail < frame_header + n then true
+        else begin
+          let off = c.in_lo + frame_header in
+          (* Every frame begins [u8 tag][u32 src] (see [encode_frame]); peek
+             the src so [sever] can find the connection a peer speaks on. *)
+          if c.in_src = None && n >= 5 then
+            c.in_src <- Some (Int32.to_int (Bytes.get_int32_be c.in_buf (off + 1)));
+          receive t c.in_buf ~off ~len:n ~after:0;
+          c.in_lo <- c.in_lo + frame_header + n;
+          go ()
+        end
+    in
+    let ok = go () in
+    if c.in_lo = c.in_hi then begin
+      c.in_lo <- 0;
+      c.in_hi <- 0
+    end;
+    ok
+
+  (* Free the tail of a full buffer: slide the partial frame to the front,
+     or, when that frame cannot fit even then, double until it does. *)
+  let make_room c =
+    let pending = c.in_hi - c.in_lo in
+    let want =
+      if pending < frame_header then frame_header
+      else frame_header + Int32.to_int (Bytes.get_int32_be c.in_buf c.in_lo)
+    in
+    let cap = Bytes.length c.in_buf in
+    if want <= cap then Bytes.blit c.in_buf c.in_lo c.in_buf 0 pending
+    else begin
+      let size = ref cap in
+      while !size < want do
+        size := 2 * !size
+      done;
+      let b = Bytes.create !size in
+      Bytes.blit c.in_buf c.in_lo b 0 pending;
+      c.in_buf <- b
+    end;
+    c.in_lo <- 0;
+    c.in_hi <- pending
+
+  (* Read everything available on [c] straight into its buffer's free tail,
+     decoding complete frames as they land. Returns [false] when the
+     connection is gone (or corrupt) and should be removed. *)
+  let read_into t c =
+    let rec go () =
+      if c.in_hi = Bytes.length c.in_buf then make_room c;
+      match
+        Unix.read c.in_fd c.in_buf c.in_hi (Bytes.length c.in_buf - c.in_hi)
+      with
       | 0 -> false
       | n ->
-        Buffer.add_subbytes c.in_buf chunk 0 n;
-        go ()
+        c.in_hi <- c.in_hi + n;
+        take_frames t c && go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> true
       | exception Unix.Unix_error (EINTR, _, _) -> go ()
       | exception Unix.Unix_error _ -> false
     in
     let alive = go () in
-    (* Extract every complete length-prefixed frame buffered so far. *)
-    let data = Buffer.to_bytes c.in_buf in
-    let len = Bytes.length data in
-    let pos = ref 0 in
-    let continue = ref true in
-    while !continue && !pos + frame_header <= len do
-      let n = Int32.to_int (Bytes.get_int32_be data !pos) in
-      if n < 0 || !pos + frame_header + n > len then continue := false
-      else begin
-        let payload = Bytes.sub data (!pos + frame_header) n in
-        (* Every frame begins [u8 tag][u32 src] (see [encode_msg]); peek
-           the src so [sever] can find the connection a peer speaks on. *)
-        if c.in_src = None && n >= 5 then
-          c.in_src <- Some (Int32.to_int (Bytes.get_int32_be payload 1));
-        dispatch_payload t payload;
-        pos := !pos + frame_header + n
-      end
-    done;
-    if !pos > 0 then begin
-      Buffer.clear c.in_buf;
-      Buffer.add_subbytes c.in_buf data !pos (len - !pos)
-    end;
     if not alive then close_quietly c.in_fd;
     alive
 
@@ -680,6 +726,7 @@ module Make (W : Transport.WIRE) = struct
       outgoing = Hashtbl.create 8;
       incoming = [];
       server = None;
+      enc = Codec.encoder ();
       pending = Hashtbl.create 32;
       next_call = 0;
       coalescing = true;

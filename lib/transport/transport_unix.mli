@@ -48,8 +48,9 @@ module Make (W : Transport.WIRE) : sig
   val pump : ?max_wait:float -> t -> unit
   (** One scheduler-and-sockets turn: run engine events due by the wall
       clock, select on the sockets for at most [max_wait] seconds (bounded
-      tighter by the engine's next timer), ingest complete frames
-      (dispatching each from inside an engine event), and run the engine
+      tighter by the engine's next timer), decode complete frames in place
+      from each connection's receive buffer (delivering each from inside
+      an engine event), and run the engine
       again. A daemon process's main loop is [while running do pump t done]. *)
 
   val run_fiber : ?others:t list -> ?name:string -> t -> (unit -> 'a) -> 'a

@@ -340,6 +340,139 @@ let test_codec_bad_tags () =
        false
      with Codec.Decode_error _ -> true)
 
+let raises_decode f =
+  try
+    ignore (f ());
+    false
+  with Codec.Decode_error _ -> true
+
+(* A slice decoder answers only for its slice: length prefixes that the
+   backing bytes could satisfy, but the slice cannot, are malformed. *)
+let test_codec_slice_bounds () =
+  let e = Codec.encoder () in
+  Codec.u8 e 0xAA;
+  Codec.string e "hello world";
+  Codec.list e (fun x -> Codec.u8 e x) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  let b = Codec.to_bytes e in
+  (* the string's slice keeps its prefix and 5 of its 11 bytes *)
+  let d = Codec.decoder_sub b ~off:1 ~len:(4 + 5) in
+  Alcotest.(check int) "remaining is the slice" 9 (Codec.remaining d);
+  Alcotest.(check bool) "string past slice end" true
+    (raises_decode (fun () -> Codec.read_string d));
+  (* the list's slice keeps its count and 3 of its 8 elements *)
+  let list_off = 1 + 4 + 11 in
+  let d = Codec.decoder_sub b ~off:list_off ~len:(4 + 3) in
+  Alcotest.(check bool) "list count past slice end" true
+    (raises_decode (fun () -> Codec.read_list d (fun () -> Codec.read_u8 d)));
+  let d = Codec.decoder_sub b ~off:0 ~len:1 in
+  Alcotest.(check int) "first byte" 0xAA (Codec.read_u8 d);
+  Alcotest.(check bool) "u8 past slice end" true
+    (raises_decode (fun () -> Codec.read_u8 d));
+  let d = Codec.decoder_sub b ~off:list_off ~len:(Bytes.length b - list_off) in
+  Alcotest.(check (list int)) "whole list slice decodes"
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    (Codec.read_list d (fun () -> Codec.read_u8 d));
+  Alcotest.(check bool) "slice outside the buffer" true
+    (try
+       ignore (Codec.decoder_sub b ~off:1 ~len:(Bytes.length b));
+       false
+     with Invalid_argument _ -> true)
+
+(* Resetting an encoder and reusing it — after it grew for a bigger
+   message — yields the same bytes a fresh encoder would. *)
+let test_codec_reset_reuse () =
+  let encode e =
+    Codec.u32 e 0;
+    Codec.int e 42;
+    Codec.string e "small";
+    Codec.patch_u32 e ~at:0 (Codec.length e - 4)
+  in
+  let fresh = Codec.encoder () in
+  encode fresh;
+  let reused = Codec.encoder () in
+  Codec.bytes reused (Bytes.make 10_000 'x');
+  Codec.reset reused;
+  Alcotest.(check int) "reset empties" 0 (Codec.length reused);
+  encode reused;
+  Alcotest.(check string) "same bytes"
+    (Bytes.to_string (Codec.to_bytes fresh))
+    (Bytes.to_string (Codec.to_bytes reused));
+  Alcotest.(check string) "contents prefix is the encoding"
+    (Bytes.to_string (Codec.to_bytes fresh))
+    (Bytes.sub_string (Codec.contents reused) 0 (Codec.length reused));
+  Alcotest.(check int) "patched length" (Codec.length fresh - 4)
+    (Codec.read_u32 (Codec.decoder (Codec.to_bytes fresh)))
+
+(* The socket transport's frames are exactly [u32 length ^ payload], where
+   payload is what a fresh encoder produces for the same envelope: one
+   reused encoder with the length patched in place changes no wire byte.
+   A raw listener stands in for node 1 and captures what node 0 writes. *)
+let test_codec_unix_frames () =
+  let module Wire = Khazana.Wire in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kcodec-frames-%d-%d" (Unix.getpid ())
+         (int_of_float (Unix.gettimeofday () *. 1e6) mod 1_000_000))
+  in
+  Unix.mkdir dir 0o700;
+  let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let raw_path = Filename.concat dir "node-1.sock" in
+  Unix.bind raw (Unix.ADDR_UNIX raw_path);
+  Unix.listen raw 1;
+  let topology = Knet.Topology.symmetric ~nodes_per_cluster:2 ~clusters:1 in
+  let ep = Wire.Sockets.create ~dir ~id:0 topology in
+  Fun.protect
+    ~finally:(fun () ->
+      Wire.Sockets.close ep;
+      Unix.close raw;
+      (try Unix.unlink raw_path with Unix.Unix_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let flush c version =
+        Wire.Page_flush
+          {
+            page = Gaddr.of_int 4096;
+            region_base = Gaddr.of_int 0;
+            data = Bytes.make 4096 c;
+            version;
+          }
+      in
+      let msgs = [ flush 'p' 3; Wire.Ping; flush 'q' 4 ] in
+      List.iteri
+        (fun i m ->
+          Wire.Transport.notify (Wire.Sockets.pack ep) ~src:0 ~dst:1
+            ~span:(i + 1) m)
+        msgs;
+      let expected =
+        String.concat ""
+          (List.mapi
+             (fun i m ->
+               let e = Codec.encoder () in
+               Codec.u8 e 3 (* oneway envelope *);
+               Codec.u32 e 0 (* src *);
+               Codec.int e (i + 1);
+               Wire.encode_request e m;
+               let payload = Codec.to_bytes e in
+               let header = Bytes.create 4 in
+               Bytes.set_int32_be header 0 (Int32.of_int (Bytes.length payload));
+               Bytes.to_string header ^ Bytes.to_string payload)
+             msgs)
+      in
+      (* notify writes synchronously: every byte is already queued *)
+      let fd, _ = Unix.accept raw in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let got = Bytes.create (String.length expected) in
+      let rec fill off =
+        if off < Bytes.length got then
+          match Unix.read fd got off (Bytes.length got - off) with
+          | 0 -> Alcotest.fail "sender closed early"
+          | n -> fill (off + n)
+      in
+      fill 0;
+      Unix.close fd;
+      Alcotest.(check string) "wire bytes" expected (Bytes.to_string got))
+
 (* ------------------------------- Stats ----------------------------- *)
 
 let test_stats_summary () =
@@ -446,6 +579,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "underflow" `Quick test_codec_underflow;
           Alcotest.test_case "bad tags" `Quick test_codec_bad_tags;
+          Alcotest.test_case "slice bounds" `Quick test_codec_slice_bounds;
+          Alcotest.test_case "reset and reuse" `Quick test_codec_reset_reuse;
+          Alcotest.test_case "unix frames" `Quick test_codec_unix_frames;
           QCheck_alcotest.to_alcotest prop_decoder_fails_closed;
         ] );
       ( "stats",

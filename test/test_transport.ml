@@ -7,6 +7,7 @@
 module Time = Ksim.Time
 module Topology = Knet.Topology
 module Policy = Krpc.Policy
+module Codec = Kutil.Codec
 
 (* A protocol with real byte codecs, so it can ride the socket backend. *)
 module Proto = struct
@@ -496,6 +497,147 @@ module Unix_only = struct
          | Ok _ -> Alcotest.fail "call reached a closed endpoint");
         expect_ok ~others:[ eps.(1) ] 1 "survivor")
 
+  (* ---- receive path: raw bytes written to a live endpoint's socket ---- *)
+
+  (* One [Oneway (Echo s)] frame from node 0, byte for byte as a peer
+     endpoint would write it. *)
+  let raw_frame ?(span = 0) s =
+    let e = Codec.encoder () in
+    Codec.u8 e 3 (* oneway envelope *);
+    Codec.u32 e 0 (* src *);
+    Codec.int e span;
+    Proto.encode_request e (Proto.Echo s);
+    let payload = Codec.to_bytes e in
+    let header = Bytes.create 4 in
+    Bytes.set_int32_be header 0 (Int32.of_int (Bytes.length payload));
+    Bytes.to_string header ^ Bytes.to_string payload
+
+  let recorder ep =
+    let got = ref [] in
+    set_server_raw ep (fun ~src:_ ~span:_ req ~reply:_ ->
+        match req with Proto.Echo s -> got := s :: !got | Proto.Silent -> ());
+    got
+
+  (* Pump every endpoint until [n] messages arrived (or 5 s passed);
+     returns them in arrival order. *)
+  let await h got n =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while List.length !got < n && Unix.gettimeofday () < deadline do
+      Array.iter (fun e -> Sockets.pump ~max_wait:0.01 e) h.H.eps
+    done;
+    List.rev !got
+
+  (* Connect to node 1's socket as a raw peer and write [pieces] one at a
+     time, pumping node 1 between pieces so each lands in its own read. *)
+  let write_pieces h pieces =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX (Filename.concat h.H.dir "node-1.sock"));
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        List.iter
+          (fun piece ->
+            let b = Bytes.of_string piece in
+            let rec go off =
+              if off < Bytes.length b then
+                go (off + Unix.write fd b off (Bytes.length b - off))
+            in
+            go 0;
+            for _ = 1 to 3 do
+              Sockets.pump ~max_wait:0.005 h.H.eps.(1)
+            done)
+          pieces)
+
+  let split s at =
+    (String.sub s 0 at, String.sub s at (String.length s - at))
+
+  let test_split_header h =
+    let got = recorder h.H.eps.(1) in
+    let a, b = split (raw_frame "split-header") 2 in
+    write_pieces h [ a; b ];
+    Alcotest.(check (list string)) "one intact frame" [ "split-header" ]
+      (await h got 1)
+
+  let test_split_payload h =
+    let got = recorder h.H.eps.(1) in
+    let f = raw_frame "split-payload" in
+    let a, rest = split f 7 in
+    let b, c = split rest 9 in
+    write_pieces h [ a; b; c ];
+    Alcotest.(check (list string)) "one intact frame" [ "split-payload" ]
+      (await h got 1)
+
+  (* Several buffers' worth of frames in one write: the receive buffer
+     must decode, compact and refill across frame boundaries. *)
+  let test_many_frames_one_read h =
+    let got = recorder h.H.eps.(1) in
+    let msgs = List.init 300 (fun i -> Printf.sprintf "m%d-%s" i (String.make (i mod 40) 'z')) in
+    write_pieces h [ String.concat "" (List.map raw_frame msgs) ];
+    Alcotest.(check (list string)) "all intact, in order" msgs
+      (await h got (List.length msgs))
+
+  (* Larger than any fixed 64 KiB read chunk: the buffer has to grow. *)
+  let test_frame_over_64k h =
+    let got = recorder h.H.eps.(1) in
+    let big = String.init 100_000 (fun i -> Char.chr (i mod 251)) in
+    let f = raw_frame big ^ raw_frame "after" in
+    let pieces =
+      List.init
+        ((String.length f + 8191) / 8192)
+        (fun i -> String.sub f (i * 8192) (min 8192 (String.length f - (i * 8192))))
+    in
+    write_pieces h pieces;
+    match await h got 2 with
+    | [ b; a ] ->
+      Alcotest.(check int) "big length" (String.length big) (String.length b);
+      Alcotest.(check bool) "big intact" true (String.equal big b);
+      Alcotest.(check string) "next frame" "after" a
+    | l -> Alcotest.failf "expected 2 frames, got %d" (List.length l)
+
+  (* A length prefix no frame can have (the sign bit set) is a corrupt
+     stream: the endpoint closes that connection rather than wait forever
+     for the frame, and keeps serving everyone else. *)
+  let test_corrupt_length_closes h =
+    set_server_raw h.H.eps.(1) echo_handler;
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX (Filename.concat h.H.dir "node-1.sock"));
+        ignore (Unix.write_substring fd "\xff\xff\xff\xff" 0 4);
+        for _ = 1 to 5 do
+          Sockets.pump ~max_wait:0.005 h.H.eps.(1)
+        done;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        Alcotest.(check int) "connection closed" 0
+          (Unix.read fd (Bytes.create 1) 0 1));
+    call_ok h "still serving"
+
+  (* A shim-delayed frame is sent long after the endpoint's encoder has
+     moved on to the next frame; it must go out as it was encoded. *)
+  let test_deferred_then_other h =
+    let got = recorder h.H.eps.(1) in
+    let t0 = H.transport h ~node:0 in
+    let deferred = String.make 5000 'd' in
+    Sockets.set_frame_faults h.H.eps.(0) ~seed:15 ~delay:0.05 ();
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo deferred);
+    Sockets.clear_frame_faults h.H.eps.(0);
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "prompt");
+    Alcotest.(check (list string)) "both intact"
+      (List.sort compare [ deferred; "prompt" ])
+      (List.sort compare (await h got 2))
+
+  (* A self-send is delivered later by the engine; the frame encoded right
+     after it must not disturb it. *)
+  let test_self_send_then_other h =
+    let self = recorder h.H.eps.(0) and peer = recorder h.H.eps.(1) in
+    let t0 = H.transport h ~node:0 in
+    let mine = String.make 3000 's' in
+    T.notify t0 ~src:0 ~dst:0 (Proto.Echo mine);
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "theirs");
+    Alcotest.(check (list string)) "peer's frame" [ "theirs" ] (await h peer 1);
+    Alcotest.(check (list string)) "self-send intact" [ mine ] (await h self 1)
+
   let cases =
     [
       Alcotest.test_case "peer vanished, then rebind" `Quick
@@ -506,6 +648,20 @@ module Unix_only = struct
       Alcotest.test_case "frame drop" `Quick (with_h test_frame_drop);
       Alcotest.test_case "frame duplicate" `Quick (with_h test_frame_duplicate);
       Alcotest.test_case "frame delay" `Quick (with_h test_frame_delay);
+      Alcotest.test_case "recv: header split across reads" `Quick
+        (with_h test_split_header);
+      Alcotest.test_case "recv: payload split across reads" `Quick
+        (with_h test_split_payload);
+      Alcotest.test_case "recv: many frames in one read" `Quick
+        (with_h test_many_frames_one_read);
+      Alcotest.test_case "recv: frame over 64 KiB" `Quick
+        (with_h test_frame_over_64k);
+      Alcotest.test_case "recv: corrupt length closes connection" `Quick
+        (with_h test_corrupt_length_closes);
+      Alcotest.test_case "recv: deferred frame, then another" `Quick
+        (with_h test_deferred_then_other);
+      Alcotest.test_case "recv: self-send, then another" `Quick
+        (with_h test_self_send_then_other);
     ]
 end
 
