@@ -1528,17 +1528,16 @@ let write t ctx ~addr data =
         if Trace.enabled () then
           Trace.event ~engine:t.engine ~node:t.id ~span "store.write"
             ~attrs:[ ("page", Gaddr.to_string page) ];
-        match Store.read t.store page with
-        | Some bytes ->
-          Bytes.blit data consumed bytes off n;
-          Store.write t.store page bytes ~dirty:true;
+        if Store.write_from t.store page ~off data ~src_off:consumed ~len:n
+        then begin
           Gaddr.Table.replace ctx.ctx_written page ();
           (* Versioned regions track which byte spans actually changed so
              the publish can ship sparse runs instead of the whole page. *)
           if versioned_region ctx.ctx_region then
             Store.note_range t.store page ~off ~len:n;
           copy (Gaddr.add_int addr n) (remaining - n) (consumed + n)
-        | None -> Error (`Unavailable "page missing from local store")
+        end
+        else Error (`Unavailable "page missing from local store")
       end
     in
     let result = copy addr len 0 in
@@ -1916,9 +1915,10 @@ let participant_decide t ~span gtx commit =
           (* The store now holds the committed image, but a live machine
              for this page still caches (and would keep serving) the
              pre-transaction bytes. Pin the image until the CM catches up
-             — see [pin]. *)
+             — see [pin]. The prepared entry, dropped below, owned [img];
+             the pin takes it over without a copy. *)
           Gaddr.Table.replace t.txn_pins page
-            { pin_img = Bytes.copy img;
+            { pin_img = img;
               pin_since = Ksim.Engine.now t.engine;
               pin_busy = false })
         entry.p_pages;
@@ -2212,7 +2212,8 @@ let txn_abort t txn =
 
 (* Compute the committed page images from the locked stored bytes plus the
    write buffer — without touching the store, so an abort at any later
-   point leaves clean state. Returns images in first-touch order. *)
+   point leaves clean state ([Store.read] returns a copy, which staging
+   patches). Returns images in first-touch order. *)
 let txn_images t txn =
   let images : (Region.t * bytes) Gaddr.Table.t = Gaddr.Table.create 8 in
   let order = ref [] in
@@ -2236,7 +2237,6 @@ let txn_images t txn =
             | None -> (
               match Store.read t.store page with
               | Some b ->
-                let b = Bytes.copy b in
                 Gaddr.Table.replace images page (region, b);
                 order := page :: !order;
                 Some b

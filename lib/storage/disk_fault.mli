@@ -26,9 +26,13 @@ val active : config -> bool
 (** At least one probability is non-zero. *)
 
 val checksum : bytes -> int
-(** FNV-1a over the whole buffer. Every disk frame and log record carries
-    the checksum of its content; a torn image fails verification, which is
-    how recovery discards it instead of serving garbage. *)
+(** FNV-1a-style fold over the buffer's 32-bit little-endian words and
+    then its trailing bytes: every bit of every byte enters the sum, and
+    two equal-length buffers differing in a single bit always sum
+    differently. Every disk frame and log record carries the checksum of
+    its content in memory (no file format stores one); a torn image fails
+    verification, which is how recovery discards it instead of serving
+    garbage. *)
 
 val tear : Kutil.Rng.t -> intended:bytes -> prior:bytes option -> bytes
 (** A torn image of a write that was cut off partway: a prefix of the

@@ -305,8 +305,8 @@ let read_into t addr ~off dst ~dst_off ~len =
     true
   | None -> false
 
-let write t addr data ~dirty =
-  let data = Bytes.copy data in
+(* [write] with [data] already owned by the store: no caller keeps it. *)
+let write_owned t addr data ~dirty =
   match Gaddr.Table.find_opt t.ram addr with
   | Some frame ->
     frame.data <- data;
@@ -334,6 +334,34 @@ let write t addr data ~dirty =
     let epoch = t.epoch in
     install_ram t addr frame;
     if t.epoch = epoch then Ksim.Fiber.sleep t.cfg.ram_latency
+
+let write t addr data ~dirty = write_owned t addr (Bytes.copy data) ~dirty
+
+(* A read followed by a write of the patched image, without the two page
+   copies: the same latencies, promotion and crash fencing, then the patch
+   lands in the resident RAM frame itself. That is safe because no RAM
+   frame's bytes are ever aliased outside the store: [read]/[read_immediate]
+   hand out copies, [read_into] blits, [write]/[write_immediate] copy in,
+   promotion and [flush_immediate] copy between tiers, and a demoted frame
+   leaves the RAM table before it joins the disk tier. *)
+let write_from t addr ~off src ~src_off ~len =
+  match read_frame t addr with
+  | None -> false
+  | Some data ->
+    (match Gaddr.Table.find_opt t.ram addr with
+     | Some frame when frame.data == data ->
+       Bytes.blit src src_off data off len;
+       frame.dirty <- true;
+       touch t frame;
+       Ksim.Fiber.sleep t.cfg.ram_latency
+     | Some _ | None ->
+       (* A disk hit (the read returned the disk frame's bytes, fronted by
+          a fresh RAM copy) or a page that moved while the read slept:
+          write a patched copy, exactly as [read] then [write] would. *)
+       let image = Bytes.copy data in
+       Bytes.blit src src_off image off len;
+       write_owned t addr image ~dirty:true);
+    true
 
 let find_frame t addr =
   match Gaddr.Table.find_opt t.ram addr with

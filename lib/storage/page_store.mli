@@ -80,6 +80,20 @@ val write : t -> Kutil.Gaddr.t -> bytes -> dirty:bool -> unit
     frame of the same page is kept with its prior durable bytes; the new
     content reaches disk only through {!flush_immediate} or demotion. *)
 
+val write_from :
+  t -> Kutil.Gaddr.t -> off:int -> bytes -> src_off:int -> len:int -> bool
+(** [write_from t addr ~off src ~src_off ~len] overwrites [len] bytes of
+    the page at [off] with [src] from [src_off] and marks it dirty: {!read}
+    then [write ~dirty:true] of the patched image, with the same
+    latencies, disk promotion and crash fencing, but the bytes are patched
+    into the resident RAM frame instead of copied out and back. [false]
+    (and nothing written) wherever {!read} would return [None].
+
+    In-place patching rests on one rule of this module: no RAM frame's
+    bytes are ever aliased outside the store. Every read hands out a copy
+    or blits, every write copies in, and frames never share bytes across
+    tiers. *)
+
 val read_immediate : t -> Kutil.Gaddr.t -> bytes option
 (** Control-plane read: no simulated latency, no tier promotion. Safe to
     call outside a fiber. Torn disk images are dropped, not served. *)

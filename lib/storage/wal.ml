@@ -19,19 +19,25 @@ let default_config =
 
 type payload = Page of Gaddr.t * bytes | Note of string * bytes
 
-type body =
+(* What the log itself reads of a record: transaction ids and 2PC
+   bookkeeping. [Data] and [Control] records carry a payload and a
+   [Checkpoint] carries the snapshot, but those bytes live only in the
+   record's encoded [image]; replay decodes them from there. *)
+type head =
   | Begin of int
-  | Data of int * payload
+  | Data of int
   | Commit of int
-  | Control of payload
-  | Checkpoint of bytes
+  | Control
+  | Checkpoint
   | Prepare of int * Kutil.Txid.t
   | Decide of Kutil.Txid.t * bool * int list
 
-(* Each record carries the checksum of its encoded body, standing in for the
-   on-disk framing a real log would have. A torn record is modelled by
-   replacing [image] with a cut of the encoding; [check] then fails. *)
-type record = { body : body; image : bytes; check : int }
+(* A record is encoded once: [image] is its exact-size encoding, the bytes
+   the file framing writes, and [check] the checksum of that encoding,
+   standing in for the on-disk framing a real log would have. A torn record
+   is modelled by replacing [image] with a cut of the encoding; [check]
+   then fails. *)
+type record = { head : head; image : bytes; check : int }
 
 (* Real-file backing: the same record stream framed as [u32 length][image]
    on an fd. [on_disk] is the length of the oldest-first prefix already
@@ -55,6 +61,7 @@ type stats = {
 type t = {
   config : config;
   rng : Kutil.Rng.t;
+  enc : Codec.encoder;           (* reused by every append but checkpoints *)
   mutable faults : Disk_fault.config;
   mutable records : record list; (* newest first *)
   mutable synced : int;          (* durable prefix length (oldest-first) *)
@@ -77,6 +84,7 @@ let create ?(config = default_config) ~rng () =
   {
     config;
     rng;
+    enc = Codec.encoder ();
     faults = Disk_fault.none;
     records = [];
     synced = 0;
@@ -106,25 +114,20 @@ let encode_payload e = function
       Codec.string e tag;
       Codec.bytes e data
 
-let encode_body body =
-  let e = Codec.encoder () in
-  (match body with
+(* A record's image is its head's encoding followed by its payload's (or,
+   for a checkpoint, the snapshot's). *)
+let encode_head e = function
   | Begin id ->
       Codec.u8 e 0;
       Codec.int e id
-  | Data (id, p) ->
+  | Data id ->
       Codec.u8 e 1;
-      Codec.int e id;
-      encode_payload e p
+      Codec.int e id
   | Commit id ->
       Codec.u8 e 2;
       Codec.int e id
-  | Control p ->
-      Codec.u8 e 3;
-      encode_payload e p
-  | Checkpoint snap ->
-      Codec.u8 e 4;
-      Codec.bytes e snap
+  | Control -> Codec.u8 e 3
+  | Checkpoint -> Codec.u8 e 4
   | Prepare (id, gtx) ->
       Codec.u8 e 5;
       Codec.int e id;
@@ -133,8 +136,7 @@ let encode_body body =
       Codec.u8 e 6;
       Kutil.Txid.encode e gtx;
       Codec.bool e commit;
-      Codec.list e (Codec.u32 e) participants);
-  Codec.to_bytes e
+      Codec.list e (Codec.u32 e) participants
 
 let decode_payload d =
   match Codec.read_u8 d with
@@ -146,18 +148,15 @@ let decode_payload d =
       Note (tag, Codec.read_bytes d)
   | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.payload: tag %d" n))
 
-(* Inverse of {!encode_body}; raises {!Codec.Decode_error} on a mangled
-   image (a torn on-disk record). *)
-let decode_body image =
-  let d = Codec.decoder image in
+(* Inverse of {!encode_head}, leaving [d] at the payload; raises
+   {!Codec.Decode_error} on a mangled image (a torn on-disk record). *)
+let decode_head d =
   match Codec.read_u8 d with
   | 0 -> Begin (Codec.read_int d)
-  | 1 ->
-      let id = Codec.read_int d in
-      Data (id, decode_payload d)
+  | 1 -> Data (Codec.read_int d)
   | 2 -> Commit (Codec.read_int d)
-  | 3 -> Control (decode_payload d)
-  | 4 -> Checkpoint (Codec.read_bytes d)
+  | 3 -> Control
+  | 4 -> Checkpoint
   | 5 ->
       let id = Codec.read_int d in
       Prepare (id, Kutil.Txid.decode d)
@@ -166,36 +165,72 @@ let decode_body image =
       let commit = Codec.read_bool d in
       let participants = Codec.read_list d (fun () -> Codec.read_u32 d) in
       Decide (gtx, commit, participants)
-  | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.body: tag %d" n))
+  | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.record: tag %d" n))
 
-let append t body =
-  let image = encode_body body in
-  let r = { body; image; check = Disk_fault.checksum image } in
+(* A decoder positioned at the record's payload or snapshot. Decoded bytes
+   are fresh copies: what replay returns never aliases a log image. *)
+let past_head r =
+  let d = Codec.decoder r.image in
+  ignore (decode_head d);
+  d
+
+let record_payload r = decode_payload (past_head r)
+let record_snapshot r = Codec.read_bytes (past_head r)
+
+(* A whole image's head, after checking its payload decodes too. *)
+let decode_image image =
+  let d = Codec.decoder image in
+  let head = decode_head d in
+  (match head with
+  | Data _ | Control -> ignore (decode_payload d)
+  | Checkpoint -> ignore (Codec.read_bytes d)
+  | Begin _ | Commit _ | Prepare _ | Decide _ -> ());
+  head
+
+let add t r =
   t.records <- r :: t.records;
   t.len <- t.len + 1;
   t.since_checkpoint <- t.since_checkpoint + 1;
   t.appends <- t.appends + 1
 
+(* Seal the record encoded in [e]: [to_bytes] makes the one exact-size copy
+   the log keeps, so the caller's payload buffer is free as soon as the
+   append returns. *)
+let seal t e head =
+  let image = Codec.to_bytes e in
+  add t { head; image; check = Disk_fault.checksum image }
+
+let append ?payload t head =
+  let e = t.enc in
+  Codec.reset e;
+  encode_head e head;
+  (match payload with Some p -> encode_payload e p | None -> ());
+  seal t e head
+
 (* ---------------- real-file backing ---------------- *)
 
-let file_frame r =
-  let n = Bytes.length r.image in
-  let b = Bytes.create (4 + n) in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.blit r.image 0 b 4 n;
-  b
-
-let write_all fd b =
-  let n = Bytes.length b in
+let write_all fd b n =
   let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
   go 0
 
+(* Frame the [k] newest records (the head of the newest-first list) onto
+   [fd] oldest first, each as its length prefix followed by its image. *)
+let write_frames fd k records =
+  let prefix = Bytes.create 4 in
+  let rec go k = function
+    | r :: older when k > 0 ->
+        go (k - 1) older;
+        let n = Bytes.length r.image in
+        Bytes.set_int32_be prefix 0 (Int32.of_int n);
+        write_all fd prefix 4;
+        write_all fd r.image n
+    | _ -> ()
+  in
+  go k records
+
 let file_append_unsynced t f =
   if f.on_disk < t.len then begin
-    let oldest_first = List.rev t.records in
-    List.iteri
-      (fun i r -> if i >= f.on_disk then write_all f.fd (file_frame r))
-      oldest_first;
+    write_frames f.fd (t.len - f.on_disk) t.records;
     Unix.fsync f.fd;
     f.on_disk <- t.len
   end
@@ -206,7 +241,7 @@ let file_append_unsynced t f =
 let file_rewrite t f =
   let tmp = f.path ^ ".tmp" in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o600 in
-  List.iter (fun r -> write_all fd (file_frame r)) (List.rev t.records);
+  write_frames fd t.len t.records;
   Unix.fsync fd;
   Unix.close fd;
   Unix.rename tmp f.path;
@@ -226,8 +261,11 @@ let begin_tx t =
   { id; born = t.generation }
 
 let live t tx = tx.born = t.generation
-let log_page t tx addr data = if live t tx then append t (Data (tx.id, Page (addr, Bytes.copy data)))
-let log_note t tx tag data = if live t tx then append t (Data (tx.id, Note (tag, Bytes.copy data)))
+let log_page t tx addr data =
+  if live t tx then append t (Data tx.id) ~payload:(Page (addr, data))
+
+let log_note t tx tag data =
+  if live t tx then append t (Data tx.id) ~payload:(Note (tag, data))
 
 let commit t tx =
   if live t tx then begin
@@ -251,7 +289,7 @@ let decide t ?(sync = true) gtx ~commit ~participants =
   decide t ~sync_:sync gtx ~commit ~participants
 
 let control t ?(sync_ = true) tag data =
-  append t (Control (Note (tag, Bytes.copy data)));
+  append t Control ~payload:(Note (tag, data));
   if sync_ then sync t
 
 (* .mli exposes the label as ?sync; shadowing dance below. *)
@@ -283,7 +321,7 @@ let in_doubt_ids readable =
   let decided : (Kutil.Txid.t, unit) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun r ->
-      match r.body with
+      match r.head with
       | Prepare (id, gtx) -> Hashtbl.replace prepared id gtx
       | Decide (gtx, _, _) -> Hashtbl.replace decided gtx ()
       | _ -> ())
@@ -300,16 +338,22 @@ let checkpoint t snapshot =
   let carried =
     List.filter
       (fun r ->
-        match r.body with
-        | Begin id | Data (id, _) | Prepare (id, _) -> Hashtbl.mem keep id
+        match r.head with
+        | Begin id | Data id | Prepare (id, _) -> Hashtbl.mem keep id
         | _ -> false)
       readable
   in
   t.records <- [];
   t.len <- 0;
   t.synced <- 0;
-  append t (Checkpoint (Bytes.copy snapshot));
-  List.iter (fun r -> append t r.body) carried;
+  (* A fresh encoder: a snapshot can be far larger than any other record,
+     and the log's reused encoder would keep a buffer that size for good. *)
+  let e = Codec.encoder () in
+  encode_head e Checkpoint;
+  Codec.bytes e snapshot;
+  seal t e Checkpoint;
+  (* In-doubt records move over as they are: same image, same checksum. *)
+  List.iter (add t) carried;
   (* Carried-over records are old news, not post-checkpoint activity. *)
   t.since_checkpoint <- 0;
   t.checkpoint_count <- t.checkpoint_count + 1;
@@ -361,7 +405,7 @@ let crash t =
        itself is not counted, matching {!checkpoint}/{!append}). *)
     let rec after_checkpoint acc = function
       | [] -> acc
-      | { body = Checkpoint _; _ } :: _ -> acc
+      | { head = Checkpoint; _ } :: _ -> acc
       | _ :: rest -> after_checkpoint (acc + 1) rest
     in
     t.since_checkpoint <- after_checkpoint 0 t.records
@@ -386,7 +430,7 @@ let replay t =
   let decided : (Kutil.Txid.t, bool) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun r ->
-      match r.body with
+      match r.head with
       | Commit id -> Hashtbl.replace committed id ()
       | Prepare (id, gtx) -> Hashtbl.replace prepared id gtx
       | Decide (gtx, c, _) -> Hashtbl.replace decided gtx c
@@ -434,12 +478,12 @@ let replay t =
   in
   List.iter
     (fun r ->
-      match r.body with
-      | Checkpoint snap ->
-          snapshot := Some snap;
+      match r.head with
+      | Checkpoint ->
+          snapshot := Some (record_snapshot r);
           incr replayed
-      | Control p ->
-          ops := p :: !ops;
+      | Control ->
+          ops := record_payload r :: !ops;
           incr replayed
       | Begin id ->
           if apply_tx id || doubt_tx id <> None then begin
@@ -447,9 +491,9 @@ let replay t =
             incr replayed
           end
           else incr discarded
-      | Data (id, p) ->
+      | Data id ->
           if apply_tx id || doubt_tx id <> None then begin
-            buffer id p;
+            buffer id (record_payload r);
             incr replayed
           end
           else incr discarded
@@ -514,10 +558,10 @@ let attach_file t path =
       if n < 0 || !pos + 4 + n > size then continue := false
       else begin
         let image = Bytes.sub data (!pos + 4) n in
-        match decode_body image with
-        | body ->
+        match decode_image image with
+        | head ->
             loaded :=
-              { body; image; check = Disk_fault.checksum image } :: !loaded;
+              { head; image; check = Disk_fault.checksum image } :: !loaded;
             pos := !pos + 4 + n;
             valid_bytes := !pos
         | exception Codec.Decode_error _ -> continue := false
@@ -529,17 +573,17 @@ let attach_file t path =
     t.synced <- t.len;
     let rec after_checkpoint acc = function
       | [] -> acc
-      | { body = Checkpoint _; _ } :: _ -> acc
+      | { head = Checkpoint; _ } :: _ -> acc
       | _ :: rest -> after_checkpoint (acc + 1) rest
     in
     t.since_checkpoint <- after_checkpoint 0 t.records;
     (* Never re-mint a local tx id that appears in the loaded log. *)
     List.iter
       (fun r ->
-        match r.body with
-        | Begin id | Data (id, _) | Commit id | Prepare (id, _) ->
+        match r.head with
+        | Begin id | Data id | Commit id | Prepare (id, _) ->
             if id >= t.next_tx then t.next_tx <- id + 1
-        | Control _ | Checkpoint _ | Decide _ -> ())
+        | Control | Checkpoint | Decide _ -> ())
       t.records;
     if !valid_bytes < size then
       Log.info (fun m ->

@@ -22,7 +22,12 @@
 
     Replay is a pure read — applying its op list is the caller's job — and
     is idempotent by construction: the ops are plain "set" payloads, so
-    applying a replayed prefix twice leaves the same state as once. *)
+    applying a replayed prefix twice leaves the same state as once.
+
+    Each record is encoded exactly once, on append, into an exact-size
+    image: the bytes its checksum covers and the file framing writes.
+    Payloads live only in that image; {!replay} decodes fresh copies of
+    them, so nothing it returns aliases the log. *)
 
 type config = {
   checkpoint_every : int;
@@ -74,7 +79,10 @@ val begin_tx : t -> tx
 (** Open an intent: appends a begin record (unsynced). *)
 
 val log_page : t -> tx -> Kutil.Gaddr.t -> bytes -> unit
-(** Record a page image under the transaction. *)
+(** Record a page image under the transaction. The image is encoded into
+    the record before [log_page] returns and the log keeps no reference to
+    the caller's buffer, which may be reused or mutated at once. The same
+    holds for {!log_note}, {!control} and {!checkpoint}. *)
 
 val log_note : t -> tx -> string -> bytes -> unit
 (** Record an opaque, caller-interpreted metadata mutation under the

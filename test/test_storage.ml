@@ -318,6 +318,185 @@ let test_flush_immediate_single_writeback () =
   Alcotest.(check int) "no double writeback" 1 (Store.stats s).writebacks;
   Alcotest.(check int) "hook saw no dirty page 1" 0 !dirty_evictions
 
+
+(* --------------------- in-place partial writes --------------------- *)
+
+let read_string s addr =
+  match Store.read_immediate s addr with
+  | Some b -> Bytes.to_string b
+  | None -> Alcotest.fail "page missing"
+
+let test_write_from_patches () =
+  let eng, s = mk () in
+  Store.write_immediate s (page 1) (data "aaaaaaaa") ~dirty:false;
+  let ok =
+    in_fiber eng (fun () ->
+        Store.write_from s (page 1) ~off:2 (data "..XYZ") ~src_off:2 ~len:3)
+  in
+  Alcotest.(check bool) "written" true ok;
+  Alcotest.(check string) "patched" "aaXYZaaa" (read_string s (page 1));
+  Alcotest.(check bool) "dirty" true (Store.is_dirty s (page 1));
+  let missed =
+    in_fiber eng (fun () ->
+        Store.write_from s (page 9) ~off:0 (data "x") ~src_off:0 ~len:1)
+  in
+  Alcotest.(check bool) "absent page not written" false missed;
+  Alcotest.(check bool) "and not created" true (Store.where s (page 9) = None)
+
+(* The in-place write charges exactly what the read-then-write it replaces
+   charged: one RAM access each way on a RAM hit, a disk read plus a RAM
+   write on a disk hit. *)
+let test_write_from_latency () =
+  let cost ~on_disk f =
+    let eng, s = mk () in
+    Store.write_immediate s (page 1) (data "v1v1") ~dirty:true;
+    if on_disk then begin
+      Store.flush_immediate s (page 1);
+      Store.crash s
+    end;
+    in_fiber eng (fun () ->
+        let t0 = Ksim.Engine.now eng in
+        f s;
+        Ksim.Engine.now eng - t0)
+  in
+  let old_way s =
+    match Store.read s (page 1) with
+    | Some b ->
+      Bytes.blit_string "v2" 0 b 0 2;
+      Store.write s (page 1) b ~dirty:true
+    | None -> Alcotest.fail "missing"
+  in
+  let new_way s =
+    ignore
+      (Store.write_from s (page 1) ~off:0 (data "v2") ~src_off:0 ~len:2)
+  in
+  List.iter
+    (fun on_disk ->
+      Alcotest.(check int)
+        (if on_disk then "disk hit" else "ram hit")
+        (cost ~on_disk old_way) (cost ~on_disk new_way))
+    [ false; true ]
+
+(* No RAM frame's bytes are aliased outside the store, so patching one in
+   place cannot reach a buffer a reader already holds, nor the disk frame
+   a flush wrote. *)
+let test_write_from_no_aliasing () =
+  let eng, s = mk () in
+  let src = data "aaaaaaaa" in
+  Store.write_immediate s (page 1) src ~dirty:true;
+  Bytes.fill src 0 8 'S';
+  Store.flush_immediate s (page 1);
+  let immediate = Store.read_immediate s (page 1) in
+  let into = Bytes.make 8 '-' in
+  let read =
+    in_fiber eng (fun () ->
+        let r = Store.read s (page 1) in
+        Alcotest.(check bool) "read_into" true
+          (Store.read_into s (page 1) ~off:0 into ~dst_off:0 ~len:8);
+        Alcotest.(check bool) "patched" true
+          (Store.write_from s (page 1) ~off:0 (data "ZZZZ") ~src_off:0 ~len:4);
+        r)
+  in
+  let show = Option.map Bytes.to_string in
+  Alcotest.(check (option string)) "read result untouched" (Some "aaaaaaaa")
+    (show read);
+  Alcotest.(check (option string)) "read_immediate result untouched"
+    (Some "aaaaaaaa") (show immediate);
+  Alcotest.(check string) "read_into result untouched" "aaaaaaaa"
+    (Bytes.to_string into);
+  Alcotest.(check string) "store sees the patch" "ZZZZaaaa"
+    (read_string s (page 1));
+  (* Losing RAM exposes the flushed disk frame: still the old image. *)
+  Store.crash s;
+  Alcotest.(check string) "flushed disk frame untouched" "aaaaaaaa"
+    (read_string s (page 1))
+
+let test_write_from_promotes_disk_page () =
+  let eng, s = mk () in
+  Store.set_faults s all_faults;
+  Store.write_immediate s (page 1) (data "v1v1") ~dirty:true;
+  Store.flush_immediate s (page 1);
+  Store.sync s;
+  Store.crash s;
+  Alcotest.(check bool) "disk only" true (Store.where s (page 1) = Some Store.Disk);
+  let ok =
+    in_fiber eng (fun () ->
+        Store.write_from s (page 1) ~off:0 (data "v2") ~src_off:0 ~len:2)
+  in
+  Alcotest.(check bool) "written" true ok;
+  Alcotest.(check bool) "promoted" true (Store.where s (page 1) = Some Store.Ram);
+  Alcotest.(check string) "RAM fronts disk" "v2v1" (read_string s (page 1));
+  (* Never flushed: a crash reverts to the durable image. *)
+  Store.crash s;
+  Alcotest.(check string) "old image after crash" "v1v1" (read_string s (page 1))
+
+(* A crash inside either latency sleep (the read's, then the write's) must
+   leave the post-crash tables as the crash left them. *)
+let test_write_from_crash_mid_sleep () =
+  let run ~on_disk ~crash_after =
+    let eng, s = mk () in
+    Store.write_immediate s (page 1) (data "abcd") ~dirty:false;
+    if on_disk then begin
+      Store.flush_immediate s (page 1);
+      Store.sync s;
+      Store.crash s
+    end;
+    let result = ref None in
+    Ksim.Fiber.spawn eng (fun () ->
+        result :=
+          Some
+            (Store.write_from s (page 1) ~off:0 (data "ZZ") ~src_off:0 ~len:2));
+    ignore (Ksim.Engine.schedule eng ~after:crash_after (fun () -> Store.crash s));
+    Ksim.Engine.run eng;
+    (s, !result)
+  in
+  let ram = (Store.config ()).Store.ram_latency in
+  (* RAM hit, crash during the read: nothing written, RAM stays empty. *)
+  let s, r = run ~on_disk:false ~crash_after:(ram / 2) in
+  Alcotest.(check (option bool)) "read sleep: not written" (Some false) r;
+  Alcotest.(check int) "read sleep: RAM empty" 0 (Store.ram_used s);
+  Alcotest.(check bool) "read sleep: page gone" true (Store.where s (page 1) = None);
+  (* RAM hit, crash during the write: the patched frame died with RAM. *)
+  let s, _ = run ~on_disk:false ~crash_after:(ram + (ram / 2)) in
+  Alcotest.(check int) "write sleep: RAM empty" 0 (Store.ram_used s);
+  Alcotest.(check bool) "write sleep: page gone" true (Store.where s (page 1) = None);
+  (* Disk hit, crash during the disk read: no promotion, disk intact. *)
+  let s, r = run ~on_disk:true ~crash_after:(Time.ms 1) in
+  Alcotest.(check (option bool)) "disk read: not written" (Some false) r;
+  Alcotest.(check int) "disk read: RAM empty" 0 (Store.ram_used s);
+  Alcotest.(check bool) "disk read: still on disk" true
+    (Store.where s (page 1) = Some Store.Disk);
+  Alcotest.(check string) "disk read: image intact" "abcd" (read_string s (page 1))
+
+(* Every bit of every byte enters the checksum, word-folded body and byte
+   tail alike: flipping any one bit at sampled offsets changes the sum. *)
+let test_checksum_every_bit () =
+  let check_len n offsets =
+    let b = Bytes.init n (fun i -> Char.chr ((i * 131 + 7) land 0xff)) in
+    let base = Kstorage.Disk_fault.checksum b in
+    List.iter
+      (fun off ->
+        for bit = 0 to 7 do
+          let orig = Bytes.get b off in
+          Bytes.set b off (Char.chr (Char.code orig lxor (1 lsl bit)));
+          if Kstorage.Disk_fault.checksum b = base then
+            Alcotest.failf "len %d: flipping bit %d of byte %d kept the sum" n
+              bit off;
+          Bytes.set b off orig
+        done)
+      offsets;
+    Alcotest.(check int) "restored buffer, same sum" base
+      (Kstorage.Disk_fault.checksum b)
+  in
+  (* Short buffers: every byte, so every tail length 0-3 is covered. *)
+  for n = 1 to 9 do
+    check_len n (List.init n Fun.id)
+  done;
+  let rng = Kutil.Rng.create ~seed:11 in
+  let n = 4096 + 3 in
+  let sampled = List.init 64 (fun _ -> Kutil.Rng.int rng n) in
+  check_len n ([ 0; 1; 2; 3; 4; 2047; 4092; 4095; 4096; 4097; 4098 ] @ sampled)
+
 (* ----------------------------- WAL --------------------------------- *)
 
 module Wal = Kstorage.Wal
@@ -327,13 +506,12 @@ let mk_wal ?config ?(faults = Kstorage.Disk_fault.none) ?(seed = 7) () =
   Wal.set_faults w faults;
   w
 
-let payload_strings r =
-  List.map
-    (function
-      | Wal.Page (a, b) ->
-        Printf.sprintf "page:%d:%s" (Gaddr.diff a Gaddr.zero) (Bytes.to_string b)
-      | Wal.Note (tag, b) -> Printf.sprintf "note:%s:%s" tag (Bytes.to_string b))
-    r.Wal.ops
+let payload_string = function
+  | Wal.Page (a, b) ->
+    Printf.sprintf "page:%d:%s" (Gaddr.diff a Gaddr.zero) (Bytes.to_string b)
+  | Wal.Note (tag, b) -> Printf.sprintf "note:%s:%s" tag (Bytes.to_string b)
+
+let payload_strings r = List.map payload_string r.Wal.ops
 
 let test_wal_commit_replay () =
   let w = mk_wal () in
@@ -509,6 +687,70 @@ let test_wal_crash_every_point_sweep () =
       (payload_strings (Wal.replay w))
   done
 
+
+(* The log owns what it records: a caller may reuse its buffer as soon as
+   an append returns, and replay hands out copies. *)
+let test_wal_caller_buffers_not_kept () =
+  let w = mk_wal () in
+  let img = data "image" and note = data "note" and ctl = data "ctl" in
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 1) img;
+  Wal.log_note w tx "meta" note;
+  Wal.commit w tx;
+  Wal.control w "ctl" ctl;
+  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) 'X') [ img; note; ctl ];
+  let expected = [ "page:4096:image"; "note:meta:note"; "note:ctl:ctl" ] in
+  let r = Wal.replay w in
+  Alcotest.(check (list string)) "appends kept their own bytes" expected
+    (payload_strings r);
+  (* Scribbling on what replay returned must not reach the log either. *)
+  List.iter
+    (function
+      | Wal.Page (_, b) | Wal.Note (_, b) -> Bytes.fill b 0 (Bytes.length b) 'Y')
+    r.Wal.ops;
+  Alcotest.(check (list string)) "replay returned copies" expected
+    (payload_strings (Wal.replay w));
+  let snap = data "SNAP" in
+  Wal.checkpoint w snap;
+  Bytes.fill snap 0 4 'X';
+  Alcotest.(check (option string)) "checkpoint kept its own snapshot"
+    (Some "SNAP")
+    (Option.map Bytes.to_string (Wal.replay w).Wal.snapshot)
+
+(* In-doubt records cross a checkpoint as their existing images: after two
+   truncations the prepared payloads replay byte for byte, and apply once
+   the commit decision lands. *)
+let test_wal_in_doubt_across_two_checkpoints () =
+  let w = mk_wal () in
+  let gtx = Kutil.Txid.make ~coord:2 ~epoch:0 ~seq:4 in
+  let img = Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 3) img;
+  Wal.log_note w tx "pdir" (data "entry");
+  Wal.prepare w tx gtx;
+  let in_doubt () =
+    match (Wal.replay w).Wal.in_doubt with
+    | [ (g, payloads) ] when Kutil.Txid.equal g gtx ->
+      List.map payload_string payloads
+    | _ -> Alcotest.fail "expected exactly the one in-doubt transaction"
+  in
+  let before = in_doubt () in
+  Wal.checkpoint w (data "s1");
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 4) (data "other");
+  Wal.commit w tx;
+  Wal.checkpoint w (data "s2");
+  Alcotest.(check (list string)) "same payloads after two checkpoints" before
+    (in_doubt ());
+  Wal.decide w gtx ~commit:true ~participants:[];
+  let r = Wal.replay w in
+  Alcotest.(check (list string)) "applied on commit" before (payload_strings r);
+  match r.Wal.ops with
+  | Wal.Page (a, b) :: _ ->
+    Alcotest.(check bool) "page address" true (Gaddr.equal a (page 3));
+    Alcotest.(check bool) "page image byte-identical" true (Bytes.equal b img)
+  | _ -> Alcotest.fail "page payload missing"
+
 (* ------------------------------------------------------------------ *)
 (* File-backed WAL: the durability a real killed process comes back to *)
 (* ------------------------------------------------------------------ *)
@@ -653,6 +895,19 @@ let () =
             test_overwrite_keeps_prior_durable;
           Alcotest.test_case "flush_immediate single writeback" `Quick
             test_flush_immediate_single_writeback;
+          Alcotest.test_case "checksum sees every bit" `Quick
+            test_checksum_every_bit;
+        ] );
+      ( "write_from",
+        [
+          Alcotest.test_case "patches in place" `Quick test_write_from_patches;
+          Alcotest.test_case "same latency as read+write" `Quick
+            test_write_from_latency;
+          Alcotest.test_case "no aliasing" `Quick test_write_from_no_aliasing;
+          Alcotest.test_case "promotes a disk page" `Quick
+            test_write_from_promotes_disk_page;
+          Alcotest.test_case "crash mid-sleep" `Quick
+            test_write_from_crash_mid_sleep;
         ] );
       ( "wal",
         [
@@ -671,6 +926,10 @@ let () =
             test_wal_crash_recounts_since_checkpoint;
           Alcotest.test_case "crash at every point" `Quick
             test_wal_crash_every_point_sweep;
+          Alcotest.test_case "caller buffers not kept" `Quick
+            test_wal_caller_buffers_not_kept;
+          Alcotest.test_case "in-doubt across two checkpoints" `Quick
+            test_wal_in_doubt_across_two_checkpoints;
         ] );
       ( "wal_file",
         [
