@@ -93,7 +93,7 @@ let start_server engine topology ~server =
 let call t ~src req =
   match T.call t.transport ~src ~dst:t.server ~policy:(Krpc.Policy.with_timeout (Ksim.Time.sec 5)) req with
   | Ok r -> r
-  | Error `Timeout -> Proto.R_err "timeout"
+  | Error (`Timeout | `Unreachable) -> Proto.R_err "timeout"
 
 let create t ~src path =
   match call t ~src (Proto.Create path) with

@@ -1,7 +1,7 @@
 (* khazanad — Khazana as real processes.
 
    Forks one OS process per node, each running a full daemon over the
-   Unix-domain-socket transport backend ({!Ktransport.Transport_unix}), and
+   Unix-domain-socket link ({!Ktransport.Transport_unix}), and
    drives workloads against the fleet. Processes coordinate through files
    in a scratch directory (addresses, per-node results, flags), written
    atomically via rename.
@@ -13,7 +13,7 @@
      sockets), re-reads it warm (local replica), then write-locks it
      (invalidation across real sockets), plus a two-participant 2PC phase.
      Wall-clock numbers print next to the same workload on the simulated
-     backend, same daemon code — the whole point of the transport seam.
+     network, same daemon code — the whole point of the transport seam.
 
    - [--chaos]: a kill/restart/rejoin harness. Every node runs with a
      file-backed WAL. A victim worker streams sequenced, settled writes to

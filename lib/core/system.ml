@@ -3,15 +3,15 @@ module Topology = Knet.Topology
 type t = {
   engine : Ksim.Engine.t;
   topology : Topology.t;
-  transport : Wire.Transport.t;  (* what daemons hold: the packed seam *)
-  rpc : Wire.Sim.Rpc.t;          (* the concrete simulated engine under it *)
+  transport : Wire.Transport.t;  (* what daemons hold: the RPC core *)
+  net : Wire.Transport.Net.t;    (* the simulated network under it *)
   daemons : Daemon.t array;
 }
 
 let engine t = t.engine
 let topology t = t.topology
 let transport t = t.transport
-let net t = Wire.Sim.Rpc.net t.rpc
+let net t = t.net
 
 let daemon t node =
   if node < 0 || node >= Array.length t.daemons then
@@ -57,20 +57,20 @@ let crash t node = Daemon.crash (daemon t node)
 let recover t node = Daemon.recover (daemon t node)
 let set_disk_faults t node faults = Daemon.set_disk_faults (daemon t node) faults
 
-let partition t a b = Wire.Sim.Net.partition (net t) a b
-let heal t = Wire.Sim.Net.heal (net t)
+let partition t a b = Wire.Transport.Net.partition t.net a b
+let heal t = Wire.Transport.Net.heal t.net
 
 let set_frame_faults t ?seed ?drop ?duplicate ?delay () =
-  Wire.Sim.Net.set_frame_faults (net t) ?seed ?drop ?duplicate ?delay ()
+  Wire.Transport.Net.set_frame_faults t.net ?seed ?drop ?duplicate ?delay ()
 
-let clear_frame_faults t = Wire.Sim.Net.clear_frame_faults (net t)
+let clear_frame_faults t = Wire.Transport.Net.clear_frame_faults t.net
 
 let create ?(seed = 42) ?config ?lan ?wan ~nodes_per_cluster ~clusters () =
   let engine = Ksim.Engine.create ~seed () in
   let topology = Topology.symmetric ~nodes_per_cluster ~clusters in
   (match lan with Some p -> Topology.set_lan topology p | None -> ());
   (match wan with Some p -> Topology.set_wan topology p | None -> ());
-  let transport, rpc = Wire.Sim.create engine topology in
+  let transport, net = Wire.Transport.sim engine topology in
   let bootstrap = 0 in
   let manager_of node =
     (* The first node of each cluster manages it. *)
@@ -84,6 +84,6 @@ let create ?(seed = 42) ?config ?lan ?wan ~nodes_per_cluster ~clusters () =
         Daemon.create ?config ~peer_managers:all_managers ~id ~bootstrap
           ~cluster_manager:(manager_of id) transport)
   in
-  let t = { engine; topology; transport; rpc; daemons } in
+  let t = { engine; topology; transport; net; daemons } in
   run_fiber ~name:"bootstrap" t (fun () -> Daemon.bootstrap_map daemons.(bootstrap));
   t

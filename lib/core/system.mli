@@ -26,11 +26,11 @@ val topology : t -> Knet.Topology.t
 (** Cluster/link layout. *)
 
 val transport : t -> Wire.Transport.t
-(** The packed transport daemons speak through (e.g. for [set_coalescing]
-    and traffic {!Wire.Transport.stats} in benches). *)
+(** The transport daemons speak through (e.g. for [set_coalescing] and
+    traffic {!Wire.Transport.stats} in benches). *)
 
-val net : t -> Wire.Sim.Net.t
-(** The concrete simulated network under the seam, for byte-level traffic
+val net : t -> Wire.Transport.Net.t
+(** The simulated network under the transport, for byte-level traffic
     counters, trace taps and fault knobs that only simulation has. *)
 
 val daemon : t -> Knet.Topology.node_id -> Daemon.t

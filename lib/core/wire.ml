@@ -397,10 +397,9 @@ let decode_response dec =
 
 (* ---------------- the transport seam, instantiated ----------------
 
-   [P] must stay a named module path: OCaml's applicative functors then
-   make [Transport.t] from the three [Make] applications below one and the
-   same abstract type, so a packed simulated transport and a packed socket
-   transport are interchangeable values. *)
+   [P] must stay a named module path: [Sockets.pack] returns
+   [Ktransport.Transport.Make (P).t], which OCaml's applicative functors
+   then make the very type [Transport.t] below. *)
 
 module P = struct
   type nonrec request = request
@@ -416,13 +415,10 @@ module P = struct
 end
 
 module Transport = Ktransport.Transport.Make (P)
-(** What daemons hold: a packed first-class transport. *)
-
-module Sim = Ktransport.Transport_sim.Make (P)
-(** The simulated backend ([Sim.T.t = Transport.t]). [Sim.Rpc] and
-    [Sim.Net] expose the concrete engine for harnesses. *)
+(** What daemons hold: the RPC core, over whichever link.
+    [Transport.sim] builds it over the simulated network. *)
 
 module Sockets = Ktransport.Transport_unix.Make (P)
-(** The real backend: frames over Unix-domain sockets. *)
+(** The socket link: frames over Unix-domain sockets. *)
 
 module Policy = Krpc.Policy

@@ -242,7 +242,7 @@ let invoke_at t node obj ~meth ~arg =
     with
     | Ok (Overlay_proto.R_ok bytes) -> Ok bytes
     | Ok (Overlay_proto.R_err e) -> Error (`Remote_failure e)
-    | Error `Timeout -> Error `Timeout
+    | Error (`Timeout | `Unreachable) -> Error `Timeout
   end
 
 (* "It also could use location information exported from Khazana to decide

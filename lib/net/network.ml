@@ -6,6 +6,16 @@ module type MESSAGE = sig
   val kinds : t -> string list
 end
 
+type stats = {
+  sent : int;
+  delivered : int;
+  dropped : int;
+  in_flight : int;
+  atoms : int;
+  bytes_sent : int;
+  by_kind : (string * int) list;
+}
+
 module Make (M : MESSAGE) = struct
   type handler = src:Topology.node_id -> M.t -> unit
 
@@ -222,16 +232,6 @@ module Make (M : MESSAGE) = struct
     t.ff_drop <- 0.0;
     t.ff_duplicate <- 0.0;
     t.ff_delay <- 0.0
-
-  type stats = {
-    sent : int;
-    delivered : int;
-    dropped : int;
-    in_flight : int;
-    atoms : int;
-    bytes_sent : int;
-    by_kind : (string * int) list;
-  }
 
   let stats (t : t) =
     let by_kind =

@@ -24,6 +24,23 @@ module type MESSAGE = sig
       coalescing is on. *)
 end
 
+(** Traffic counters: this network's, and every RPC link's (see
+    [Krpc.Rpc.Make.link]). A socket link counts its own endpoint's view
+    with [in_flight = 0], so there the books balance per process pair, not
+    globally. *)
+type stats = {
+  sent : int;       (** envelopes handed to the wire *)
+  delivered : int;  (** envelopes handed to the receiving node's RPC core *)
+  dropped : int;    (** lost to crash/partition/loss or a dead socket *)
+  in_flight : int;  (** scheduled but not yet delivered *)
+  atoms : int;
+      (** logical messages sent: each item of a batch envelope counts
+          once, so [atoms >= sent] and the gap measures coalescing *)
+  bytes_sent : int;
+  by_kind : (string * int) list;
+      (** logical messages sent, per kind, sorted; sums to [atoms] *)
+}
+
 module Make (M : MESSAGE) : sig
   type t
 
@@ -75,19 +92,6 @@ module Make (M : MESSAGE) : sig
   val clear_frame_faults : t -> unit
 
   (** {1 Accounting} *)
-
-  type stats = {
-    sent : int;       (** envelopes handed to the wire *)
-    delivered : int;
-    dropped : int;
-    in_flight : int;  (** scheduled but not yet delivered *)
-    atoms : int;
-        (** logical messages sent: each item of a batch envelope counts
-            once, so [atoms >= sent] and the gap measures coalescing *)
-    bytes_sent : int;
-    by_kind : (string * int) list;
-        (** logical messages sent, per kind, sorted; sums to [atoms] *)
-  }
 
   val stats : t -> stats
   (** Traffic counters. [sent = delivered + dropped + in_flight] holds at

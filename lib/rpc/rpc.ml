@@ -7,6 +7,19 @@ module type PROTOCOL = sig
   val request_kind : request -> string
 end
 
+type node_id = Knet.Topology.node_id
+
+module Faults = struct
+  type t = {
+    crash : node_id -> unit;
+    recover : node_id -> unit;
+    is_up : node_id -> bool;
+    partition : node_id list -> node_id list -> unit;
+    heal : unit -> unit;
+    reachable : node_id -> node_id -> bool;
+  }
+end
+
 module Make (P : PROTOCOL) = struct
   module Msg = struct
     type t =
@@ -52,19 +65,23 @@ module Make (P : PROTOCOL) = struct
 
   module Net = Knet.Network.Make (Msg)
 
+  type handler =
+    src:node_id -> span:int -> P.request -> reply:(P.response -> unit) -> unit
+
+  type link = {
+    send : src:node_id -> dst:node_id -> Msg.t -> bool;
+    topology : Knet.Topology.t;
+    stats : unit -> Knet.Network.stats;
+    reset_stats : unit -> unit;
+    faults : Faults.t option;
+  }
+
   type t = {
-    net : Net.t;
     engine : Ksim.Engine.t;
+    link : link;
     mutable next_id : int;
     pending : (int, P.response Ksim.Promise.t) Hashtbl.t;
-    servers :
-      (src:Knet.Topology.node_id ->
-       span:int ->
-       P.request ->
-       reply:(P.response -> unit) ->
-       unit)
-        option
-        array;
+    servers : handler option array;
     mutable coalescing : bool;
     (* Per-(src, dst) queues of oneways waiting for the end-of-tick flush,
        items in reverse send order. A key is present iff a flush for it is
@@ -72,59 +89,80 @@ module Make (P : PROTOCOL) = struct
     queues : (int * int, (int * P.request) list ref) Hashtbl.t;
   }
 
-  let create engine topology =
+  let connect engine link =
+    {
+      engine;
+      link;
+      next_id = 0;
+      pending = Hashtbl.create 64;
+      servers = Array.make (Knet.Topology.node_count link.topology) None;
+      coalescing = true;
+      queues = Hashtbl.create 16;
+    }
+
+  let send t ~src ~dst msg = ignore (t.link.send ~src ~dst msg)
+
+  let deliver t ~src ~dst msg =
+    match (msg, t.servers.(dst)) with
+    | Msg.Response { id; body }, _ -> (
+      match Hashtbl.find_opt t.pending id with
+      | None -> () (* late reply after timeout: drop *)
+      | Some promise ->
+        Hashtbl.remove t.pending id;
+        ignore (Ksim.Promise.try_resolve promise body))
+    | _, None ->
+      (* A node with no server ignores whatever reaches it; the link has
+         already counted the envelope delivered. *)
+      ()
+    | Msg.Request { id; span; body }, Some server ->
+      server ~src ~span body ~reply:(fun resp ->
+          send t ~src:dst ~dst:src (Msg.Response { id; body = resp }))
+    | Msg.Oneway { span; body }, Some server ->
+      server ~src ~span body ~reply:ignore
+    | Msg.Batch { items }, Some server ->
+      List.iter (fun (span, body) -> server ~src ~span body ~reply:ignore) items
+
+  (* The simulated network never refuses a send — a frame to a crashed or
+     partitioned node leaves and silently dies — so calls over this link
+     only ever time out. *)
+  let sim engine topology =
     let net = Net.create engine topology in
     let t =
-      {
-        net;
-        engine;
-        next_id = 0;
-        pending = Hashtbl.create 64;
-        servers = Array.make (Knet.Topology.node_count topology) None;
-        coalescing = true;
-        queues = Hashtbl.create 16;
-      }
+      connect engine
+        {
+          send = (fun ~src ~dst msg -> Net.send net ~src ~dst msg; true);
+          topology;
+          stats = (fun () -> Net.stats net);
+          reset_stats = (fun () -> Net.reset_stats net);
+          faults =
+            Some
+              {
+                Faults.crash = Net.crash net;
+                recover = Net.recover net;
+                is_up = Net.is_up net;
+                partition = Net.partition net;
+                heal = (fun () -> Net.heal net);
+                reachable = Net.reachable net;
+              };
+        }
     in
     List.iter
       (fun node ->
-        Net.set_handler net node (fun ~src msg ->
-            match msg with
-            | Msg.Request { id; span; body } -> (
-              match t.servers.(node) with
-              | None -> ()
-              | Some server ->
-                let reply resp =
-                  Net.send net ~src:node ~dst:src (Msg.Response { id; body = resp })
-                in
-                server ~src ~span body ~reply)
-            | Msg.Response { id; body } -> (
-              match Hashtbl.find_opt t.pending id with
-              | None -> () (* late reply after timeout: drop *)
-              | Some promise ->
-                Hashtbl.remove t.pending id;
-                ignore (Ksim.Promise.try_resolve promise body))
-            | Msg.Oneway { span; body } -> (
-              match t.servers.(node) with
-              | None -> ()
-              | Some server -> server ~src ~span body ~reply:(fun _ -> ()))
-            | Msg.Batch { items } -> (
-              match t.servers.(node) with
-              | None -> ()
-              | Some server ->
-                List.iter
-                  (fun (span, body) -> server ~src ~span body ~reply:(fun _ -> ()))
-                  items)))
+        Net.set_handler net node (fun ~src msg -> deliver t ~src ~dst:node msg))
       (Knet.Topology.nodes topology);
-    t
+    (t, net)
 
-  let net t = t.net
+  let create engine topology = fst (sim engine topology)
+
   let engine t = t.engine
-
+  let topology t = t.link.topology
+  let stats t = t.link.stats ()
+  let reset_stats t = t.link.reset_stats ()
+  let faults t = t.link.faults
   let set_server t node handler = t.servers.(node) <- Some handler
 
   let call t ~src ~dst ?(policy = Policy.default) ?(span = 0) request =
     let attempt_timeout = Policy.timeout_source policy in
-    let attempts = policy.Policy.attempts in
     let rec attempt n =
       if n <= 0 then Error `Timeout
       else begin
@@ -132,17 +170,33 @@ module Make (P : PROTOCOL) = struct
         t.next_id <- t.next_id + 1;
         let promise = Ksim.Promise.create () in
         Hashtbl.replace t.pending id promise;
-        Net.send t.net ~src ~dst (Msg.Request { id; span; body = request });
-        let timeout = attempt_timeout () in
-        match Ksim.Fiber.await_timeout t.engine promise ~timeout with
-        | Some resp -> Ok resp
-        | None ->
+        if not (t.link.send ~src ~dst (Msg.Request { id; span; body = request }))
+        then begin
+          (* The send itself failed: dead socket or refused dial. Don't
+             burn a full reply window waiting for an answer that never
+             left — pause briefly (the peer may be rebinding) and retry,
+             or report the positive evidence if attempts are spent. *)
           Hashtbl.remove t.pending id;
-          attempt (n - 1)
+          if n = 1 then Error `Unreachable
+          else begin
+            Ksim.Fiber.sleep (min (attempt_timeout ()) (Ksim.Time.ms 100));
+            attempt (n - 1)
+          end
+        end
+        else
+          match
+            Ksim.Fiber.await_timeout t.engine promise
+              ~timeout:(attempt_timeout ())
+          with
+          | Some resp -> Ok resp
+          | None ->
+            Hashtbl.remove t.pending id;
+            attempt (n - 1)
       end
     in
-    if attempts <= 0 then invalid_arg "Rpc.call: policy attempts must be positive";
-    attempt attempts
+    if policy.Policy.attempts <= 0 then
+      invalid_arg "Rpc.call: policy attempts must be positive";
+    attempt policy.Policy.attempts
 
   let flush_queue t ~src ~dst =
     match Hashtbl.find_opt t.queues (src, dst) with
@@ -154,7 +208,7 @@ module Make (P : PROTOCOL) = struct
        | [ (span, body) ] ->
          (* A batch of one gains nothing: send the plain envelope so the
             uncontended path is byte-identical to the uncoalesced one. *)
-         Net.send t.net ~src ~dst (Msg.Oneway { span; body })
+         send t ~src ~dst (Msg.Oneway { span; body })
        | items ->
          (if Ktrace.Trace.enabled () then
             (* Parent the batch event under the first traced item so E1/E3
@@ -167,7 +221,7 @@ module Make (P : PROTOCOL) = struct
                   [ ("dst", string_of_int dst);
                     ("items", string_of_int (List.length items)) ]
             | None -> ());
-         Net.send t.net ~src ~dst (Msg.Batch { items }))
+         send t ~src ~dst (Msg.Batch { items }))
 
   let notify t ~src ~dst ?(span = 0) ?(coalesce = false) request =
     if coalesce && t.coalescing then begin
@@ -177,12 +231,12 @@ module Make (P : PROTOCOL) = struct
         Hashtbl.replace t.queues (src, dst) (ref [ (span, request) ]);
         (* ~after:0 = end of the current instant: every coalescable send
            to this destination issued while the current event cascade runs
-           lands in the same envelope; the flush costs no simulated time. *)
+           lands in the same envelope; the flush costs no time. *)
         ignore
           (Ksim.Engine.schedule t.engine ~after:0 (fun () ->
                flush_queue t ~src ~dst))
     end
-    else Net.send t.net ~src ~dst (Msg.Oneway { span; body = request })
+    else send t ~src ~dst (Msg.Oneway { span; body = request })
 
   let set_coalescing t on =
     (* Draining on disable keeps the no-queued-message invariant trivial:

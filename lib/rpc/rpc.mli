@@ -1,14 +1,21 @@
-(** Request/response messaging over the simulated network.
+(** Request/response messaging: the one RPC core under every transport.
 
-    Wraps {!Knet.Network} with correlation ids, timeouts and retries.
-    Khazana daemons use this for all inter-node protocol traffic. Retried
-    requests give at-least-once execution: handlers must be idempotent or
-    deduplicate, as the paper's own retry-until-success error handling
-    requires.
+    Khazana daemons drive every protocol through this layer. It owns the
+    envelope alphabet, call correlation, {!Policy} timeouts and retries,
+    same-instant coalescing of one-way messages, and server dispatch.
+    Retried requests give at-least-once execution: handlers must be
+    idempotent or deduplicate, as the paper's own retry-until-success
+    error handling requires.
+
+    What moves envelopes is a {!Make.link}, a small record of closures.
+    The core hands a link each outgoing envelope with [send]; on arrival
+    the link calls {!Make.deliver}. {!Make.sim} links the core to the
+    simulated {!Knet.Network}. [Ktransport.Transport_unix] links it to
+    length-prefixed frames over Unix-domain sockets.
 
     One-way messages marked coalescable are not sent immediately: they sit
-    in a per-destination queue until the end of the current simulated
-    instant, then travel as one {!Make.Msg.t.Batch} envelope. A home
+    in a per-(source, destination) queue until the end of the current
+    engine instant, then travel as one {!Make.Msg.t.Batch} envelope. A home
     invalidating N pages at one sharer in a single event cascade therefore
     pays one envelope, not N. *)
 
@@ -28,9 +35,21 @@ module type PROTOCOL = sig
   (** Short label for per-kind traffic counters ({!Knet.Network}). *)
 end
 
-module Make (P : PROTOCOL) : sig
-  type t
+type node_id = Knet.Topology.node_id
 
+(** Failure injection, for links that can inject failures. *)
+module Faults : sig
+  type t = {
+    crash : node_id -> unit;
+    recover : node_id -> unit;
+    is_up : node_id -> bool;
+    partition : node_id list -> node_id list -> unit;
+    heal : unit -> unit;
+    reachable : node_id -> node_id -> bool;
+  }
+end
+
+module Make (P : PROTOCOL) : sig
   module Msg : sig
     type t =
       | Request of { id : int; span : int; body : P.request }
@@ -58,66 +77,93 @@ module Make (P : PROTOCOL) : sig
 
   module Net : module type of Knet.Network.Make (Msg)
 
-  val create : Ksim.Engine.t -> Knet.Topology.t -> t
-  (** Build a transport over the topology and hook every node's network
-      handler; servers are installed separately with {!set_server}. *)
+  type handler =
+    src:node_id -> span:int -> P.request -> reply:(P.response -> unit) -> unit
+  (** A node's server. [span] is the caller's trace span id (0 untraced).
+      The handler may reply immediately, capture [reply] and call it later
+      from a fiber, or never reply (the caller then times out). *)
 
-  val net : t -> Net.t
-  (** The underlying network (failure injection, traffic stats). *)
+  (** What carries envelopes between nodes.
+
+      [send ~src ~dst msg] puts one envelope on its way, or reports that it
+      could not: [false] is positive evidence that [dst] is unreachable
+      right now (a dead socket, a refused dial, an injected fault that
+      filtered the envelope at send time). A call whose last attempt's
+      send returns [false] fails with [`Unreachable]. A loss the sender
+      cannot see (a simulated drop, a frame lost in flight) returns [true]
+      and reads as silence. Whatever arrives at a node is passed to
+      {!deliver}, from inside an engine event. [stats] and [reset_stats]
+      are the link's traffic counters. [faults] is [None] only on a link
+      with no failure injection at all. *)
+  type link = {
+    send : src:node_id -> dst:node_id -> Msg.t -> bool;
+    topology : Knet.Topology.t;
+    stats : unit -> Knet.Network.stats;
+    reset_stats : unit -> unit;
+    faults : Faults.t option;
+  }
+
+  type t
+
+  val connect : Ksim.Engine.t -> link -> t
+  (** A core over [link]; its calls, timers and flushes run on [engine].
+      Servers are installed separately with {!set_server}. *)
+
+  val deliver : t -> src:node_id -> dst:node_id -> Msg.t -> unit
+  (** Hand an arrived envelope to the core: a response resolves its
+      pending call; a request, oneway or batch item runs [dst]'s server.
+      An envelope reaching a node with no server is ignored. *)
+
+  val sim : Ksim.Engine.t -> Knet.Topology.t -> t * Net.t
+  (** A core over a fresh simulated network, whose [send] always returns
+      [true]: simulated calls time out but are never [`Unreachable]. The
+      network is returned for harnesses that need it (trace taps, frame
+      faults, byte-level counters). *)
+
+  val create : Ksim.Engine.t -> Knet.Topology.t -> t
+  (** [fst (sim engine topology)]. *)
 
   val engine : t -> Ksim.Engine.t
-  (** The simulation engine this transport schedules on. *)
+  val topology : t -> Knet.Topology.t
+  val stats : t -> Knet.Network.stats
+  val reset_stats : t -> unit
+  val faults : t -> Faults.t option
 
-  val set_server :
-    t ->
-    Knet.Topology.node_id ->
-    (src:Knet.Topology.node_id ->
-     span:int ->
-     P.request ->
-     reply:(P.response -> unit) ->
-     unit) ->
-    unit
-  (** Install a node's request handler. [span] is the caller's trace span
-      id (0 when untraced). The handler may reply immediately, or capture
-      [reply] and call it later from a fiber; replying is optional (the
-      caller then times out). *)
+  val set_server : t -> node_id -> handler -> unit
+  (** Install (or replace) a node's request handler. *)
 
   val call :
     t ->
-    src:Knet.Topology.node_id ->
-    dst:Knet.Topology.node_id ->
+    src:node_id ->
+    dst:node_id ->
     ?policy:Policy.t ->
     ?span:int ->
     P.request ->
-    (P.response, [ `Timeout ]) result
+    (P.response, [ `Timeout | `Unreachable ]) result
   (** Fiber-blocking remote call governed by [policy] (default
       {!Policy.default}: one attempt, 1 s timeout): the request is resent
       up to [policy.attempts] times, each attempt waiting for the policy's
-      next per-attempt timeout (fixed, or growing along its backoff
-      schedule). [span] rides in the envelope so the callee can link its
-      work into the caller's trace. *)
+      next per-attempt timeout. [`Timeout] is silence: every attempt's
+      reply window elapsed. When the link refuses a send, the attempt
+      pauses for [min timeout 100 ms] instead of a full window, and the
+      last attempt's refusal returns [`Unreachable]. [span] rides in the
+      envelope so the callee can link its work into the caller's trace. *)
 
   val notify :
-    t ->
-    src:Knet.Topology.node_id ->
-    dst:Knet.Topology.node_id ->
-    ?span:int ->
-    ?coalesce:bool ->
-    P.request ->
-    unit
+    t -> src:node_id -> dst:node_id -> ?span:int -> ?coalesce:bool ->
+    P.request -> unit
   (** One-way message: no response, no retry. With [~coalesce:true]
       (default false) the message is queued and flushed at the end of the
-      current simulated instant, sharing a {!Msg.t.Batch} envelope with
-      every other coalescable same-tick message from [src] to [dst]; the
-      flush emits an "rpc.batch" {!Ktrace} event when it merged two or
-      more. Delivery semantics are otherwise unchanged — the network's
-      crash/partition/loss decisions apply to the whole envelope at flush
-      time. *)
+      current engine instant, sharing a {!Msg.t.Batch} envelope with every
+      other coalescable same-tick message from [src] to [dst]; the flush
+      emits an "rpc.batch" {!Ktrace} event when it merged two or more, and
+      sends a lone message as a plain [Oneway]. The link's loss decisions
+      apply to the whole envelope at flush time. *)
 
   val set_coalescing : t -> bool -> unit
-  (** Globally enable/disable batching of [~coalesce:true] notifies
-      (default enabled). Disabling flushes any queued messages first;
-      benches use this to measure the uncoalesced baseline. *)
+  (** Enable/disable batching of [~coalesce:true] notifies (default
+      enabled). Disabling flushes any queued messages first; benches use
+      this to measure the uncoalesced baseline. *)
 
   val coalescing : t -> bool
   (** Whether coalescing is currently enabled. *)

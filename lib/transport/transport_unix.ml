@@ -1,5 +1,4 @@
 module Codec = Kutil.Codec
-module Policy = Krpc.Policy
 
 let frame_header = 4
 
@@ -37,14 +36,8 @@ type dial = {
 }
 
 module Make (W : Transport.WIRE) = struct
-  module T = Transport.Make (W)
-
-  (* Envelope alphabet, mirroring {!Krpc.Rpc.Make.Msg} on real bytes. *)
-  type msg =
-    | Request of { call : int; span : int; body : W.request }
-    | Response of { call : int; body : W.response }
-    | Oneway of { span : int; body : W.request }
-    | Batch of { items : (int * W.request) list }
+  module Core = Transport.Make (W)
+  module Msg = Core.Msg
 
   type t = {
     id : int;
@@ -55,15 +48,8 @@ module Make (W : Transport.WIRE) = struct
     listen_fd : Unix.file_descr;
     outgoing : (int, Unix.file_descr) Hashtbl.t;
     mutable incoming : incoming list;
-    mutable server : T.handler option;
     enc : Codec.encoder;  (* reused for every outgoing frame *)
-    pending : (int, W.response Ksim.Promise.t) Hashtbl.t;
-    mutable next_call : int;
-    mutable coalescing : bool;
-    (* Same-instant coalescing queues, keyed by destination (the source is
-       always this endpoint); reverse send order, flushed at the end of the
-       engine instant that first filled them. *)
-    queues : (int, (int * W.request) list ref) Hashtbl.t;
+    mutable core : Core.t option;  (* the RPC core over this link; set by [create] *)
     mutable sent : int;
     mutable delivered : int;
     mutable dropped : int;
@@ -87,7 +73,6 @@ module Make (W : Transport.WIRE) = struct
 
   let id t = t.id
   let engine t = t.engine
-  let topology t = t.topology
 
   (* ---------------- frames ---------------- *)
 
@@ -100,18 +85,18 @@ module Make (W : Transport.WIRE) = struct
      reserve the 4-byte length, encode the payload, patch the length. The
      frame is [Codec.contents t.enc] up to [Codec.length t.enc], valid until
      the next encode. *)
-  let encode_frame t msg =
+  let encode_frame t (msg : Msg.t) =
     let enc = t.enc and src = t.id in
     Codec.reset enc;
     Codec.u32 enc 0;
     (match msg with
-     | Request { call; span; body } ->
+     | Request { id = call; span; body } ->
        Codec.u8 enc tag_request;
        Codec.u32 enc src;
        Codec.int enc call;
        Codec.int enc span;
        W.encode_request enc body
-     | Response { call; body } ->
+     | Response { id = call; body } ->
        Codec.u8 enc tag_response;
        Codec.u32 enc src;
        Codec.int enc call;
@@ -134,14 +119,14 @@ module Make (W : Transport.WIRE) = struct
   let decode_payload dec =
     let tag = Codec.read_u8 dec in
     let src = Codec.read_u32 dec in
-    let msg =
+    let msg : Msg.t =
       if tag = tag_request then
-        let call = Codec.read_int dec in
+        let id = Codec.read_int dec in
         let span = Codec.read_int dec in
-        Request { call; span; body = W.decode_request dec }
+        Request { id; span; body = W.decode_request dec }
       else if tag = tag_response then
-        let call = Codec.read_int dec in
-        Response { call; body = W.decode_response dec }
+        let id = Codec.read_int dec in
+        Response { id; body = W.decode_response dec }
       else if tag = tag_oneway then
         let span = Codec.read_int dec in
         Oneway { span; body = W.decode_request dec }
@@ -159,20 +144,15 @@ module Make (W : Transport.WIRE) = struct
 
   (* ---------------- accounting ---------------- *)
 
-  let account_kind t k =
-    t.atoms <- t.atoms + 1;
-    Hashtbl.replace t.by_kind k
-      (1 + Option.value (Hashtbl.find_opt t.by_kind k) ~default:0)
-
   let account_sent t msg len =
     t.sent <- t.sent + 1;
     t.bytes_sent <- t.bytes_sent + len;
-    match msg with
-    | Request { body; _ } | Oneway { body; _ } ->
-      account_kind t (W.request_kind body)
-    | Response _ -> account_kind t "response"
-    | Batch { items } ->
-      List.iter (fun (_, body) -> account_kind t (W.request_kind body)) items
+    List.iter
+      (fun k ->
+        t.atoms <- t.atoms + 1;
+        Hashtbl.replace t.by_kind k
+          (1 + Option.value (Hashtbl.find_opt t.by_kind k) ~default:0))
+      (Msg.kinds msg)
 
   (* ---------------- sockets ---------------- *)
 
@@ -206,7 +186,7 @@ module Make (W : Transport.WIRE) = struct
      each endpoint's local belief: frames to or from a node marked down,
      or across a declared partition, are discarded at this endpoint's
      edge. Single-process harnesses apply the same calls to every
-     endpoint and get the simulated backend's global semantics. *)
+     endpoint and get the simulated network's global semantics. *)
 
   let across (l, r) a b =
     (List.mem a l && List.mem b r) || (List.mem a r && List.mem b l)
@@ -328,11 +308,31 @@ module Make (W : Transport.WIRE) = struct
         t.dropped <- t.dropped + 1;
         false)
 
+  (* Decode one frame's payload where it lies in [buf] and schedule its
+     delivery to the core [after] ns from now, so handlers run inside an
+     engine event exactly as under simulation (and fibers they resume are
+     driven by the engine, not the socket pump's stack). Frames whose
+     speaker this endpoint believes down or partitioned away are filtered
+     at delivery; a malformed frame is counted dropped. *)
+  let receive t buf ~off ~len ~after =
+    match decode_payload (Codec.decoder_sub buf ~off ~len) with
+    | src, msg ->
+      ignore
+        (Ksim.Engine.schedule t.engine ~after (fun () ->
+             if fault_blocked t src t.id then t.dropped <- t.dropped + 1
+             else begin
+               t.delivered <- t.delivered + 1;
+               match t.core with
+               | Some core -> Core.deliver core ~src ~dst:t.id msg
+               | None -> ()
+             end))
+    | exception Codec.Decode_error _ -> t.dropped <- t.dropped + 1
+
   (* Transmit = encode, roll the fault shim, then hand to the socket (or
      the local loopback). Returns [false] only on positive evidence the
      peer is unreachable right now; shim losses return [true] because the
      frame left this endpoint as far as the caller can tell. *)
-  let rec transmit t ~dst msg =
+  let transmit t ~dst msg =
     encode_frame t msg;
     let frame = Codec.contents t.enc and len = Codec.length t.enc in
     account_sent t msg len;
@@ -384,54 +384,6 @@ module Make (W : Transport.WIRE) = struct
         ok
       end
     end
-
-  (* Decode one frame's payload where it lies in [buf] and schedule its
-     delivery [after] ns from now, so handlers run inside an engine event
-     exactly as under simulation (and fibers they resume are driven by the
-     engine, not the socket pump's stack). Frames whose speaker this
-     endpoint believes down or partitioned away are filtered at delivery;
-     a malformed frame is counted dropped. *)
-  and receive t buf ~off ~len ~after =
-    match decode_payload (Codec.decoder_sub buf ~off ~len) with
-    | src, msg ->
-      ignore
-        (Ksim.Engine.schedule t.engine ~after (fun () ->
-             if fault_blocked t src t.id then t.dropped <- t.dropped + 1
-             else deliver t ~src msg))
-    | exception Codec.Decode_error _ -> t.dropped <- t.dropped + 1
-
-  and deliver t ~src msg =
-    match msg with
-    | Request { call; span; body } -> (
-      match t.server with
-      | None -> t.dropped <- t.dropped + 1
-      | Some server ->
-        t.delivered <- t.delivered + 1;
-        let reply resp =
-          ignore (transmit t ~dst:src (Response { call; body = resp }))
-        in
-        server ~src ~span body ~reply)
-    | Response { call; body } -> (
-      t.delivered <- t.delivered + 1;
-      match Hashtbl.find_opt t.pending call with
-      | None -> () (* late reply after timeout: drop *)
-      | Some promise ->
-        Hashtbl.remove t.pending call;
-        ignore (Ksim.Promise.try_resolve promise body))
-    | Oneway { span; body } -> (
-      match t.server with
-      | None -> t.dropped <- t.dropped + 1
-      | Some server ->
-        t.delivered <- t.delivered + 1;
-        server ~src ~span body ~reply:(fun _ -> ()))
-    | Batch { items } -> (
-      match t.server with
-      | None -> t.dropped <- t.dropped + 1
-      | Some server ->
-        t.delivered <- t.delivered + 1;
-        List.iter
-          (fun (span, body) -> server ~src ~span body ~reply:(fun _ -> ()))
-          items)
 
   (* ---------------- socket pump ---------------- *)
 
@@ -552,86 +504,7 @@ module Make (W : Transport.WIRE) = struct
      | exception Unix.Unix_error (EINTR, _, _) -> ());
     Ksim.Engine.run ~until:(elapsed t) t.engine
 
-  (* ---------------- the Transport.S operations ---------------- *)
-
-  let set_server t node h =
-    if node <> t.id then
-      invalid_arg "Transport_unix.set_server: not the local node";
-    t.server <- Some h
-
-  let require_local t src op =
-    if src <> t.id then
-      invalid_arg ("Transport_unix." ^ op ^ ": src must be the local node")
-
-  let call t ~src ~dst ~policy ~span request =
-    require_local t src "call";
-    let attempt_timeout = Policy.timeout_source policy in
-    let attempts = policy.Policy.attempts in
-    if attempts <= 0 then
-      invalid_arg "Transport_unix.call: policy attempts must be positive";
-    let rec attempt n =
-      if n <= 0 then Error `Timeout
-      else begin
-        let call_id = t.next_call in
-        t.next_call <- t.next_call + 1;
-        let promise = Ksim.Promise.create () in
-        Hashtbl.replace t.pending call_id promise;
-        if not (transmit t ~dst (Request { call = call_id; span; body = request }))
-        then begin
-          (* The send itself failed: dead socket or refused dial. Don't
-             burn a full reply window waiting for an answer that never
-             left — pause briefly (the peer may be rebinding) and retry,
-             or report the positive evidence if attempts are spent. *)
-          Hashtbl.remove t.pending call_id;
-          if n = 1 then Error `Unreachable
-          else begin
-            Ksim.Fiber.sleep (min (attempt_timeout ()) (Ksim.Time.ms 100));
-            attempt (n - 1)
-          end
-        end
-        else
-          match
-            Ksim.Fiber.await_timeout t.engine promise
-              ~timeout:(attempt_timeout ())
-          with
-          | Some resp -> Ok resp
-          | None ->
-            Hashtbl.remove t.pending call_id;
-            attempt (n - 1)
-      end
-    in
-    attempt attempts
-
-  let flush_queue t ~dst =
-    match Hashtbl.find_opt t.queues dst with
-    | None -> ()
-    | Some q ->
-      Hashtbl.remove t.queues dst;
-      (match List.rev !q with
-       | [] -> ()
-       | [ (span, body) ] -> ignore (transmit t ~dst (Oneway { span; body }))
-       | items -> ignore (transmit t ~dst (Batch { items })))
-
-  let notify t ~src ~dst ~span ~coalesce request =
-    require_local t src "notify";
-    if coalesce && t.coalescing then begin
-      match Hashtbl.find_opt t.queues dst with
-      | Some q -> q := (span, request) :: !q
-      | None ->
-        Hashtbl.replace t.queues dst (ref [ (span, request) ]);
-        ignore
-          (Ksim.Engine.schedule t.engine ~after:0 (fun () -> flush_queue t ~dst))
-    end
-    else ignore (transmit t ~dst (Oneway { span; body = request }))
-
-  let set_coalescing t on =
-    if not on then
-      List.iter
-        (fun dst -> flush_queue t ~dst)
-        (Hashtbl.fold (fun k _ acc -> k :: acc) t.queues []);
-    t.coalescing <- on
-
-  let coalescing t = t.coalescing
+  (* ---------------- the link ---------------- *)
 
   let stats t =
     let by_kind =
@@ -639,7 +512,7 @@ module Make (W : Transport.WIRE) = struct
       |> List.sort compare
     in
     {
-      Transport.sent = t.sent;
+      Knet.Network.sent = t.sent;
       delivered = t.delivered;
       dropped = t.dropped;
       in_flight = 0;
@@ -656,23 +529,31 @@ module Make (W : Transport.WIRE) = struct
     t.bytes_sent <- 0;
     Hashtbl.reset t.by_kind
 
-  let pending_calls t = Hashtbl.length t.pending
-
-  (* Fault injection over real sockets: each operation edits this
+  (* What the RPC core sees of this endpoint. Fault injection edits the
      endpoint's local filter (and severs live connections where the
      simulated equivalent would kill them), so the conformance suite can
-     drive both backends through one interface. *)
-  let faults t =
-    Some
-      {
-        Transport.Faults.crash = (fun n -> fault_crash t n);
-        recover = (fun n -> fault_recover t n);
-        is_up = (fun n -> not (node_down t n));
-        partition =
-          (fun l r -> t.partitions <- (l, r) :: t.partitions);
-        heal = (fun () -> t.partitions <- []);
-        reachable = (fun a b -> not (fault_blocked t a b));
-      }
+     drive both links through one interface. *)
+  let link t =
+    {
+      Core.send =
+        (fun ~src ~dst msg ->
+          if src <> t.id then
+            invalid_arg "Transport_unix: src must be the local node";
+          transmit t ~dst msg);
+      topology = t.topology;
+      stats = (fun () -> stats t);
+      reset_stats = (fun () -> reset_stats t);
+      faults =
+        Some
+          {
+            Transport.Faults.crash = (fun n -> fault_crash t n);
+            recover = (fun n -> fault_recover t n);
+            is_up = (fun n -> not (node_down t n));
+            partition = (fun l r -> t.partitions <- (l, r) :: t.partitions);
+            heal = (fun () -> t.partitions <- []);
+            reachable = (fun a b -> not (fault_blocked t a b));
+          };
+    }
 
   let set_frame_faults t ?seed ?(drop = 0.0) ?(duplicate = 0.0)
       ?(delay = 0.0) () =
@@ -682,24 +563,6 @@ module Make (W : Transport.WIRE) = struct
     t.frame_faults <- { drop; duplicate; delay }
 
   let clear_frame_faults t = t.frame_faults <- no_frame_faults
-
-  module Backend = struct
-    type nonrec t = t
-
-    let engine = engine
-    let topology = topology
-    let set_server = set_server
-    let call = call
-    let notify = notify
-    let set_coalescing = set_coalescing
-    let coalescing = coalescing
-    let stats = stats
-    let reset_stats = reset_stats
-    let pending_calls = pending_calls
-    let faults = faults
-  end
-
-  let pack t = T.pack (module Backend) t
 
   (* ---------------- lifecycle and driving ---------------- *)
 
@@ -716,35 +579,37 @@ module Make (W : Transport.WIRE) = struct
     (try Unix.unlink path with Unix.Unix_error _ -> ());
     Unix.bind listen_fd (Unix.ADDR_UNIX path);
     Unix.listen listen_fd 64;
-    {
-      id;
-      topology;
-      dir;
-      engine = Ksim.Engine.create ~seed:(seed + id) ();
-      start = Unix.gettimeofday ();
-      listen_fd;
-      outgoing = Hashtbl.create 8;
-      incoming = [];
-      server = None;
-      enc = Codec.encoder ();
-      pending = Hashtbl.create 32;
-      next_call = 0;
-      coalescing = true;
-      queues = Hashtbl.create 8;
-      sent = 0;
-      delivered = 0;
-      dropped = 0;
-      atoms = 0;
-      bytes_sent = 0;
-      by_kind = Hashtbl.create 16;
-      closed = false;
-      frng = Kutil.Rng.create ~seed:(seed + (1000 * (id + 1)));
-      frame_faults = no_frame_faults;
-      self_down = false;
-      peer_down = Hashtbl.create 4;
-      partitions = [];
-      dials = Hashtbl.create 8;
-    }
+    let t =
+      {
+        id;
+        topology;
+        dir;
+        engine = Ksim.Engine.create ~seed:(seed + id) ();
+        start = Unix.gettimeofday ();
+        listen_fd;
+        outgoing = Hashtbl.create 8;
+        incoming = [];
+        enc = Codec.encoder ();
+        core = None;
+        sent = 0;
+        delivered = 0;
+        dropped = 0;
+        atoms = 0;
+        bytes_sent = 0;
+        by_kind = Hashtbl.create 16;
+        closed = false;
+        frng = Kutil.Rng.create ~seed:(seed + (1000 * (id + 1)));
+        frame_faults = no_frame_faults;
+        self_down = false;
+        peer_down = Hashtbl.create 4;
+        partitions = [];
+        dials = Hashtbl.create 8;
+      }
+    in
+    t.core <- Some (Core.connect t.engine (link t));
+    t
+
+  let pack t = Option.get t.core
 
   (* Drive a fiber to completion against the wall clock, pumping this
      endpoint (and [others], for single-process multi-endpoint harnesses)

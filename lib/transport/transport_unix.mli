@@ -1,31 +1,29 @@
-(** The real backend of the {!Transport} seam: length-prefixed frames over
-    Unix-domain sockets, one endpoint per OS process.
+(** The socket link under the {!Krpc.Rpc} core: length-prefixed frames
+    over Unix-domain sockets, one endpoint per OS process.
 
     Each endpoint owns a listening socket ([<dir>/node-<id>.sock]), lazily
     opened outgoing connections to peers, and a private {!Ksim.Engine.t}
     whose virtual clock is driven to track real elapsed time — so the same
     fiber-blocking daemon code that runs under simulation runs here with
     real-time semantics. Frames are a 4-byte big-endian length followed by
-    a {!Kutil.Codec} payload; the envelope alphabet (request / response /
-    oneway / batch) mirrors the simulated RPC layer's, so coalescing and
-    per-kind accounting behave identically.
+    a {!Kutil.Codec} payload carrying one of the core's envelopes (request
+    / response / oneway / batch). Correlation, retries, coalescing and
+    dispatch are the core's; this module only moves frames.
 
-    Two kinds of failure coexist on this backend. {e Genuine} failures —
+    Two kinds of failure coexist on this link. {e Genuine} failures —
     a peer process that died, a refused dial, a dead socket mid-write —
-    surface as evicted connections, [Stats.dropped] frames and
-    [`Unreachable] calls, with re-dials paced by {!Kutil.Backoff}.
-    {e Injected} failures are a deterministic local filter over the frame
-    layer: {!Transport.Make.S.faults} returns [Some _] whose operations
-    edit this endpoint's view (frames to or from a "crashed" node, or
-    across a declared partition, are discarded at this endpoint's edge),
-    and {!Make.set_frame_faults} arms a seeded shim that drops, delays or
-    duplicates individual frames. Single-process harnesses that apply the
-    same fault calls to every endpoint recover the simulated backend's
-    global semantics, so one conformance suite drives both. *)
+    surface as evicted connections, [dropped] frames and [`Unreachable]
+    calls, with re-dials paced by {!Kutil.Backoff}. {e Injected} failures
+    are a deterministic local filter over the frame layer: the core's
+    [faults] is [Some _], and its operations edit this endpoint's view
+    (frames to or from a "crashed" node, or across a declared partition,
+    are discarded at this endpoint's edge), and {!Make.set_frame_faults}
+    arms a seeded shim that drops, delays or duplicates individual frames.
+    Single-process harnesses that apply the same fault calls to every
+    endpoint recover the simulated network's global semantics, so one
+    conformance suite drives both links. *)
 
 module Make (W : Transport.WIRE) : sig
-  module T : module type of Transport.Make (W)
-
   type t
   (** One process's endpoint. *)
 
@@ -39,8 +37,9 @@ module Make (W : Transport.WIRE) : sig
       period, while a peer that vanished after first contact fails fast
       and is re-dialed under exponential backoff. *)
 
-  val pack : t -> T.t
-  (** View the endpoint through the transport seam. *)
+  val pack : t -> Transport.Make(W).t
+  (** The RPC core over this endpoint: what the local daemon holds. It
+      sends only from, and serves only, the local node. *)
 
   val id : t -> Knet.Topology.node_id
   val engine : t -> Ksim.Engine.t
@@ -67,8 +66,8 @@ module Make (W : Transport.WIRE) : sig
 
       Deterministic, endpoint-local failure modes for tests and chaos
       harnesses. Topology-level injection (crash / partition) lives behind
-      the seam's {!Transport.Make.S.faults} capability; the operations
-      below are this backend's extras. *)
+      the core's [faults] capability; the operations below are this
+      link's extras. *)
 
   val sever : t -> Knet.Topology.node_id -> unit
   (** Tear down every live connection shared with the peer — the cached
@@ -89,7 +88,7 @@ module Make (W : Transport.WIRE) : sig
       probability [duplicate], and delayed uniformly in [[0, delay]]
       seconds (defaults all zero). [seed] reseeds the shim's private rng
       so a run's mutilation sequence is reproducible. Shim drops count in
-      [Stats.dropped] but still look like silence to callers ([`Timeout],
+      [dropped] but still look like silence to callers ([`Timeout],
       not [`Unreachable]): the frame left the endpoint as far as the
       sender can tell. *)
 

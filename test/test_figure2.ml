@@ -35,9 +35,9 @@ type ev = { src : int; dst : int; kind : string }
 
 let record_trace sys =
   let events = ref [] in
-  Khazana.Wire.Sim.Net.set_trace (System.net sys)
+  Khazana.Wire.Transport.Net.set_trace (System.net sys)
     (fun _time ~src ~dst msg ->
-      events := { src; dst; kind = Khazana.Wire.Sim.Rpc.Msg.kind msg } :: !events);
+      events := { src; dst; kind = Khazana.Wire.Transport.Msg.kind msg } :: !events);
   fun () -> List.rev !events
 
 let index_of events p =

@@ -1,15 +1,16 @@
-(* Conformance suite for the transport seam: the same assertions run
-   against the simulated backend and the Unix-domain-socket backend (all
-   endpoints living in this one process, pumped round-robin). Anything a
-   daemon relies on — correlation, timeouts, oneway and batch dispatch,
-   stats accounting — must hold identically on both. *)
+(* Conformance suite for the RPC core over its two links: the same
+   assertions run over the simulated network and over Unix-domain sockets
+   (all endpoints living in this one process, pumped round-robin).
+   Anything a daemon relies on — correlation, timeouts, retries, oneway
+   and batch dispatch, coalescing, stats accounting — must hold
+   identically on both. *)
 
 module Time = Ksim.Time
 module Topology = Knet.Topology
 module Policy = Krpc.Policy
 module Codec = Kutil.Codec
 
-(* A protocol with real byte codecs, so it can ride the socket backend. *)
+(* A protocol with real byte codecs, so it can ride the socket link. *)
 module Proto = struct
   type request = Echo of string | Silent
   type response = Echoed of string
@@ -40,10 +41,9 @@ module Proto = struct
 end
 
 module T = Ktransport.Transport.Make (Proto)
-module Sim = Ktransport.Transport_sim.Make (Proto)
 module Sockets = Ktransport.Transport_unix.Make (Proto)
 
-(* What the suite needs from a backend under test. Fresh state per test. *)
+(* What the suite needs from a link under test. Fresh state per test. *)
 module type HARNESS = sig
   val name : string
 
@@ -62,12 +62,17 @@ module type HARNESS = sig
   (** Drain in-flight deliveries (oneways have no completion to await). *)
 
   val timeout : Time.t
-  (** A per-attempt timeout comfortably above the backend's delivery
+  (** A per-attempt timeout comfortably above the link's delivery
       latency, yet short enough that timeout tests stay quick. *)
+
+  val refused : [ `Timeout | `Unreachable ]
+  (** How a call to a node crashed by {!inject} fails: silence on the
+      simulated network, positive evidence at a socket endpoint, which
+      filters the frame at its own edge. *)
 
   val inject : h -> (Ktransport.Transport.Faults.t -> unit) -> unit
   (** Apply a fault operation at every vantage that has one: once against
-      the simulated backend's global network, once per endpoint on
+      the simulated link's global network, once per endpoint on
       sockets (where injection is each endpoint's local view). *)
 end
 
@@ -79,7 +84,7 @@ module Sim_harness : HARNESS = struct
   let setup () =
     let engine = Ksim.Engine.create ~seed:7 () in
     let topology = Topology.symmetric ~nodes_per_cluster:2 ~clusters:1 in
-    let transport, _rpc = Sim.create engine topology in
+    let transport, _net = T.sim engine topology in
     { engine; transport }
 
   let teardown _ = ()
@@ -94,6 +99,7 @@ module Sim_harness : HARNESS = struct
 
   let settle h = Ksim.Engine.run h.engine
   let timeout = Time.ms 100
+  let refused = `Timeout
 
   let inject h f =
     match T.faults h.transport with
@@ -140,6 +146,7 @@ module Unix_harness = struct
   (* Generous: delivery is microseconds, but a loaded CI box can stall a
      process for tens of milliseconds between pumps. *)
   let timeout = Time.sec 2
+  let refused = `Unreachable
 
   let inject h f =
     Array.iter
@@ -222,14 +229,76 @@ module Suite (H : HARNESS) = struct
     Alcotest.(check (list (pair int string)))
       "delivered with source" [ (0, "oneway") ] !got
 
-  (* Three same-instant coalescable notifies: one envelope on the wire,
-     three separate handler dispatches in send order, three atoms. *)
-  let test_batch_dispatch h =
+  (* A silent server costs the caller the whole reply window. *)
+  let test_silent_server h =
+    T.set_server (H.transport h ~node:1) 1 echo_handler;
+    let t0 = H.transport h ~node:0 in
+    let start = Ksim.Engine.now (T.engine t0) in
+    let r =
+      H.run h ~src:0 (fun () ->
+          T.call t0 ~src:0 ~dst:1
+            ~policy:(Policy.with_timeout (Time.ms 100))
+            Proto.Silent)
+    in
+    Alcotest.(check bool) "timeout" true (r = Error `Timeout);
+    Alcotest.(check bool) "waited" true
+      (Ksim.Engine.now (T.engine t0) - start >= Time.ms 100)
+
+  let test_retries_exhausted h =
+    T.set_server (H.transport h ~node:1) 1 echo_handler;
+    let t0 = H.transport h ~node:0 in
+    H.inject h (fun f -> f.Ktransport.Transport.Faults.crash 1);
+    let r =
+      H.run h ~src:0 (fun () ->
+          T.call t0 ~src:0 ~dst:1
+            ~policy:(Policy.with_timeout ~attempts:3 (Time.ms 20))
+            (Proto.Echo "x"))
+    in
+    Alcotest.(check bool) "exhausted" true (r = Error H.refused);
+    Alcotest.(check int) "no leaked pending calls" 0 (T.pending_calls t0)
+
+  let test_server_replacement h =
+    let t1 = H.transport h ~node:1 in
+    T.set_server t1 1 (fun ~src:_ ~span:_ _ ~reply -> reply (Proto.Echoed "v1"));
+    T.set_server t1 1 (fun ~src:_ ~span:_ _ ~reply -> reply (Proto.Echoed "v2"));
+    match
+      H.run h ~src:0 (fun () ->
+          T.call (H.transport h ~node:0) ~src:0 ~dst:1 ~policy (Proto.Echo "?"))
+    with
+    | Ok (Proto.Echoed s) -> Alcotest.(check string) "latest handler" "v2" s
+    | Error _ -> Alcotest.fail "call failed"
+
+  (* An envelope reaching a node with no server counts as delivered and is
+     ignored: a request there goes unanswered. *)
+  let test_serverless_arrival h =
+    let t0 = H.transport h ~node:0 and t1 = H.transport h ~node:1 in
+    let s0 = T.stats t1 in
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "nobody");
+    H.settle h;
+    let s1 = T.stats t1 in
+    Alcotest.(check int) "delivered" 1 (s1.delivered - s0.delivered);
+    Alcotest.(check int) "not dropped" 0 (s1.dropped - s0.dropped);
+    let r =
+      H.run h ~src:0 (fun () ->
+          T.call t0 ~src:0 ~dst:1
+            ~policy:(Policy.with_timeout (Time.ms 50))
+            (Proto.Echo "anyone?"))
+    in
+    Alcotest.(check bool) "unanswered" true (r = Error `Timeout)
+
+  (* Records the [Echo] payloads node [node] is sent, newest first. *)
+  let recorder h ~node =
     let got = ref [] in
-    T.set_server (H.transport h ~node:1) 1 (fun ~src:_ ~span:_ req ~reply:_ ->
+    T.set_server (H.transport h ~node) node (fun ~src:_ ~span:_ req ~reply:_ ->
         match req with
         | Proto.Echo s -> got := s :: !got
         | Proto.Silent -> ());
+    got
+
+  (* Three same-instant coalescable notifies: one envelope on the wire,
+     three separate handler dispatches in send order, three atoms. *)
+  let test_batch_dispatch h =
+    let got = recorder h ~node:1 in
     let t0 = H.transport h ~node:0 in
     let s0 = T.stats t0 in
     H.run h ~src:0 (fun () ->
@@ -240,8 +309,87 @@ module Suite (H : HARNESS) = struct
     let s1 = T.stats t0 in
     Alcotest.(check (list string))
       "all delivered, in send order" [ "a"; "b"; "c" ] (List.rev !got);
-    Alcotest.(check int) "one envelope" 1 (s1.Ktransport.Transport.sent - s0.Ktransport.Transport.sent);
-    Alcotest.(check int) "three atoms" 3 (s1.Ktransport.Transport.atoms - s0.Ktransport.Transport.atoms)
+    Alcotest.(check int) "one envelope" 1 (s1.sent - s0.sent);
+    Alcotest.(check int) "three atoms" 3 (s1.atoms - s0.atoms)
+
+  (* Queues are per destination: node 0 itself is the second one. *)
+  let test_coalesce_per_destination h =
+    let got0 = recorder h ~node:0 and got1 = recorder h ~node:1 in
+    let t0 = H.transport h ~node:0 in
+    let s0 = T.stats t0 in
+    H.run h ~src:0 (fun () ->
+        T.notify t0 ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "x");
+        T.notify t0 ~src:0 ~dst:0 ~coalesce:true (Proto.Echo "y");
+        T.notify t0 ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "z"));
+    H.settle h;
+    let s1 = T.stats t0 in
+    Alcotest.(check (list string)) "dst 1 got both" [ "x"; "z" ] (List.rev !got1);
+    Alcotest.(check (list string)) "dst 0 got its one" [ "y" ] !got0;
+    (* One batch to node 1, one plain oneway to node 0. *)
+    Alcotest.(check int) "two envelopes" 2 (s1.sent - s0.sent)
+
+  let test_coalesce_singleton_is_plain h =
+    let got = recorder h ~node:1 in
+    let t0 = H.transport h ~node:0 in
+    let bytes () = (T.stats t0).bytes_sent in
+    let b0 = bytes () in
+    H.run h ~src:0 (fun () ->
+        T.notify t0 ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "solo"));
+    H.settle h;
+    let b1 = bytes () in
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "solo");
+    H.settle h;
+    Alcotest.(check (list string)) "both delivered" [ "solo"; "solo" ] !got;
+    Alcotest.(check int) "a batch of one costs exactly a oneway" (bytes () - b1)
+      (b1 - b0)
+
+  let test_coalescing_disabled h =
+    let got = recorder h ~node:1 in
+    let t0 = H.transport h ~node:0 in
+    T.set_coalescing t0 false;
+    Alcotest.(check bool) "flag reads back" false (T.coalescing t0);
+    let s0 = T.stats t0 in
+    H.run h ~src:0 (fun () ->
+        T.notify t0 ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "a");
+        T.notify t0 ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "b"));
+    H.settle h;
+    let s1 = T.stats t0 in
+    (* Separate envelopes may reorder under link jitter. *)
+    Alcotest.(check (list string)) "delivered" [ "a"; "b" ]
+      (List.sort compare !got);
+    Alcotest.(check int) "one envelope per message" 2 (s1.sent - s0.sent)
+
+  (* With tracing on, a flush that merges traced messages emits one
+     "rpc.batch" event for the envelope. *)
+  let test_batch_trace_event h =
+    let ring = Ktrace.Trace.Ring.create () in
+    let sink = Ktrace.Trace.Ring.install ring in
+    Fun.protect
+      ~finally:(fun () ->
+        Ktrace.Trace.uninstall sink;
+        Ktrace.Trace.reset ())
+      (fun () ->
+        let got = recorder h ~node:1 in
+        let t0 = H.transport h ~node:0 in
+        H.run h ~src:0 (fun () ->
+            let engine = T.engine t0 in
+            let op = Ktrace.Trace.root ~engine ~node:0 "op" in
+            let span = Ktrace.Trace.id op in
+            T.notify t0 ~src:0 ~dst:1 ~span ~coalesce:true (Proto.Echo "a");
+            T.notify t0 ~src:0 ~dst:1 ~span ~coalesce:true (Proto.Echo "b");
+            Ktrace.Trace.finish ~engine op);
+        H.settle h;
+        Alcotest.(check (list string)) "delivered" [ "a"; "b" ] (List.rev !got);
+        let batches =
+          List.filter_map
+            (function
+              | Ktrace.Trace.Event { name = "rpc.batch"; attrs; _ } -> Some attrs
+              | _ -> None)
+            (Ktrace.Trace.Ring.records ring)
+        in
+        Alcotest.(check (list (option string)))
+          "one event, two items" [ Some "2" ]
+          (List.map (List.assoc_opt "items") batches))
 
   let test_stats_accounting h =
     T.set_server (H.transport h ~node:1) 1 echo_handler;
@@ -252,20 +400,18 @@ module Suite (H : HARNESS) = struct
            T.call t0 ~src:0 ~dst:1 ~policy (Proto.Echo "counted")));
     H.settle h;
     let s = T.stats t0 in
-    Alcotest.(check bool) "sent some" true (s.Ktransport.Transport.sent > 0);
-    Alcotest.(check bool) "bytes counted" true (s.Ktransport.Transport.bytes_sent > 0);
+    Alcotest.(check bool) "sent some" true (s.sent > 0);
+    Alcotest.(check bool) "bytes counted" true (s.bytes_sent > 0);
     (* Conservation. Under simulation the counters are global, so this is
        the network invariant proper; a socket endpoint counts its own
        vantage (sent the request, delivered the response) and the books
        balance here because a call's traffic is symmetric. *)
-    Alcotest.(check int) "sent = delivered + dropped + in_flight"
-      s.Ktransport.Transport.sent
-      (s.Ktransport.Transport.delivered + s.Ktransport.Transport.dropped
-       + s.Ktransport.Transport.in_flight);
+    Alcotest.(check int) "sent = delivered + dropped + in_flight" s.sent
+      (s.delivered + s.dropped + s.in_flight);
     Alcotest.(check bool) "echo kind counted" true
-      (List.mem_assoc "echo" s.Ktransport.Transport.by_kind)
+      (List.mem_assoc "echo" s.by_kind)
 
-  (* Fault injection is a seam capability on both backends now; the exact
+  (* Fault injection is a capability of both links; the exact
      error differs (sim frames die silently: [`Timeout]; a socket endpoint
      filters at its own edge and knows: [`Unreachable]) but blocked-then-
      healed behaviour must agree. *)
@@ -322,8 +468,21 @@ module Suite (H : HARNESS) = struct
       Alcotest.test_case "call/response" `Quick (with_h test_call_response);
       Alcotest.test_case "correlation" `Quick (with_h test_correlation);
       Alcotest.test_case "timeout" `Quick (with_h test_timeout);
+      Alcotest.test_case "silent server" `Quick (with_h test_silent_server);
+      Alcotest.test_case "retries exhausted" `Quick (with_h test_retries_exhausted);
+      Alcotest.test_case "server replacement" `Quick
+        (with_h test_server_replacement);
       Alcotest.test_case "oneway" `Quick (with_h test_oneway);
+      Alcotest.test_case "server-less arrival" `Quick
+        (with_h test_serverless_arrival);
       Alcotest.test_case "batch dispatch" `Quick (with_h test_batch_dispatch);
+      Alcotest.test_case "per destination" `Quick
+        (with_h test_coalesce_per_destination);
+      Alcotest.test_case "singleton stays plain" `Quick
+        (with_h test_coalesce_singleton_is_plain);
+      Alcotest.test_case "disable flag" `Quick (with_h test_coalescing_disabled);
+      Alcotest.test_case "rpc.batch trace event" `Quick
+        (with_h test_batch_trace_event);
       Alcotest.test_case "stats accounting" `Quick (with_h test_stats_accounting);
       Alcotest.test_case "partition/heal" `Quick (with_h test_partition_heal);
       Alcotest.test_case "crash/recover" `Quick (with_h test_crash_recover);
@@ -335,7 +494,7 @@ module Unix_suite = Suite (Unix_harness)
 
 (* Socket-only behaviours: genuine peer loss (not injected — the process
    at the far end is really gone) and the seeded frame shim. These reach
-   the raw endpoints, so they live outside the backend-generic suite. *)
+   the raw endpoints, so they live outside the link-generic suite. *)
 module Unix_only = struct
   module H = Unix_harness
 
@@ -368,7 +527,7 @@ module Unix_only = struct
   let test_peer_vanished_then_rebind h =
     set_server_raw h.H.eps.(1) echo_handler;
     call_ok h "before";
-    let d0 = (T.stats (H.transport h ~node:0)).Ktransport.Transport.dropped in
+    let d0 = (T.stats (H.transport h ~node:0)).dropped in
     Sockets.close h.H.eps.(1);
     (* the peer is gone: drive node 0 alone (a closed endpoint can't pump) *)
     (match
@@ -380,7 +539,7 @@ module Unix_only = struct
      | Error `Unreachable -> ()
      | Error `Timeout -> Alcotest.fail "dead peer must be unreachable, not silent"
      | Ok _ -> Alcotest.fail "call reached a closed endpoint");
-    let d1 = (T.stats (H.transport h ~node:0)).Ktransport.Transport.dropped in
+    let d1 = (T.stats (H.transport h ~node:0)).dropped in
     Alcotest.(check bool) "frames to the dead peer counted dropped" true
       (d1 > d0);
     (* Same id, same socket path: the peer is back. The caller's re-dial
@@ -412,7 +571,7 @@ module Unix_only = struct
   let test_frame_drop h =
     set_server_raw h.H.eps.(1) echo_handler;
     Sockets.set_frame_faults h.H.eps.(0) ~seed:11 ~drop:1.0 ();
-    let d0 = (T.stats (H.transport h ~node:0)).Ktransport.Transport.dropped in
+    let d0 = (T.stats (H.transport h ~node:0)).dropped in
     (match
        H.run h ~src:0 (fun () ->
            T.call (H.transport h ~node:0) ~src:0 ~dst:1
@@ -423,7 +582,7 @@ module Unix_only = struct
      | Error `Unreachable ->
        Alcotest.fail "shim loss must look like silence, not refusal"
      | Ok _ -> Alcotest.fail "dropped frame was delivered");
-    let d1 = (T.stats (H.transport h ~node:0)).Ktransport.Transport.dropped in
+    let d1 = (T.stats (H.transport h ~node:0)).dropped in
     Alcotest.(check int) "both attempts' frames counted dropped" (d0 + 2) d1;
     Sockets.clear_frame_faults h.H.eps.(0);
     call_ok h "clear"
