@@ -92,7 +92,6 @@ type t = {
   mutable floor : fence;  (* refuse grants fenced below this *)
   locks : Local_locks.t;
   waiters : (req_id * mode) Queue.t;
-  mutable cache_req : mode option;  (* request to home currently in flight *)
   mutable pending_inval : (node_id * fence) option; (* deferred ack *)
   mutable pending_fetches : (node_id * msg) list;   (* deferred while locked *)
   (* ---- manager role (meaningful only at home) ---- *)
@@ -121,7 +120,6 @@ let create cfg init =
     floor = 0;
     locks = Local_locks.create ();
     waiters = Queue.create ();
-    cache_req = None;
     pending_inval = None;
     pending_fetches = [];
     owner = cfg.home;
@@ -172,27 +170,10 @@ let state_allows t = function
    of the first waiter that is not. While an invalidation is pending, grant
    nothing: new readers must not starve a remote writer. *)
 let pump_local t acc =
-  let acc = ref acc in
-  let continue = ref (t.pending_inval = None) in
-  while !continue && not (Queue.is_empty t.waiters) do
-    let req, mode = Queue.peek t.waiters in
-    if state_allows t mode && Local_locks.can t.locks mode then begin
-      ignore (Queue.pop t.waiters);
-      Local_locks.take t.locks mode;
-      acc := Grant req :: !acc
-    end
-    else begin
-      if (not (state_allows t mode)) && t.cache_req = None then begin
-        t.cache_req <- Some mode;
-        acc :=
-          Send
-            (t.cfg.home, match mode with Read -> Read_req | Write -> Write_req)
-          :: !acc
-      end;
-      continue := false
-    end
-  done;
-  !acc
+  if t.pending_inval <> None then acc
+  else
+    Local_locks.pump t.locks t.waiters ~allows:state_allows
+      ~ask:Local_locks.request_for ~home:t.cfg.home t acc
 
 let raise_floor t fence = if fence >= t.floor then t.floor <- fence + 1
 
@@ -484,7 +465,7 @@ let claim_exclusive t =
      else Owned_excl)
 
 let refuse_stale_grant t acc =
-  t.cache_req <- None;
+  t.locks.cache_req <- None;
   (* The Fence_bump rescues a manager whose fence counter restarted after
      a crash: every grant it mints would otherwise be refused forever. *)
   pump_local t
@@ -497,7 +478,7 @@ let handle_cache_msg t src msg acc =
   | Read_grant { data; version; fence } ->
     if t.cstate = Invalid && fence < t.floor then refuse_stale_grant t acc
     else begin
-      if t.cache_req = Some Read then t.cache_req <- None;
+      if t.locks.cache_req = Some Read then t.locks.cache_req <- None;
       let acc =
         if t.cstate = Invalid then begin
           t.cstate <- Shared;
@@ -513,7 +494,7 @@ let handle_cache_msg t src msg acc =
     if t.cstate = Owned_excl then begin
       (* Duplicate grant (the manager re-sent after a lost ack): keep our
          possibly-newer data, just re-ack. *)
-      if t.cache_req = Some Write then t.cache_req <- None;
+      if t.locks.cache_req = Some Write then t.locks.cache_req <- None;
       pump_local t (Send (t.cfg.home, Done { mode = Write }) :: acc)
     end
     else if fence < t.floor then
@@ -524,7 +505,7 @@ let handle_cache_msg t src msg acc =
       (if t.cstate = Invalid then refuse_stale_grant t acc
        else Send (t.cfg.home, Fence_bump { floor = t.floor }) :: acc)
     else begin
-      if t.cache_req = Some Write then t.cache_req <- None;
+      if t.locks.cache_req = Some Write then t.locks.cache_req <- None;
       claim_exclusive t;
       t.data <- Some data;
       t.ver <- max version t.ver;
@@ -536,7 +517,7 @@ let handle_cache_msg t src msg acc =
   | Upgrade_grant { fence } ->
     if t.cstate = Invalid && fence < t.floor then refuse_stale_grant t acc
     else if t.data <> None then begin
-      if t.cache_req = Some Write then t.cache_req <- None;
+      if t.locks.cache_req = Some Write then t.locks.cache_req <- None;
       claim_exclusive t;
       pump_local t (Send (t.cfg.home, Done { mode = Write }) :: acc)
     end
@@ -567,7 +548,7 @@ let handle_cache_msg t src msg acc =
     end
     else serve_fetch t (src, msg) acc
   | Nack -> (
-    t.cache_req <- None;
+    t.locks.cache_req <- None;
     match Queue.take_opt t.waiters with
     | Some (req, _) ->
       pump_local t (Reject (req, Unavailable "no reachable copy") :: acc)
@@ -794,22 +775,7 @@ let handle t event =
         | Invalid -> []
       end
     | Abort { req } ->
-      let remaining = Queue.create () in
-      let was_head = ref true in
-      let aborted_head = ref false in
-      Queue.iter
-        (fun (r, m) ->
-          if r = req then begin
-            if !was_head then aborted_head := true
-          end
-          else Queue.push (r, m) remaining;
-          was_head := false)
-        t.waiters;
-      Queue.clear t.waiters;
-      Queue.transfer remaining t.waiters;
-      (* If the aborted intent was the one we requested an upgrade for,
-         clear the in-flight marker so later intents re-request. *)
-      if !aborted_head then t.cache_req <- None;
+      Local_locks.abort t.locks t.waiters req;
       pump_local t []
     | Timeout id -> if is_home t then on_timeout t id [] else []
     | Maintain { avoid } ->

@@ -6,280 +6,30 @@
     response". This protocol grants every lock immediately against the local
     replica; writes bump a version and flow to the home asynchronously; the
     home batches fan-out on an anti-entropy timer. Conflicts resolve
-    last-writer-wins on (version, node id). *)
+    last-writer-wins on (version, node id), whole image against whole
+    image: a write interval lands entire or not at all. *)
 
 open Types
-module NSet = Set.Make (Int)
 
-(* Versions are totally ordered with the writer baked into the low byte:
-   [(counter << 8) | origin]. Comparing plain ints then implements
-   last-writer-wins with a deterministic origin tiebreak, and the order
-   survives relaying through the home. *)
-let next_version ~current ~origin =
-  (((current lsr 8) + 1) lsl 8) lor (origin land 0xFF)
+include Replica.Make (struct
+  type extra = unit
 
-type t = {
-  cfg : config;
-  (* cache role *)
-  mutable data : bytes option;
-  mutable ver : version;
-  locks : Local_locks.t;
-  waiters : (req_id * mode) Queue.t;
-  mutable cache_req : mode option;
-  (* home role *)
-  mutable copyset : NSet.t;
-  mutable fanout_armed : bool;
-  mutable fanout_pending : bool;
-  mutable next_timer : int;
-}
+  let name = "eventual"
+  let init _ = ()
+  let period cfg = cfg.propagate_every
+  let fresh (t : extra Replica.t) version = version > t.ver
 
-let name = "eventual"
+  let absorb t ~src:_ msg acc =
+    match msg with
+    | Update { data; version } -> Replica.lww t data version acc
+    | _ -> acc
 
-let create cfg init =
-  let data, ver =
-    match init with Start_unknown -> (None, 0) | Start_owner b -> (Some b, 1)
-  in
-  {
-    cfg;
-    data;
-    ver;
-    locks = Local_locks.create ();
-    waiters = Queue.create ();
-    cache_req = None;
-    copyset = NSet.empty;
-    fanout_armed = false;
-    fanout_pending = false;
-    next_timer = 0;
-  }
+  let release (t : extra Replica.t) img acc =
+    t.ver <- Replica.next_version ~current:t.ver ~origin:t.cfg.self;
+    t.data <- Some img;
+    let acc = Install { data = img; dirty = false } :: acc in
+    if Replica.is_home t then Replica.arm_fanout t acc
+    else Send (t.cfg.home, Update { data = img; version = t.ver }) :: acc
 
-let state_name t = if t.data = None then "invalid" else "replica"
-let has_valid_copy t = t.data <> None
-let is_owner t = ignore t; false
-let locks_held t = Local_locks.held t.locks
-let version t = t.ver
-let backup_version _ = 0
-let is_home t = t.cfg.self = t.cfg.home
-
-let holders t =
-  if is_home t && t.data <> None then
-    NSet.elements (NSet.add t.cfg.self t.copyset)
-  else []
-
-let busy _ = false
-
-let fresh_timer t =
-  t.next_timer <- t.next_timer + 1;
-  t.next_timer
-
-let newer t ~version ~src:_ = version > t.ver
-
-(* Local locks still serialise within the node; across nodes everything is
-   optimistic. A node only blocks when it has no copy at all. *)
-let pump_local t acc =
-  let acc = ref acc in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty t.waiters) do
-    let req, mode = Queue.peek t.waiters in
-    if t.data <> None && Local_locks.can t.locks mode then begin
-      ignore (Queue.pop t.waiters);
-      Local_locks.take t.locks mode;
-      acc := Grant req :: !acc
-    end
-    else begin
-      if t.data = None && t.cache_req = None then begin
-        t.cache_req <- Some mode;
-        acc := Send (t.cfg.home, Read_req) :: !acc
-      end;
-      continue := false
-    end
-  done;
-  !acc
-
-let arm_fanout t acc =
-  t.fanout_pending <- true;
-  if t.fanout_armed then acc
-  else begin
-    t.fanout_armed <- true;
-    let id = fresh_timer t in
-    Start_timer { id; after = t.cfg.propagate_every } :: acc
-  end
-
-(* Push to replica targets that are missing, creating min_replicas copies.
-   Suspected nodes ([avoid]) count as neither replicas nor candidates. *)
-let replication_targets ?(avoid = []) t =
-  if t.cfg.min_replicas <= 1 then []
-  else begin
-    let avoid_set = NSet.of_list avoid in
-    let live = NSet.diff (NSet.remove t.cfg.self t.copyset) avoid_set in
-    let have = 1 + NSet.cardinal live in
-    let missing = t.cfg.min_replicas - have in
-    if missing <= 0 then []
-    else
-      List.filteri
-        (fun i _ -> i < missing)
-        (List.filter
-           (fun n ->
-             n <> t.cfg.self
-             && (not (NSet.mem n t.copyset))
-             && not (NSet.mem n avoid_set))
-           t.cfg.replica_targets)
-  end
-
-let handle_home_msg t src msg acc =
-  match msg with
-  | Read_req -> (
-    match t.data with
-    | Some data ->
-      t.copyset <- NSet.add src t.copyset;
-      Sharers_hint (NSet.elements (NSet.add t.cfg.self t.copyset))
-      :: Send (src, Read_grant { data; version = t.ver; fence = 0 })
-      :: acc
-    | None -> Send (src, Nack) :: acc)
-  | Update { data; version } ->
-    if newer t ~version ~src then begin
-      t.data <- Some data;
-      t.ver <- version;
-      arm_fanout t (Install { data; dirty = false } :: acc)
-    end
-    else acc
-  | Pull_req -> (
-    match t.data with
-    | Some data -> Send (src, Update { data; version = t.ver }) :: acc
-    | None -> acc)
-  | Evict_notify ->
-    t.copyset <- NSet.remove src t.copyset;
-    acc
-  | Read_grant _ | Own_grant _ | Upgrade_grant _ | Invalidate _ | Invalidate_ack
-  | Fetch _ | Fetch_own _ | Done _ | Nack | Own_return _ | Update_ack
-  | Write_req | Diff _ | Fence_bump _ ->
-    acc
-
-let handle_cache_msg t src msg acc =
-  match msg with
-  | Read_grant { data; version; _ } ->
-    t.cache_req <- None;
-    if newer t ~version ~src || t.data = None then begin
-      t.data <- Some data;
-      t.ver <- version;
-      pump_local t (Install { data; dirty = false } :: acc)
-    end
-    else pump_local t acc
-  | Update { data; version } ->
-    if newer t ~version ~src then begin
-      t.data <- Some data;
-      t.ver <- version;
-      pump_local t (Install { data; dirty = false } :: acc)
-    end
-    else acc
-  | Nack -> (
-    t.cache_req <- None;
-    match Queue.take_opt t.waiters with
-    | Some (req, _) ->
-      pump_local t (Reject (req, Unavailable "home has no data") :: acc)
-    | None -> acc)
-  | Read_req | Write_req | Own_grant _ | Upgrade_grant _ | Invalidate _
-  | Invalidate_ack | Fetch _ | Fetch_own _ | Done _ | Evict_notify
-  | Own_return _ | Update_ack | Pull_req | Diff _ | Fence_bump _ ->
-    acc
-
-let handle t event =
-  let acc =
-    match event with
-    | Acquire { req; mode } ->
-      Queue.push (req, mode) t.waiters;
-      pump_local t []
-    | Release { mode; data } -> (
-      Local_locks.drop t.locks mode;
-      match (mode, data) with
-      | Write, Some bytes ->
-        t.ver <- next_version ~current:t.ver ~origin:t.cfg.self;
-        t.data <- Some bytes;
-        let acc = [ Install { data = bytes; dirty = false } ] in
-        let acc =
-          if is_home t then arm_fanout t acc
-          else
-            Send (t.cfg.home, Update { data = bytes; version = t.ver }) :: acc
-        in
-        pump_local t acc
-      | (Read | Write), _ -> pump_local t [])
-    | Peer { src; msg } ->
-      (* At the home, home-role messages must not be pre-absorbed by the
-         cache role (it would adopt an Update and leave nothing "newer" for
-         the fan-out logic to react to). *)
-      if is_home t then
-        (match msg with
-         | Update _ | Read_req | Pull_req | Evict_notify ->
-           handle_home_msg t src msg []
-         | Read_grant _ | Own_grant _ | Upgrade_grant _ | Invalidate _
-         | Invalidate_ack | Fetch _ | Fetch_own _ | Done _ | Nack
-         | Own_return _ | Update_ack | Write_req | Diff _ | Fence_bump _ ->
-           handle_cache_msg t src msg [])
-      else handle_cache_msg t src msg []
-    | Evicted _ ->
-      if is_home t then []
-      else begin
-        t.data <- None;
-        [ Send (t.cfg.home, Evict_notify) ]
-      end
-    | Abort { req } ->
-      let remaining = Queue.create () in
-      let head = Queue.peek_opt t.waiters in
-      Queue.iter
-        (fun (r, m) -> if r <> req then Queue.push (r, m) remaining)
-        t.waiters;
-      Queue.clear t.waiters;
-      Queue.transfer remaining t.waiters;
-      (match head with
-       | Some (r, _) when r = req -> t.cache_req <- None
-       | Some _ | None -> ());
-      pump_local t []
-    | Timeout _ ->
-      if is_home t && t.fanout_armed then begin
-        t.fanout_armed <- false;
-        if t.fanout_pending then begin
-          t.fanout_pending <- false;
-          match t.data with
-          | None -> []
-          | Some data ->
-            let extra = replication_targets t in
-            List.iter (fun n -> t.copyset <- NSet.add n t.copyset) extra;
-            let targets = NSet.elements (NSet.remove t.cfg.self t.copyset) in
-            List.rev_map
-              (fun n -> Send (n, Update { data; version = t.ver }))
-              targets
-        end
-        else []
-      end
-      else []
-    | Maintain { avoid } -> (
-      if not (is_home t) then []
-      else
-        match t.data with
-        | None -> []
-        | Some data ->
-          let extra = replication_targets ~avoid t in
-          List.iter (fun n -> t.copyset <- NSet.add n t.copyset) extra;
-          List.rev_map
-            (fun n -> Send (n, Update { data; version = t.ver }))
-            extra)
-    | Unreachable _ ->
-      (* Anti-entropy pushes to a dead replica just drop; nothing waits on
-         acks here, and a partitioned replica keeps its copyset slot. *)
-      []
-    | Reincarnate { version; sharers } ->
-      if is_home t then begin
-        if version > t.ver then t.ver <- version;
-        List.iter
-          (fun n -> if n <> t.cfg.self then t.copyset <- NSet.add n t.copyset)
-          sharers;
-        []
-      end
-      else []
-  in
-  List.rev acc
-
-(* Eventual keeps only the latest image; no retained history, no MVCC
-   publish — writes ride the Update fan-out. *)
-let read_at _ _ = None
-let publish _ ~src:_ ~parent:_ ~expected:_ ~payload:_ =
-  (Types.Publish_unsupported, [])
+  let restart _ = ()
+end)

@@ -11,7 +11,7 @@
     home on first use. *)
 
 open Types
-module NSet = Set.Make (Int)
+module NSet = Replica.NSet
 
 type home_phase =
   | H_idle
@@ -28,7 +28,6 @@ type t = {
   mutable has_token : bool;
   locks : Local_locks.t;
   waiters : (req_id * mode) Queue.t;
-  mutable cache_req : mode option;
   (* home role *)
   mutable copyset : NSet.t;  (* replica sites, excluding home *)
   wqueue : node_id Queue.t;  (* writers waiting for the token *)
@@ -49,7 +48,6 @@ let create cfg init =
     has_token = false;
     locks = Local_locks.create ();
     waiters = Queue.create ();
-    cache_req = None;
     copyset = NSet.empty;
     wqueue = Queue.create ();
     phase = H_idle;
@@ -88,27 +86,8 @@ let state_allows t = function
   | Write -> t.has_token && t.data <> None
 
 let pump_local t acc =
-  let acc = ref acc in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty t.waiters) do
-    let req, mode = Queue.peek t.waiters in
-    if state_allows t mode && Local_locks.can t.locks mode then begin
-      ignore (Queue.pop t.waiters);
-      Local_locks.take t.locks mode;
-      acc := Grant req :: !acc
-    end
-    else begin
-      if (not (state_allows t mode)) && t.cache_req = None then begin
-        t.cache_req <- Some mode;
-        acc :=
-          Send
-            (t.cfg.home, match mode with Read -> Read_req | Write -> Write_req)
-          :: !acc
-      end;
-      continue := false
-    end
-  done;
-  !acc
+  Local_locks.pump t.locks t.waiters ~allows:state_allows
+    ~ask:Local_locks.request_for ~home:t.cfg.home t acc
 
 (* ---- home role ---- *)
 
@@ -118,39 +97,16 @@ let replica_fanout_targets t = NSet.elements (NSet.remove t.cfg.self t.copyset)
    copyset; missing replicas are created by pushing the current data.
    [avoid] names suspected nodes: they neither count as live replicas nor
    qualify as push targets. *)
-let replication_pushes ?(avoid = []) t acc =
-  if t.cfg.min_replicas > 1 then begin
-    let avoid_set = NSet.of_list avoid in
-    let live =
-      NSet.diff (NSet.remove t.cfg.self t.copyset) avoid_set
-    in
-    let have = 1 + NSet.cardinal live in
-    let missing = t.cfg.min_replicas - have in
-    if missing > 0 then begin
-      match t.data with
-      | None -> acc
-      | Some data ->
-        let fresh =
-          List.filter
-            (fun n ->
-              n <> t.cfg.self
-              && (not (NSet.mem n t.copyset))
-              && not (NSet.mem n avoid_set))
-            t.cfg.replica_targets
-        in
-        List.fold_left
-          (fun (i, acc) n ->
-            if i < missing then begin
-              t.copyset <- NSet.add n t.copyset;
-              (i + 1, Send (n, Update { data; version = t.ver }) :: acc)
-            end
-            else (i + 1, acc))
-          (0, acc) fresh
-        |> snd
-    end
-    else acc
-  end
-  else acc
+let replication_pushes ?avoid t acc =
+  match t.data with
+  | None -> acc
+  | Some data ->
+    List.fold_left
+      (fun acc n ->
+        t.copyset <- NSet.add n t.copyset;
+        Send (n, Update { data; version = t.ver }) :: acc)
+      acc
+      (Replica.replication_targets ?avoid t.cfg t.copyset)
 
 let rec grant_next_writer t acc =
   match t.phase with
@@ -185,14 +141,10 @@ let begin_fanout t ~from acc =
 
 let handle_home_msg t src msg acc =
   match msg with
-  | Read_req -> (
-    match t.data with
-    | Some data ->
-      t.copyset <- NSet.add src t.copyset;
-      Sharers_hint (NSet.elements (NSet.add t.cfg.self t.copyset))
-      :: Send (src, Read_grant { data; version = t.ver; fence = 0 })
-      :: acc
-    | None -> Send (src, Nack) :: acc)
+  | Read_req ->
+    let copyset, acc = Replica.serve_read t.cfg t.copyset ~src t.data t.ver acc in
+    t.copyset <- copyset;
+    acc
   | Write_req ->
     Queue.push src t.wqueue;
     t.copyset <- NSet.add src t.copyset;
@@ -267,14 +219,14 @@ let on_timeout t id acc =
 let handle_cache_msg t src msg acc =
   match msg with
   | Read_grant { data; version; _ } ->
-    if t.cache_req = Some Read then t.cache_req <- None;
+    if t.locks.cache_req = Some Read then t.locks.cache_req <- None;
     if version >= t.ver || t.data = None then begin
       t.data <- Some data;
       t.ver <- version
     end;
     pump_local t (Install { data; dirty = false } :: acc)
   | Own_grant { data; version; _ } ->
-    if t.cache_req = Some Write then t.cache_req <- None;
+    if t.locks.cache_req = Some Write then t.locks.cache_req <- None;
     t.has_token <- true;
     if version >= t.ver || t.data = None then begin
       t.data <- Some data;
@@ -291,7 +243,7 @@ let handle_cache_msg t src msg acc =
     end
     else acc
   | Nack -> (
-    t.cache_req <- None;
+    t.locks.cache_req <- None;
     match Queue.take_opt t.waiters with
     | Some (req, _) ->
       pump_local t (Reject (req, Unavailable "home has no data") :: acc)
@@ -351,16 +303,7 @@ let handle t event =
         [ Send (t.cfg.home, Evict_notify) ]
       end
     | Abort { req } ->
-      let remaining = Queue.create () in
-      let head = Queue.peek_opt t.waiters in
-      Queue.iter
-        (fun (r, m) -> if r <> req then Queue.push (r, m) remaining)
-        t.waiters;
-      Queue.clear t.waiters;
-      Queue.transfer remaining t.waiters;
-      (match head with
-       | Some (r, _) when r = req -> t.cache_req <- None
-       | Some _ | None -> ());
+      Local_locks.abort t.locks t.waiters req;
       pump_local t []
     | Timeout id -> if is_home t then on_timeout t id [] else []
     | Maintain { avoid } ->

@@ -209,6 +209,16 @@ type publish_payload =
   | Whole of bytes
   | Runs of (int * bytes) list
 
+let apply_runs base runs =
+  let img = Bytes.copy base in
+  let len = Bytes.length img in
+  List.iter
+    (fun (off, b) ->
+      let blen = Bytes.length b in
+      if off >= 0 && off + blen <= len then Bytes.blit b 0 img off blen)
+    runs;
+  img
+
 (** Outcome of publishing a page version at its home (versioned CM only). *)
 type publish_result =
   | Published of version

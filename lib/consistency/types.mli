@@ -99,6 +99,11 @@ type publish_payload =
   | Whole of bytes
   | Runs of (int * bytes) list
 
+val apply_runs : bytes -> (int * bytes) list -> bytes
+(** A copy of [base] with each [(offset, bytes)] run written over it, in
+    order. Runs arrive off the wire: one that does not fit inside the page
+    is skipped whole, never clipped, and raises nothing. *)
+
 (** Outcome of publishing a page version at its home (versioned CM only). *)
 type publish_result =
   | Published of version

@@ -20,177 +20,110 @@
     daemon above it. *)
 
 open Types
-module NSet = Set.Make (Int)
+module NSet = Replica.NSet
 
 (** One retained immutable version at the home. Newest first in the chain;
     the oldest retained entry is the GC watermark. *)
 type entry = { e_ver : version; e_data : bytes }
 
-type t = {
-  cfg : config;
-  (* cache role *)
-  mutable data : bytes option;  (** local copy of the newest version seen *)
-  mutable ver : version;
-  locks : Local_locks.t;
-  waiters : (req_id * mode) Queue.t;
-  mutable cache_req : bool;     (** Read_req to home in flight *)
-  (* home role *)
-  mutable chain : entry list;   (** newest first; head = latest settled *)
-  mutable copyset : NSet.t;
-  mutable fanout_armed : bool;
-  mutable fanout_pending : bool;
-  mutable next_timer : int;
-}
+let retained (t : entry list Replica.t) v =
+  List.find_opt (fun e -> e.e_ver = v) t.extra
+  |> Option.map (fun e -> e.e_data)
 
-let name = "versioned"
-
-let create cfg init =
-  let data, ver, chain =
-    match init with
-    | Start_unknown -> (None, 0, [])
-    | Start_owner b -> (Some b, 1, [ { e_ver = 1; e_data = b } ])
+(* Mint the next immutable version at the home. Reversed-acc convention:
+   callers pass and receive an acc that [List.rev] later restores. An
+   [absorbed] image follows the core's rule and waits for a local writer's
+   release; a publish installs at once, because the home acknowledges it
+   and the install is what puts it in the intent log. *)
+let mint ?(absorbed = false) (t : entry list Replica.t) ~src img acc =
+  let v = t.ver + 1 in
+  t.extra <-
+    List.filteri
+      (fun i _ -> i < max 1 t.cfg.version_chain_depth)
+      ({ e_ver = v; e_data = img } :: t.extra);
+  t.ver <- v;
+  if src <> t.cfg.self then t.copyset <- NSet.add src t.copyset;
+  let acc =
+    if absorbed then Replica.refresh ~dirty:true t img acc
+    else begin
+      t.data <- Some img;
+      Install { data = img; dirty = true } :: acc
+    end
   in
-  {
-    cfg;
-    data;
-    ver;
-    locks = Local_locks.create ();
-    waiters = Queue.create ();
-    cache_req = false;
-    chain;
-    copyset = NSet.empty;
-    fanout_armed = false;
-    fanout_pending = false;
-    next_timer = 0;
-  }
+  Replica.arm_fanout t acc
 
-let is_home t = t.cfg.self = t.cfg.home
+include Replica.Make (struct
+  type extra = entry list  (** the home's chain, newest first *)
 
-let state_name t =
-  if is_home t then "home" else if t.data = None then "invalid" else "replica"
+  let name = "versioned"
 
-let has_valid_copy t = t.data <> None
-let is_owner t = ignore t; false
-let locks_held t = Local_locks.held t.locks
-let version t = t.ver
-let backup_version t = if is_home t then t.ver else 0
+  let init = function
+    | Some b -> [ { e_ver = 1; e_data = b } ]
+    | None -> []
 
-let holders t =
-  if is_home t && t.data <> None then
-    NSet.elements (NSet.add t.cfg.self t.copyset)
-  else []
+  let period cfg = cfg.propagate_every
 
-let busy _ = false
+  (* Never absorb a fan-out while a local writer holds the page: the dirty
+     runs the daemon extracts at unlock are relative to the version the
+     writer started from. The skipped update is recovered by the next
+     fan-out round or Pull_req. *)
+  let fresh (t : extra Replica.t) version =
+    version > t.ver && not (Replica.writer_held t)
+
+  (* A cache released a write it could not diff (machine-only path):
+     publish it whole. The home mints — arrival order is the
+     last-writer-wins order; the version the cache stamped is only its
+     own parent and does not gate acceptance. *)
+  let absorb t ~src msg acc =
+    match msg with
+    | Update { data; version = _ } ->
+      mint ~absorbed:true t ~src (Bytes.copy data) acc
+    | _ -> acc
+
+  (* Machine-only publish path: whole image to the home. The daemon path
+     releases with [data = None] and publishes runs itself. *)
+  let release (t : extra Replica.t) img acc =
+    t.data <- Some img;
+    if Replica.is_home t then mint t ~src:t.cfg.self (Bytes.copy img) acc
+    else Send (t.cfg.home, Update { data = img; version = t.ver }) :: acc
+
+  (* History did not survive the crash: restart the chain at the best
+     version the survivors vouch for. Snapshot pins into the lost chain
+     now read as expired, which is the safe failure. *)
+  let restart (t : extra Replica.t) =
+    match t.data with
+    | Some d -> t.extra <- [ { e_ver = t.ver; e_data = d } ]
+    | None -> ()
+end)
+
+let state_name (t : t) =
+  if Replica.is_home t then "home" else if t.data = None then "invalid"
+  else "replica"
+
+let backup_version (t : t) = if Replica.is_home t then t.ver else 0
 
 (* Extra introspection for directed tests; not part of MACHINE. *)
 
-let chain_depth t = List.length t.chain
+let chain_depth (t : t) = List.length t.extra
 (** Number of immutable versions currently retained at the home. *)
 
-let watermark t =
-  match List.rev t.chain with [] -> 0 | oldest :: _ -> oldest.e_ver
+let watermark (t : t) =
+  match List.rev t.extra with [] -> 0 | oldest :: _ -> oldest.e_ver
 (** Oldest retained version; snapshot pins below this have expired. *)
 
-let fresh_timer t =
-  t.next_timer <- t.next_timer + 1;
-  t.next_timer
-
-let pump_local t acc =
-  let acc = ref acc in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty t.waiters) do
-    let req, mode = Queue.peek t.waiters in
-    if t.data <> None && Local_locks.can t.locks mode then begin
-      ignore (Queue.pop t.waiters);
-      Local_locks.take t.locks mode;
-      acc := Grant req :: !acc
-    end
-    else begin
-      if t.data = None && not t.cache_req then begin
-        t.cache_req <- true;
-        acc := Send (t.cfg.home, Read_req) :: !acc
-      end;
-      continue := false
-    end
-  done;
-  !acc
-
-let arm_fanout t acc =
-  t.fanout_pending <- true;
-  if t.fanout_armed then acc
-  else begin
-    t.fanout_armed <- true;
-    let id = fresh_timer t in
-    Start_timer { id; after = t.cfg.propagate_every } :: acc
-  end
-
-let replication_targets ?(avoid = []) t =
-  if t.cfg.min_replicas <= 1 then []
-  else begin
-    let avoid_set = NSet.of_list avoid in
-    let live = NSet.diff (NSet.remove t.cfg.self t.copyset) avoid_set in
-    let have = 1 + NSet.cardinal live in
-    let missing = t.cfg.min_replicas - have in
-    if missing <= 0 then []
-    else
-      List.filteri
-        (fun i _ -> i < missing)
-        (List.filter
-           (fun n ->
-             n <> t.cfg.self
-             && (not (NSet.mem n t.copyset))
-             && not (NSet.mem n avoid_set))
-           t.cfg.replica_targets)
-  end
-
-let truncate_chain t =
-  let depth = max 1 t.cfg.version_chain_depth in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: take (n - 1) rest
-  in
-  t.chain <- take depth t.chain
-
-(* Mint the next immutable version at the home. Reversed-acc convention:
-   callers pass and receive an acc that [List.rev] later restores. *)
-let mint t ~src img acc =
-  let v = t.ver + 1 in
-  t.chain <- { e_ver = v; e_data = img } :: t.chain;
-  truncate_chain t;
-  t.data <- Some img;
-  t.ver <- v;
-  if src <> t.cfg.self then t.copyset <- NSet.add src t.copyset;
-  arm_fanout t (Install { data = img; dirty = true } :: acc)
-
-let retained t v =
-  List.find_opt (fun e -> e.e_ver = v) t.chain
-  |> Option.map (fun e -> e.e_data)
-
-let read_at t at =
+let read_at (t : t) at =
   match at with
   | None -> (
     match t.data with Some d -> Some (d, t.ver) | None -> None)
   | Some v ->
-    if is_home t then retained t v |> Option.map (fun d -> (d, v))
+    if Replica.is_home t then retained t v |> Option.map (fun d -> (d, v))
     else (
       match t.data with
       | Some d when t.ver = v -> Some (d, v)
       | Some _ | None -> None)
 
-let apply_runs ~base runs =
-  let img = Bytes.copy base in
-  let len = Bytes.length img in
-  List.iter
-    (fun (off, b) ->
-      let blen = Bytes.length b in
-      if off >= 0 && blen >= 0 && off + blen <= len then
-        Bytes.blit b 0 img off blen)
-    runs;
-  img
-
-let publish t ~src ~parent ~expected ~payload =
-  if not (is_home t) then (Publish_unsupported, [])
+let publish (t : t) ~src ~parent ~expected ~payload =
+  if not (Replica.is_home t) then (Publish_unsupported, [])
   else
     match t.data with
     | None -> (Publish_unsupported, [])
@@ -206,169 +139,5 @@ let publish t ~src ~parent ~expected ~payload =
           match retained t parent with
           | None -> (Parent_gone { latest = t.ver }, [])
           | Some base ->
-            let img = apply_runs ~base runs in
-            let acc = mint t ~src img [] in
+            let acc = mint t ~src (apply_runs base runs) [] in
             (Published t.ver, List.rev acc))))
-
-let handle_home_msg t src msg acc =
-  match msg with
-  | Read_req -> (
-    match t.data with
-    | Some data ->
-      t.copyset <- NSet.add src t.copyset;
-      Sharers_hint (NSet.elements (NSet.add t.cfg.self t.copyset))
-      :: Send (src, Read_grant { data; version = t.ver; fence = 0 })
-      :: acc
-    | None -> Send (src, Nack) :: acc)
-  | Update { data; version = _ } ->
-    (* A cache released a write it could not diff (machine-only path):
-       publish it whole. The home mints — arrival order is the
-       last-writer-wins order; the version the cache stamped is only its
-       own parent and does not gate acceptance. *)
-    mint t ~src (Bytes.copy data) acc
-  | Pull_req -> (
-    match t.data with
-    | Some data -> Send (src, Update { data; version = t.ver }) :: acc
-    | None -> acc)
-  | Evict_notify ->
-    t.copyset <- NSet.remove src t.copyset;
-    acc
-  | Read_grant _ | Own_grant _ | Upgrade_grant _ | Invalidate _ | Invalidate_ack
-  | Fetch _ | Fetch_own _ | Done _ | Nack | Own_return _ | Update_ack
-  | Write_req | Diff _ | Fence_bump _ ->
-    acc
-
-let handle_cache_msg t src msg acc =
-  ignore src;
-  match msg with
-  | Read_grant { data; version; _ } ->
-    t.cache_req <- false;
-    if version > t.ver || t.data = None then begin
-      t.data <- Some data;
-      t.ver <- version;
-      pump_local t (Install { data; dirty = false } :: acc)
-    end
-    else pump_local t acc
-  | Update { data; version } ->
-    (* Never absorb a fan-out while a local writer holds the page: the
-       writer's in-progress bytes (and the dirty runs the daemon will
-       extract from them) must not be clobbered mid-flight. The skipped
-       update is recovered by the next fan-out round or Pull_req. *)
-    let _, writer = Local_locks.held t.locks in
-    if version > t.ver && not writer then begin
-      t.data <- Some data;
-      t.ver <- version;
-      pump_local t (Install { data; dirty = false } :: acc)
-    end
-    else acc
-  | Nack -> (
-    t.cache_req <- false;
-    match Queue.take_opt t.waiters with
-    | Some (req, _) ->
-      pump_local t (Reject (req, Unavailable "home has no data") :: acc)
-    | None -> acc)
-  | Read_req | Write_req | Own_grant _ | Upgrade_grant _ | Invalidate _
-  | Invalidate_ack | Fetch _ | Fetch_own _ | Done _ | Evict_notify
-  | Own_return _ | Update_ack | Pull_req | Diff _ | Fence_bump _ ->
-    acc
-
-let handle t event =
-  let acc =
-    match event with
-    | Acquire { req; mode } ->
-      Queue.push (req, mode) t.waiters;
-      pump_local t []
-    | Release { mode; data } -> (
-      Local_locks.drop t.locks mode;
-      match (mode, data) with
-      | Write, Some bytes ->
-        (* Machine-only publish path: whole image to the home. The daemon
-           path releases with [data = None] and publishes runs itself. *)
-        t.data <- Some bytes;
-        let acc =
-          if is_home t then mint t ~src:t.cfg.self (Bytes.copy bytes) []
-          else
-            [ Send (t.cfg.home, Update { data = bytes; version = t.ver }) ]
-        in
-        pump_local t acc
-      | (Read | Write), _ -> pump_local t [])
-    | Peer { src; msg } ->
-      if is_home t then
-        (match msg with
-         | Update _ | Read_req | Pull_req | Evict_notify ->
-           handle_home_msg t src msg []
-         | Read_grant _ | Own_grant _ | Upgrade_grant _ | Invalidate _
-         | Invalidate_ack | Fetch _ | Fetch_own _ | Done _ | Nack
-         | Own_return _ | Update_ack | Write_req | Diff _ | Fence_bump _ ->
-           handle_cache_msg t src msg [])
-      else handle_cache_msg t src msg []
-    | Evicted _ ->
-      if is_home t then []
-      else begin
-        t.data <- None;
-        [ Send (t.cfg.home, Evict_notify) ]
-      end
-    | Abort { req } ->
-      let remaining = Queue.create () in
-      let head = Queue.peek_opt t.waiters in
-      Queue.iter
-        (fun (r, m) -> if r <> req then Queue.push (r, m) remaining)
-        t.waiters;
-      Queue.clear t.waiters;
-      Queue.transfer remaining t.waiters;
-      (match head with
-       | Some (r, _) when r = req -> t.cache_req <- false
-       | Some _ | None -> ());
-      pump_local t []
-    | Timeout _ ->
-      if is_home t && t.fanout_armed then begin
-        t.fanout_armed <- false;
-        if t.fanout_pending then begin
-          t.fanout_pending <- false;
-          match t.data with
-          | None -> []
-          | Some data ->
-            let extra = replication_targets t in
-            List.iter (fun n -> t.copyset <- NSet.add n t.copyset) extra;
-            let targets = NSet.elements (NSet.remove t.cfg.self t.copyset) in
-            List.rev_map
-              (fun n -> Send (n, Update { data; version = t.ver }))
-              targets
-        end
-        else []
-      end
-      else []
-    | Maintain { avoid } -> (
-      if not (is_home t) then []
-      else
-        match t.data with
-        | None -> []
-        | Some data ->
-          let extra = replication_targets ~avoid t in
-          List.iter (fun n -> t.copyset <- NSet.add n t.copyset) extra;
-          List.rev_map
-            (fun n -> Send (n, Update { data; version = t.ver }))
-            extra)
-    | Unreachable _ ->
-      (* Fan-outs to a suspect just drop; nothing here waits on acks, and
-         a partitioned replica keeps its copyset slot. *)
-      []
-    | Reincarnate { version; sharers } ->
-      if is_home t then begin
-        (* History did not survive the crash: restart the chain at the
-           best version the survivors vouch for. Snapshot pins into the
-           lost chain now read as expired, which is the safe failure. *)
-        if version > t.ver then begin
-          t.ver <- version;
-          match t.data with
-          | Some d -> t.chain <- [ { e_ver = version; e_data = d } ]
-          | None -> ()
-        end;
-        List.iter
-          (fun n -> if n <> t.cfg.self then t.copyset <- NSet.add n t.copyset)
-          sharers;
-        []
-      end
-      else []
-  in
-  List.rev acc

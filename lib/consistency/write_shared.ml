@@ -3,14 +3,13 @@
     The paper's answer to false sharing on fine-grained objects (§4.2):
     "Khazana's CM interface adopts the approach of Brun-Cottan and
     Makpangou to enable better application-specific conflict detection".
-    Here the conflict granularity is the byte range: when a write lock is
-    granted the machine snapshots a *twin* of the page; on release it diffs
-    the twin against the new contents and ships only the changed ranges to
-    the home, which merges them into its authoritative copy (last-arrival
-    wins within an overlapping byte) and fans the patch out to the other
-    replicas. Writers on disjoint parts of a page — e.g. different pooled
-    objects — never invalidate each other, so there is no ownership
-    ping-pong.
+    Here the conflict granularity is the byte range: on release only the
+    bytes the writer changed since its lock began are laid over the local
+    copy and ship to the home, which merges them into its authoritative
+    copy (last-arrival wins within an overlapping byte) and fans the patch
+    out to the other replicas. Writers on disjoint parts of a page — e.g.
+    different pooled objects — never invalidate each other, so there is no
+    ownership ping-pong.
 
     Like eventual consistency, locks grant locally against whatever replica
     is present (fetch on first touch); unlike eventual, writes propagate
@@ -20,67 +19,7 @@
     the point. *)
 
 open Types
-module NSet = Set.Make (Int)
-
-let next_version ~current ~origin =
-  (((current lsr 8) + 1) lsl 8) lor (origin land 0xFF)
-
-type t = {
-  cfg : config;
-  (* cache role *)
-  mutable data : bytes option;
-  mutable twin : bytes option;  (* snapshot at write-lock grant *)
-  mutable ver : version;
-  locks : Local_locks.t;
-  waiters : (req_id * mode) Queue.t;
-  mutable cache_req : mode option;
-  (* home role *)
-  mutable copyset : NSet.t;
-  mutable sync_armed : bool;
-  mutable sync_pending : bool;
-  mutable next_timer : int;
-}
-
-let name = "wshared"
-
-let create cfg init =
-  let data, ver =
-    match init with Start_unknown -> (None, 0) | Start_owner b -> (Some b, 1)
-  in
-  {
-    cfg;
-    data;
-    twin = None;
-    ver;
-    locks = Local_locks.create ();
-    waiters = Queue.create ();
-    cache_req = None;
-    copyset = NSet.empty;
-    sync_armed = false;
-    sync_pending = false;
-    next_timer = 0;
-  }
-
-let state_name t = if t.data = None then "invalid" else "replica"
-let has_valid_copy t = t.data <> None
-let is_owner t = ignore t; false
-let locks_held t = Local_locks.held t.locks
-let version t = t.ver
-let backup_version _ = 0
-let is_home t = t.cfg.self = t.cfg.home
-
-let holders t =
-  if is_home t && t.data <> None then
-    NSet.elements (NSet.add t.cfg.self t.copyset)
-  else []
-
-let busy _ = false
-
-let fresh_timer t =
-  t.next_timer <- t.next_timer + 1;
-  t.next_timer
-
-(* ---- diffing and patching ---- *)
+module NSet = Replica.NSet
 
 (* Contiguous byte ranges where [new_] differs from [old]. If lengths
    differ (they should not for page data), the whole buffer is one patch. *)
@@ -103,278 +42,69 @@ let diff ~old ~new_ =
     List.rev !patches
   end
 
-let apply_patches data patches =
-  let data = Bytes.copy data in
-  List.iter
-    (fun (off, bytes) ->
-      let len = min (Bytes.length bytes) (max 0 (Bytes.length data - off)) in
-      if off >= 0 && len > 0 then Bytes.blit bytes 0 data off len)
-    patches;
-  data
+include Replica.Make (struct
+  type extra = unit
 
-(* ---- local lock service (like eventual: optimistic) ---- *)
+  let name = "wshared"
+  let init _ = ()
 
-let pump_local t acc =
-  let acc = ref acc in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty t.waiters) do
-    let req, mode = Queue.peek t.waiters in
-    if t.data <> None && Local_locks.can t.locks mode then begin
-      ignore (Queue.pop t.waiters);
-      Local_locks.take t.locks mode;
-      (* Snapshot the twin at write-grant so the release can diff. *)
-      if mode = Write then
-        t.twin <- Option.map Bytes.copy t.data;
-      acc := Grant req :: !acc
-    end
-    else begin
-      if t.data = None && t.cache_req = None then begin
-        t.cache_req <- Some mode;
-        acc := Send (t.cfg.home, Read_req) :: !acc
-      end;
-      continue := false
-    end
-  done;
-  !acc
+  (* Full-page anti-entropy heals lost patches; a few propagation periods
+     apart so diffs dominate the steady state. *)
+  let period cfg = 4 * cfg.propagate_every
 
-(* Apply a remote patch to the local replica — and to the twin, so a
-   concurrent local writer's eventual diff contains only its own bytes. *)
-let absorb_patch t patches version =
-  (match t.data with
-   | Some data -> t.data <- Some (apply_patches data patches)
-   | None -> ());
-  (match t.twin with
-   | Some twin -> t.twin <- Some (apply_patches twin patches)
-   | None -> ());
-  if version > t.ver then t.ver <- version
+  (* Skip a full sync while a local writer is active: its diff will carry
+     its bytes, and the next sync carries everyone else's. *)
+  let fresh (t : extra Replica.t) version =
+    (not (Replica.writer_held t)) && version >= t.ver
 
-(* ---- home role ---- *)
+  (* Eagerly fan a patch out to every replica but [except]; the timer's
+     full sync is the safety net. *)
+  let fan_out (t : extra Replica.t) ~except patches acc =
+    Replica.arm_fanout t
+      (NSet.fold
+         (fun n acc ->
+           if n = except || n = t.cfg.self then acc
+           else Send (n, Diff { patches; version = t.ver }) :: acc)
+         t.copyset acc)
 
-let arm_sync t acc =
-  t.sync_pending <- true;
-  if t.sync_armed then acc
-  else begin
-    t.sync_armed <- true;
-    let id = fresh_timer t in
-    (* Full-page anti-entropy heals lost patches; a few propagation periods
-       apart so diffs dominate the steady state. *)
-    Start_timer { id; after = 4 * t.cfg.propagate_every } :: acc
-  end
-
-(* Suspected nodes ([avoid]) count as neither replicas nor candidates. *)
-let replication_targets ?(avoid = []) t =
-  if t.cfg.min_replicas <= 1 then []
-  else begin
-    let avoid_set = NSet.of_list avoid in
-    let live = NSet.diff (NSet.remove t.cfg.self t.copyset) avoid_set in
-    let have = 1 + NSet.cardinal live in
-    let missing = t.cfg.min_replicas - have in
-    if missing <= 0 then []
-    else
-      List.filteri
-        (fun i _ -> i < missing)
-        (List.filter
-           (fun n ->
-             n <> t.cfg.self
-             && (not (NSet.mem n t.copyset))
-             && not (NSet.mem n avoid_set))
-           t.cfg.replica_targets)
-  end
-
-let handle_home_msg t src msg acc =
-  match msg with
-  | Read_req -> (
-    match t.data with
-    | Some data ->
-      t.copyset <- NSet.add src t.copyset;
-      Sharers_hint (NSet.elements (NSet.add t.cfg.self t.copyset))
-      :: Send (src, Read_grant { data; version = t.ver; fence = 0 })
-      :: acc
-    | None -> Send (src, Nack) :: acc)
-  | Diff { patches; version } ->
-    absorb_patch t patches version;
-    let acc =
-      match t.data with
-      | Some data -> Install { data; dirty = false } :: acc
-      | None -> acc
-    in
-    (* Eager fan-out of the patch to every other replica; schedule a full
-       sync as the safety net. *)
-    let targets = NSet.elements (NSet.remove src (NSet.remove t.cfg.self t.copyset)) in
-    let acc =
-      List.fold_left
-        (fun acc n -> Send (n, Diff { patches; version = t.ver }) :: acc)
-        acc targets
-    in
-    arm_sync t acc
-  | Update { data; version } ->
-    (* Full-state push from a replica (not used in the normal path). *)
-    if version > t.ver then begin
-      t.data <- Some data;
-      t.ver <- version;
-      arm_sync t (Install { data; dirty = false } :: acc)
-    end
-    else acc
-  | Pull_req -> (
-    match t.data with
-    | Some data -> Send (src, Update { data; version = t.ver }) :: acc
-    | None -> acc)
-  | Evict_notify ->
-    t.copyset <- NSet.remove src t.copyset;
-    acc
-  | Read_grant _ | Own_grant _ | Upgrade_grant _ | Invalidate _ | Invalidate_ack
-  | Fetch _ | Fetch_own _ | Done _ | Nack | Own_return _ | Update_ack
-  | Write_req | Fence_bump _ ->
-    acc
-
-let handle_cache_msg t src msg acc =
-  ignore src;
-  match msg with
-  | Read_grant { data; version; _ } ->
-    t.cache_req <- None;
-    if t.data = None || version > t.ver then begin
-      t.data <- Some data;
-      t.ver <- version;
-      pump_local t (Install { data; dirty = false } :: acc)
-    end
-    else pump_local t acc
-  | Diff { patches; version } ->
-    absorb_patch t patches version;
-    (match t.data with
-     | Some data -> pump_local t (Install { data; dirty = false } :: acc)
-     | None -> acc)
-  | Update { data; version } ->
-    (* Periodic full sync. Skip while a local writer is active: its diff
-       will carry its bytes, and the next sync carries everyone else's. *)
-    if (not t.locks.Local_locks.writer) && version >= t.ver then begin
-      t.data <- Some data;
-      t.ver <- version;
-      pump_local t (Install { data; dirty = false } :: acc)
-    end
-    else acc
-  | Nack -> (
-    t.cache_req <- None;
-    match Queue.take_opt t.waiters with
-    | Some (req, _) ->
-      pump_local t (Reject (req, Unavailable "home has no data") :: acc)
-    | None -> acc)
-  | Read_req | Write_req | Own_grant _ | Upgrade_grant _ | Invalidate _
-  | Invalidate_ack | Fetch _ | Fetch_own _ | Done _ | Evict_notify
-  | Own_return _ | Update_ack | Pull_req | Fence_bump _ ->
-    acc
-
-let handle t event =
-  let acc =
-    match event with
-    | Acquire { req; mode } ->
-      Queue.push (req, mode) t.waiters;
-      pump_local t []
-    | Release { mode; data } -> (
-      Local_locks.drop t.locks mode;
-      match (mode, data) with
-      | Write, Some bytes ->
-        let patches =
-          match t.twin with
-          | Some twin -> diff ~old:twin ~new_:bytes
-          | None -> [ (0, Bytes.copy bytes) ]
-        in
-        t.twin <- None;
-        t.data <- Some bytes;
-        t.ver <- next_version ~current:t.ver ~origin:t.cfg.self;
-        let acc = [ Install { data = bytes; dirty = false } ] in
-        if patches = [] then pump_local t acc
-        else if is_home t then begin
-          (* Merge locally and fan out directly. *)
-          let targets = NSet.elements (NSet.remove t.cfg.self t.copyset) in
-          let acc =
-            List.fold_left
-              (fun acc n -> Send (n, Diff { patches; version = t.ver }) :: acc)
-              acc targets
-          in
-          pump_local t (arm_sync t acc)
-        end
-        else
-          pump_local t
-            (Send (t.cfg.home, Diff { patches; version = t.ver }) :: acc)
-      | Write, None ->
-        t.twin <- None;
-        pump_local t []
-      | Read, _ -> pump_local t [])
-    | Peer { src; msg } ->
-      if is_home t then
-        (match msg with
-         | Diff _ | Update _ | Read_req | Pull_req | Evict_notify ->
-           handle_home_msg t src msg []
-         | Read_grant _ | Own_grant _ | Upgrade_grant _ | Invalidate _
-         | Invalidate_ack | Fetch _ | Fetch_own _ | Done _ | Nack
-         | Own_return _ | Update_ack | Write_req | Fence_bump _ ->
-           handle_cache_msg t src msg [])
-      else handle_cache_msg t src msg []
-    | Evicted _ ->
-      if is_home t then []
-      else begin
-        t.data <- None;
-        t.twin <- None;
-        [ Send (t.cfg.home, Evict_notify) ]
-      end
-    | Abort { req } ->
-      let remaining = Queue.create () in
-      let head = Queue.peek_opt t.waiters in
-      Queue.iter
-        (fun (r, m) -> if r <> req then Queue.push (r, m) remaining)
-        t.waiters;
-      Queue.clear t.waiters;
-      Queue.transfer remaining t.waiters;
-      (match head with
-       | Some (r, _) when r = req -> t.cache_req <- None
-       | Some _ | None -> ());
-      pump_local t []
-    | Timeout _ ->
-      if is_home t && t.sync_armed then begin
-        t.sync_armed <- false;
-        if t.sync_pending then begin
-          t.sync_pending <- false;
-          match t.data with
-          | None -> []
-          | Some data ->
-            let extra = replication_targets t in
-            List.iter (fun n -> t.copyset <- NSet.add n t.copyset) extra;
-            List.rev_map
-              (fun n -> Send (n, Update { data; version = t.ver }))
-              (NSet.elements (NSet.remove t.cfg.self t.copyset))
-        end
-        else []
-      end
-      else []
-    | Maintain { avoid } -> (
-      if not (is_home t) then []
-      else
+  let absorb (t : extra Replica.t) ~src msg acc =
+    match msg with
+    | Update { data; version } -> Replica.lww t data version acc
+    | Diff { patches; version } ->
+      let acc =
         match t.data with
-        | None -> []
         | Some data ->
-          let extra = replication_targets ~avoid t in
-          List.iter (fun n -> t.copyset <- NSet.add n t.copyset) extra;
-          List.rev_map
-            (fun n -> Send (n, Update { data; version = t.ver }))
-            extra)
-    | Unreachable _ ->
-      (* Diff fan-outs to a dead replica just drop; a partitioned replica
-         keeps its copyset slot and catches up via later merges. *)
-      []
-    | Reincarnate { version; sharers } ->
-      if is_home t then begin
-        if version > t.ver then t.ver <- version;
-        List.iter
-          (fun n -> if n <> t.cfg.self then t.copyset <- NSet.add n t.copyset)
-          sharers;
-        []
-      end
-      else []
-  in
-  List.rev acc
+          Replica.refresh t (apply_runs data patches) acc
+        | None -> acc
+      in
+      if version > t.ver then t.ver <- version;
+      if Replica.is_home t then fan_out t ~except:src patches acc
+      else if t.data <> None then Replica.pump_local t acc
+      else acc
+    | _ -> acc
 
-(* Write-shared merges diffs into a single latest image; there is no
-   retained version chain to serve snapshot reads from. *)
-let read_at _ _ = None
-let publish _ ~src:_ ~parent:_ ~expected:_ ~payload:_ =
-  (Types.Publish_unsupported, [])
+  let release (t : extra Replica.t) written acc =
+    let img =
+      match (t.stored, t.data) with
+      | Some (seen, _), Some data ->
+        (* The writer started from [seen], not from the patches merged
+           into [data] since: lay only the bytes it changed over them. *)
+        apply_runs data (diff ~old:seen ~new_:written)
+      | _ -> written
+    in
+    let patches =
+      match t.data with
+      | Some old -> diff ~old ~new_:img
+      | None -> [ (0, Bytes.copy img) ]
+    in
+    t.data <- Some img;
+    let acc = Install { data = img; dirty = false } :: acc in
+    if patches = [] then acc (* nothing changed: no new version *)
+    else begin
+      t.ver <- Replica.next_version ~current:t.ver ~origin:t.cfg.self;
+      if Replica.is_home t then fan_out t ~except:t.cfg.self patches acc
+      else Send (t.cfg.home, Diff { patches; version = t.ver }) :: acc
+    end
+
+  let restart _ = ()
+end)

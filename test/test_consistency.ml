@@ -680,6 +680,72 @@ let test_batched_invalidate_equivalence () =
         Alcotest.failf "state diverged at observation %d under batching" i)
     (List.combine per_page batched)
 
+(* Runs arrive off the wire. One that does not fit inside the page (an
+   overhang, a negative offset, an offset past the end) is skipped whole:
+   the page stays as it was and nothing raises. *)
+let bad_runs =
+  [ (6, Bytes.of_string "xyz"); (-1, Bytes.of_string "q");
+    (100, Bytes.of_string "r") ]
+
+let test_out_of_range_runs_skipped () =
+  let page = "abcdefgh" in
+  let h =
+    H.create ~protocol:"wshared" ~home:0 ~min_replicas:1 ~nodes
+      ~initial:(Bytes.of_string page) ()
+  in
+  ignore (H.acquire_sync h 1 Ctypes.Read);
+  H.release h 1 Ctypes.Read ~data:None;
+  H.feed h 0
+    (Ctypes.Peer { src = 2; msg = Ctypes.Diff { patches = bad_runs; version = 5 } });
+  H.drain h;
+  List.iter
+    (fun n ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "n%d page unchanged by the diff" n)
+        (Some page)
+        (Option.map Bytes.to_string (H.installed_data h n)))
+    [ 0; 1 ];
+  let m =
+    V.create (Ctypes.default_config ~self:0 ~home:0)
+      (Ctypes.Start_owner (Bytes.of_string page))
+  in
+  (match V.publish m ~src:0 ~parent:1 ~expected:None ~payload:(Ctypes.Runs bad_runs) with
+   | Ctypes.Published 2, _ -> ()
+   | _ -> Alcotest.fail "publish of runs refused");
+  Alcotest.(check (option string)) "published page unchanged" (Some page)
+    (Option.map (fun (b, _) -> Bytes.to_string b) (V.read_at m None))
+
+(* A cache's whole-image write reaches the home while a home-local writer
+   holds the page. The mint waits for that writer's release, and when the
+   writer drops its lock without writing, the install it gets then must
+   still be dirty: that is what puts the minted version in the intent
+   log. *)
+let test_versioned_deferred_mint_logged () =
+  let m =
+    V.create (Ctypes.default_config ~self:0 ~home:0)
+      (Ctypes.Start_owner (Bytes.of_string "v0"))
+  in
+  let installs actions =
+    List.filter_map
+      (function
+        | Ctypes.Install { data; dirty } -> Some (Bytes.to_string data, dirty)
+        | _ -> None)
+      actions
+  in
+  ignore (V.handle m (Ctypes.Acquire { req = 1; mode = Ctypes.Write }));
+  let during =
+    V.handle m
+      (Ctypes.Peer
+         { src = 2;
+           msg = Ctypes.Update { data = Bytes.of_string "v2"; version = 1 } })
+  in
+  Alcotest.(check (list (pair string bool))) "no install under the lock" []
+    (installs during);
+  Alcotest.(check int) "minted" 2 (V.version m);
+  let after = V.handle m (Ctypes.Release { mode = Ctypes.Write; data = None }) in
+  Alcotest.(check (list (pair string bool))) "dirty install at release"
+    [ ("v2", true) ] (installs after)
+
 let () =
   Alcotest.run "kconsistency"
     [
@@ -741,6 +807,8 @@ let () =
             test_versioned_diff_whole_equivalence;
           Alcotest.test_case "CAS" `Quick test_versioned_cas;
           Alcotest.test_case "chain GC" `Quick test_versioned_chain_gc;
+          Alcotest.test_case "deferred mint is logged" `Quick
+            test_versioned_deferred_mint_logged;
         ] );
       ( "write-shared",
         [
@@ -751,5 +819,7 @@ let () =
           Alcotest.test_case "no invalidation" `Quick test_wshared_no_invalidation;
           Alcotest.test_case "full sync heals loss" `Quick
             test_wshared_full_sync_heals_lost_patch;
+          Alcotest.test_case "out-of-range runs skipped" `Quick
+            test_out_of_range_runs_skipped;
         ] );
     ]

@@ -129,13 +129,15 @@ let prop_release_liveness =
         then QCheck.Test.fail_report v
         else true)
 
-(* Eventual consistency: after any interleaving plus anti-entropy, all
-   replicas converge to identical (version, data). *)
-let prop_eventual_convergence =
-  QCheck.Test.make ~name:"eventual: replicas converge" ~count:100 arb_script
-    (fun (seed, steps) ->
+(* The optimistic protocols (eventual, versioned, write-shared): after any
+   interleaving plus anti-entropy, all replicas converge to one version.
+   Versions, not bytes, are compared: the harness only records installs,
+   and the home's untouched initial image is never installed. *)
+let prop_convergence protocol =
+  QCheck.Test.make ~name:(protocol ^ ": replicas converge") ~count:100
+    arb_script (fun (seed, steps) ->
       let h =
-        H.create ~seed ~protocol:"eventual" ~home:0 ~min_replicas:1 ~nodes
+        H.create ~seed ~protocol ~home:0 ~min_replicas:1 ~nodes
           ~initial:(Bytes.of_string "init") ()
       in
       let held = Hashtbl.create 8 in
@@ -293,7 +295,9 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_crew_safety; prop_release_liveness; prop_eventual_convergence;
-            prop_crew_safety_under_loss; prop_wshared_disjoint_no_lost_updates;
+            prop_crew_safety; prop_release_liveness;
+            prop_convergence "eventual"; prop_crew_safety_under_loss;
+            prop_wshared_disjoint_no_lost_updates;
+            prop_convergence "versioned"; prop_convergence "wshared";
           ] );
     ]

@@ -603,6 +603,51 @@ let test_mvcc_txn_read_your_writes () =
       Alcotest.(check string) "abort left no trace" "aaaa"
         (Bytes.to_string (ok (Client.read_bytes c4 ~addr:base 4))))
 
+(* A remote write that lands while a local writer holds the page must not
+   clobber the writer's bytes. Node 2 write-locks a page homed at node 1
+   and writes 'x' at byte 0; node 4 writes 'y' at byte 100 and unlocks;
+   node 2 writes 'z' at byte 200 and unlocks. The 2 s pauses let node 4's
+   update reach node 2 while it still holds its lock. Write-shared merges
+   byte ranges, so every write survives; eventual is last-writer-wins on
+   whole images, so node 2's interval lands whole or not at all. *)
+let concurrent_interval protocol =
+  let sys = mk ~seed:42 ~nodes_per_cluster:3 ~clusters:2 () in
+  let c1 = System.client sys 1 () in
+  let c2 = System.client sys 2 () in
+  let c3 = System.client sys 3 () in
+  let c4 = System.client sys 4 () in
+  let pause () = Ksim.Fiber.sleep (Ksim.Time.sec 2) in
+  System.run_fiber sys (fun () ->
+      let attr = Attr.make ~owner:1 ~protocol () in
+      let r = ok (Client.create_region c1 ~attr 4096) in
+      let at n = Gaddr.add_int r.Region.base n in
+      ignore (ok (Client.read_bytes c2 ~addr:r.Region.base 1));
+      ignore (ok (Client.read_bytes c4 ~addr:r.Region.base 1));
+      pause ();
+      let ctx = ok (Client.lock c2 ~addr:r.Region.base ~len:4096 Ctypes.Write) in
+      ok (Client.write c2 ctx ~addr:(at 0) (bytes_s "x"));
+      pause ();
+      ok (Client.write_bytes c4 ~addr:(at 100) (bytes_s "y"));
+      pause ();
+      ok (Client.write c2 ctx ~addr:(at 200) (bytes_s "z"));
+      Client.unlock c2 ctx;
+      pause ();
+      let byte n =
+        match Bytes.to_string (ok (Client.read_bytes c3 ~addr:(at n) 1)) with
+        | "\000" -> "."
+        | s -> s
+      in
+      String.concat " " [ byte 0; byte 100; byte 200 ])
+
+let test_wshared_no_lost_update () =
+  Alcotest.(check string) "every write survives" "x y z"
+    (concurrent_interval "wshared")
+
+let test_eventual_atomic_interval () =
+  let got = concurrent_interval "eventual" in
+  if got <> "x . z" && got <> ". y ." then
+    Alcotest.failf "node 2's write interval applied in part: %s" got
+
 let () =
   Alcotest.run "system"
     [
@@ -631,6 +676,10 @@ let () =
             test_address_pool_accounting;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
           Alcotest.test_case "lookup path stats" `Quick test_lookup_path_stats;
+          Alcotest.test_case "wshared keeps a held writer's bytes" `Quick
+            test_wshared_no_lost_update;
+          Alcotest.test_case "eventual write interval is atomic" `Quick
+            test_eventual_atomic_interval;
         ] );
       ( "mvcc",
         [
