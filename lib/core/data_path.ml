@@ -1,0 +1,569 @@
+(* The data path (§2-§3): lock, read, write and unlock over the
+   consistency machines, the strict write-through to a region's home, and
+   the versioned publish. Also the home's side of the page traffic its
+   writers send: CM messages, write-through flushes and publishes. *)
+
+open Daemon_core
+
+type lock_ctx = {
+  ctx_op : Op_ctx.t;  (* the client operation this lock belongs to *)
+  ctx_region : Region.t;
+  ctx_addr : Gaddr.t;
+  ctx_len : int;
+  ctx_mode : Ctypes.mode;
+  ctx_pages : Gaddr.t list;
+  ctx_written : unit Gaddr.Table.t;
+  ctx_parents : Ctypes.version Gaddr.Table.t;
+      (* versioned regions, Write mode: the home version each page was at
+         when the lock was granted — the parent a diff publish applies
+         against *)
+  mutable ctx_expected : Ctypes.version option;
+      (* versioned CAS ({!write_cas}): publish only if the home is still at
+         exactly this version *)
+  mutable ctx_publish : (unit, error) result;
+      (* outcome of the versioned publish unlock performs; [write_sync] and
+         [write_cas] surface it to the caller *)
+  mutable ctx_live : bool;
+}
+
+type t = {
+  c : Daemon_core.t;
+  loc : Locate.t;
+  txn : Txn.t;  (* the in-doubt fence and the pins a flush discharges *)
+}
+
+let create loc txn = { c = loc.Locate.c; loc; txn }
+
+(* Release every page of a (possibly partial) multi-page lock in one pass.
+   Shared by unlock and the acquisition rollback paths so their per-page
+   bookkeeping cannot drift: [unpin] drops the storage pins unlock took,
+   [written] propagates dirty images for pages the context wrote. Rollback
+   of a never-granted context passes neither — the pages were never pinned
+   and carry no data. *)
+let release_pages c ctx (region : Region.t) mode ?(unpin = false) ?written
+    pages =
+  List.iter
+    (fun page ->
+      if unpin then Store.unpin c.store page;
+      (* Versioned regions release without data: propagation happens via
+         the publish path (unlock), not inside the machine's Release. *)
+      let data =
+        match written with
+        | Some tbl
+          when mode = Ctypes.Write
+               && Gaddr.Table.mem tbl page
+               && not (versioned_region region) ->
+          Store.read_immediate c.store page
+        | _ -> None
+      in
+      release_page c ctx page mode ~data)
+    pages
+
+(* [refuse] vets the located region before any page is acquired: a call
+   the region's protocol cannot serve must not disturb its copyset. *)
+let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
+  let c = t.c in
+  match serving c with
+  | Error e -> Error e
+  | Ok () ->
+  let t0 = Ksim.Engine.now c.engine in
+  let op = ctx in
+  let span =
+    span_of c ctx "daemon.lock" (fun () ->
+        [ ("addr", Gaddr.to_string addr);
+          ("len", string_of_int len);
+          ("mode", Ctypes.mode_to_string mode) ])
+  in
+  let ctx = Op_ctx.with_span ctx span in
+  let principal = Op_ctx.principal ctx in
+  let reflect result =
+    (match result with
+     | Ok _ ->
+       Metrics.incr c.metrics "lock.grant";
+       Metrics.observe c.metrics "lock.ms"
+         (Ksim.Time.to_ms_f (Ksim.Engine.now c.engine - t0))
+     | Error `Timeout -> Metrics.incr c.metrics "lock.timeout"
+     | Error _ -> Metrics.incr c.metrics "lock.reject");
+    finish_result c span result
+  in
+  reflect
+  @@
+  match Locate.locate t.loc ctx addr with
+  | Error e -> Error e
+  | Ok region ->
+    let region =
+      if
+        region.Region.state <> Region.Allocated
+        || not (Attr.allows region.Region.attr ~principal mode)
+      then Option.value (Locate.refresh t.loc ctx region) ~default:region
+      else region
+    in
+    if not (Region.contains_range region addr ~len) then Error `Bad_range
+    else if region.Region.state <> Region.Allocated then Error `Not_allocated
+    else if not (Attr.allows region.Region.attr ~principal mode) then
+      Error `Access_denied
+    else
+    match refuse region with
+    | Some e -> Error e
+    | None ->
+    if Op_ctx.expired ctx ~now:(Ksim.Engine.now c.engine) then Error `Timeout
+    else begin
+      (* Computed once; granted contexts carry it as [ctx_pages] so unlock
+         and read/write never recompute the page list. *)
+      let pages =
+        Gaddr.pages_in addr ~len ~page_size:region.Region.attr.Attr.page_size
+      in
+      if List.exists (fun p -> Txn.in_doubt t.txn p) pages then
+        Error (`Conflict "transaction in doubt")
+      else begin
+      (* One backoff across the whole multi-page acquire: every failed
+         attempt anywhere in the range widens the pause before the next. *)
+      let backoff =
+        Kutil.Backoff.make ~rng:c.rng ~base:(Ksim.Time.ms 50)
+          ~cap:c.cfg.retry_backoff_cap ()
+      in
+      let acquire_one page =
+        let rec attempt n =
+          let timeout = budgeted_timeout c ctx c.cfg.lock_timeout in
+          if timeout <= 0 then Error `Timeout
+          else
+            match acquire_page c ctx region page mode ~timeout with
+            | Ok () -> Ok ()
+            | Error _ when n > 1 ->
+              Ksim.Fiber.sleep (Kutil.Backoff.next backoff);
+              attempt (n - 1)
+            | Error e -> Error e
+        in
+        attempt c.cfg.lock_retries
+      in
+      (* Pipelined acquisition: issue up to [acquire_window] page acquires
+         concurrently (each in its own fiber, all sharing the backoff and
+         the context deadline), so an N-page lock costs O(N / window)
+         round-trip waves instead of N sequential round trips. Rollback
+         stays all-or-nothing: any failure releases every page this call
+         acquired — prior waves and the failing wave's partial grants. *)
+      let window = max 1 c.cfg.acquire_window in
+      let rec take n acc = function
+        | rest when n = 0 -> (List.rev acc, rest)
+        | [] -> (List.rev acc, [])
+        | p :: rest -> take (n - 1) (p :: acc) rest
+      in
+      let rec acquire_all acquired remaining =
+        match remaining with
+        | [] -> Ok (List.rev acquired)
+        | _ ->
+          let wave, rest = take window [] remaining in
+          let results =
+            wave
+            |> List.map (fun page ->
+                   ( page,
+                     Ksim.Fiber.async c.engine ~name:"daemon.lock.acquire"
+                       (fun () -> acquire_one page) ))
+            |> List.map (fun (page, p) -> (page, Ksim.Fiber.await p))
+          in
+          let granted =
+            List.filter_map
+              (fun (page, r) -> match r with Ok () -> Some page | Error _ -> None)
+              results
+          in
+          (match
+             List.find_map
+               (fun (_, r) -> match r with Error e -> Some e | Ok () -> None)
+               results
+           with
+           | Some e ->
+             (* Roll back already-acquired pages, including the failing
+                wave's partial grants. *)
+             release_pages c ctx region mode (List.rev_append acquired granted);
+             Error e
+           | None -> acquire_all (List.rev_append granted acquired) rest)
+      in
+      match acquire_all [] pages with
+      | Error e -> Error e
+      | Ok pages ->
+        List.iter (Store.pin c.store) pages;
+        (* Versioned write intents remember the home version each page was
+           granted at: that version is the parent a publish diffs against,
+           and — because versioned grants exclude nobody — the way the home
+           tells "applied onto what I have" from "applied onto history". *)
+        let parents = Gaddr.Table.create 8 in
+        if mode = Ctypes.Write && versioned_region region then
+          List.iter
+            (fun page ->
+              match Gaddr.Table.find_opt c.machines page with
+              | Some slot ->
+                Gaddr.Table.replace parents page
+                  (Machine.packed_version slot.packed)
+              | None -> ())
+            pages;
+        Ok
+          {
+            ctx_op = op;
+            ctx_region = region;
+            ctx_addr = addr;
+            ctx_len = len;
+            ctx_mode = mode;
+            ctx_pages = pages;
+            ctx_written = Gaddr.Table.create 8;
+            ctx_parents = parents;
+            ctx_expected = None;
+            ctx_publish = Ok ();
+            ctx_live = true;
+          }
+      end
+    end
+
+(* Versioned publish: push one lock context's written pages to the region
+   home as immutable new versions. Sparse dirty runs ship as [Runs] when
+   they cover at most [diff_density_max] of the page and a parent version
+   to apply them against is known; otherwise the whole image goes. A home
+   whose chain no longer retains the parent answers [Parent_gone] and the
+   publish falls back to the whole image — wider, never wrong. Publishes
+   that cannot reach the home keep retrying in the background and surface
+   as the ambiguous [`Timeout]. A CAS publish ([ctx_expected] set) never
+   background-retries — an ambiguous CAS retried later could apply against
+   a version counter that has since moved — and surfaces a mismatch as
+   [`Conflict] after repairing the local cache to the home's latest, so
+   reads here never serve the rejected bytes. *)
+let publish_written c ctx lctx =
+  let region = lctx.ctx_region in
+  let home = region.Region.home in
+  let region_base = region.Region.base in
+  let page_size = region.Region.attr.Attr.page_size in
+  let expected = lctx.ctx_expected in
+  let span = Op_ctx.span ctx in
+  let jobs =
+    List.filter_map
+      (fun page ->
+        if not (Gaddr.Table.mem lctx.ctx_written page) then None
+        else
+          match Store.read_immediate c.store page with
+          | None -> None (* evicted under the lock; nothing left to publish *)
+          | Some img ->
+            let parent =
+              Option.value
+                (Gaddr.Table.find_opt lctx.ctx_parents page)
+                ~default:0
+            in
+            let ranges = Store.dirty_ranges c.store page in
+            Store.clear_ranges c.store page;
+            let covered = List.fold_left (fun a (_, l) -> a + l) 0 ranges in
+            let payload =
+              if
+                ranges <> [] && parent > 0
+                && float_of_int covered
+                   <= c.cfg.diff_density_max *. float_of_int page_size
+              then
+                Ctypes.Runs
+                  (List.map (fun (o, l) -> (o, Bytes.sub img o l)) ranges)
+              else Ctypes.Whole img
+            in
+            Some (page, img, parent, payload))
+      lctx.ctx_pages
+  in
+  let publish ctx ~expected page payload parent =
+    ask_for c ctx ~dst:home
+      (Wire.Page_diff { page; region_base; parent; expected; payload })
+      (function Wire.R_publish result -> Some result | _ -> None)
+  in
+  (* Pull the local cache up to a freshly fetched or minted image so local
+     reads serve it without a refetch. The absorb is version-gated inside
+     the machine: if a concurrent writer already fanned out something
+     newer, the newer image stays (last writer won). The home's machine
+     minted the version itself and has nothing to absorb. *)
+  let absorb page data version =
+    if home <> c.id then
+      feed_existing c ~span page
+        (Ctypes.Peer { src = home; msg = Ctypes.Update { data; version } })
+  in
+  let repair_after_cas_loss page =
+    match
+      ask c ctx ~dst:home (Wire.Page_version { page; region_base; at = None })
+    with
+    | Ok (Wire.R_page (Some (data, version))) ->
+      (* The version-gated absorb is a no-op when the cache already sits
+         at the home's latest — exactly the common refusal case, where
+         only the store holds the rejected bytes. Restore it directly. *)
+      Store.write_immediate c.store page data ~dirty:false;
+      absorb page data version
+    | Ok _ | Error _ -> ()
+  in
+  let background_republish page img =
+    (* Plain LWW publish only: arrival order is the ordering contract, so
+       a late retry is simply a late write. *)
+    background_retry c ~name:"page-publish" (fun () ->
+        Result.is_ok
+          (publish Op_ctx.background ~expected:None page (Ctypes.Whole img) 0))
+  in
+  let publish_job (page, img, parent, payload) =
+    let result =
+      match publish ctx ~expected page payload parent with
+      | Ok (Ctypes.Parent_gone _) ->
+        (* The chain GC outran the diff: reapply as a whole image. *)
+        publish ctx ~expected page (Ctypes.Whole img) parent
+      | r -> r
+    in
+    match result with
+    | Ok (Ctypes.Published v) ->
+      absorb page img v;
+      Ok ()
+    | Ok (Ctypes.Cas_mismatch { latest }) ->
+      repair_after_cas_loss page;
+      Error
+        (`Conflict (Printf.sprintf "version mismatch: home at %d" latest))
+    | Ok (Ctypes.Parent_gone _) ->
+      Error (`Unavailable "publish refused: parent version gone")
+    | Ok Ctypes.Publish_unsupported ->
+      Error (`Unavailable "protocol refused publish")
+    | Error ((`Timeout | `Unreachable) as e) ->
+      if expected = None then background_republish page img;
+      Metrics.incr c.metrics "publish.retry";
+      Error e
+    | Error e -> Error e
+  in
+  List.fold_left
+    (fun acc job ->
+      match publish_job job with
+      | Ok () -> acc
+      | Error _ as e -> ( match acc with Ok () -> e | Error _ -> acc))
+    (Ok ()) jobs
+
+let unlock c ctx =
+  if ctx.ctx_live then begin
+    ctx.ctx_live <- false;
+    let span =
+      span_of c ctx.ctx_op "daemon.unlock" (fun () ->
+          [ ("addr", Gaddr.to_string ctx.ctx_addr) ])
+    in
+    let op = Op_ctx.with_span ctx.ctx_op span in
+    release_pages c op ctx.ctx_region ctx.ctx_mode ~unpin:true
+      ~written:ctx.ctx_written ctx.ctx_pages;
+    (* Versioned regions propagate written pages by publishing new
+       versions at the home (the Release above carried no data). The
+       outcome parks on the context for write_sync/write_cas to report;
+       plain unlock stays infallible toward the caller, matching CREW. *)
+    if
+      ctx.ctx_mode = Ctypes.Write
+      && versioned_region ctx.ctx_region
+      && Gaddr.Table.length ctx.ctx_written > 0
+    then ctx.ctx_publish <- publish_written c op ctx;
+    finish_span c span
+  end
+
+let ctx_covers ctx addr ~len =
+  ctx.ctx_live && len >= 0
+  && Gaddr.compare ctx.ctx_addr addr <= 0
+  && Gaddr.compare (Gaddr.add_int addr len) (Gaddr.add_int ctx.ctx_addr ctx.ctx_len) <= 0
+
+let read c ctx ~addr ~len =
+  if not (ctx_covers ctx addr ~len) then Error `Bad_range
+  else begin
+    let span =
+      span_of c ctx.ctx_op "daemon.read" (fun () ->
+          [ ("addr", Gaddr.to_string addr); ("len", string_of_int len) ])
+    in
+    let out = Bytes.create len in
+    finish_result c span
+      (match
+         each_page ~page_size:ctx.ctx_region.Region.attr.Attr.page_size addr ~len
+           (fun page ~off ~pos ~n ->
+             if Trace.enabled () then
+               Trace.event ~engine:c.engine ~node:c.id ~span "store.read"
+                 ~attrs:[ ("page", Gaddr.to_string page) ];
+             if Store.read_into c.store page ~off out ~dst_off:pos ~len:n then Ok ()
+             else Error (`Unavailable "page missing from local store"))
+       with
+       | Ok () -> Ok out
+       | Error e -> Error e)
+  end
+
+let write c ctx ~addr data =
+  let len = Bytes.length data in
+  if ctx.ctx_mode <> Ctypes.Write then Error `Access_denied
+  else if not (ctx_covers ctx addr ~len) then Error `Bad_range
+  else begin
+    let span =
+      span_of c ctx.ctx_op "daemon.write" (fun () ->
+          [ ("addr", Gaddr.to_string addr); ("len", string_of_int len) ])
+    in
+    finish_result c span
+    @@ each_page ~page_size:ctx.ctx_region.Region.attr.Attr.page_size addr ~len
+         (fun page ~off ~pos ~n ->
+           if Trace.enabled () then
+             Trace.event ~engine:c.engine ~node:c.id ~span "store.write"
+               ~attrs:[ ("page", Gaddr.to_string page) ];
+           if Store.write_from c.store page ~off data ~src_off:pos ~len:n then begin
+             Gaddr.Table.replace ctx.ctx_written page ();
+             (* Versioned regions track which byte spans actually changed so
+                the publish can ship sparse runs instead of the whole page. *)
+             if versioned_region ctx.ctx_region then
+               Store.note_range c.store page ~off ~len:n;
+             Ok ()
+           end
+           else Error (`Unavailable "page missing from local store"))
+  end
+
+(* Strict plain-write entry point: lock, write, unlock, then push the
+   dirty image through to the region home before reporting success. The
+   CREW ack-at-unlock leaves the only fresh copy in the writer's RAM; under
+   strict consistency that breaks two promises an acknowledged write makes
+   — it must survive the writer crashing, and it must be what the home's
+   backup serves when read fail-over routes around that crashed writer.
+   The write-through keeps both: the home WALs the image and refreshes its
+   manager backup before we ack. A flush that cannot reach the home keeps
+   retrying in the background and surfaces as the ambiguous [`Timeout] —
+   the write may or may not be visible to others yet. *)
+(* The write-through itself, shared by plain writes and transaction
+   commits: snapshot each page's current image and protocol version and
+   push them to the region home. The snapshot runs after the lock release
+   bumped the machine version; a page already evicted needs no flush (the
+   eviction shipped its bytes home as [Own_return]). Pages that cannot
+   reach the home keep flushing in the background; the return value says
+   whether everything landed synchronously. *)
+let flush_through c ~ctx (region : Region.t) pages =
+  let images =
+    List.filter_map
+      (fun page ->
+        match Store.read_immediate c.store page with
+        | Some img ->
+          let version =
+            match Gaddr.Table.find_opt c.machines page with
+            | Some slot -> Machine.packed_version slot.packed
+            | None -> 0
+          in
+          Some (page, img, version)
+        | None -> None)
+      pages
+  in
+  let flush (page, img, version) =
+    match
+      ask c ctx ~policy:Wire.Policy.idempotent ~dst:region.Region.home
+        (Wire.Page_flush
+           { page; region_base = region.Region.base; data = img; version })
+    with
+    | Ok Wire.R_unit -> true
+    | Ok _ | Error (`Timeout | `Unreachable) -> false
+  in
+  match List.filter (fun i -> not (flush i)) images with
+  | [] -> true
+  | failed ->
+    List.iter
+      (fun i -> background_retry c ~name:"page-flush" (fun () -> flush i))
+      failed;
+    false
+
+(* Does an acknowledged write to this region owe the home a synchronous
+   write-through? Only strict (CREW) regions homed elsewhere: the home's
+   own writes already pass through its WAL and backup. *)
+let needs_flush c (region : Region.t) =
+  region.Region.home <> c.id
+  && region.Region.attr.Attr.protocol = Kconsistency.Crew.name
+
+let write_sync t ~ctx ~addr data =
+  let c = t.c in
+  let* lctx = lock t ~ctx ~addr ~len:(Bytes.length data) Ctypes.Write in
+  let result = write c lctx ~addr data in
+  let written =
+    Gaddr.Table.fold (fun page () acc -> page :: acc) lctx.ctx_written []
+  in
+  unlock c lctx;
+  let* () = result in
+  let* () = lctx.ctx_publish (* versioned publish did not settle *) in
+  let region = lctx.ctx_region in
+  if (not (needs_flush c region)) || flush_through c ~ctx region written then
+    Ok ()
+  else Error `Timeout
+
+(* Optimistic per-page CAS for versioned regions: publish the write only if
+   the home is still at exactly [expected] (obtained from {!page_version}
+   or a prior write). [`Conflict] on mismatch — nothing is published and
+   the local cache is repaired to the home's latest. Every page the write
+   touches shares the one expected version, so the intended use is records
+   within a single page. Regions under any other protocol are refused
+   before the lock, so the refusal revokes nobody's copy. *)
+let write_cas t ~ctx ~addr ~expected data =
+  let refuse region =
+    if versioned_region region then None
+    else Some (`Unavailable "write_cas needs the versioned protocol")
+  in
+  let* lctx = lock ~refuse t ~ctx ~addr ~len:(Bytes.length data) Ctypes.Write in
+  let result = write t.c lctx ~addr data in
+  lctx.ctx_expected <- Some expected;
+  unlock t.c lctx;
+  let* () = result in
+  lctx.ctx_publish
+
+(* -- the home's side of the page traffic -- *)
+
+let serve_cm_msg t ctx ~src ~page ~region_base body =
+  let c = t.c in
+  (* In-doubt fence, protocol side: remote lock traffic for a page with a
+     prepared-undecided transaction gets silence, not a stale grant. The
+     peer's retry ladder absorbs the timeout and the page opens up as
+     soon as the decision lands. *)
+  if Txn.in_doubt t.txn page then ()
+  else
+  match Gaddr.Table.find_opt c.machines page with
+  | Some slot -> feed c ~span:(Op_ctx.span ctx) slot page (Ctypes.Peer { src; msg = body })
+  | None ->
+    (* First contact for this page: resolve its region (usually a region
+       directory hit) in a fiber, then feed. *)
+    Ksim.Fiber.spawn c.engine ~name:"cm-resolve" (fun () ->
+        let region =
+          if Region.contains (map_region c) page then Some (map_region c)
+          else
+            match homed_containing c page with
+            | Some r -> Some r
+            | None -> (
+              match Locate.locate t.loc ctx region_base with
+              | Ok r when Region.contains r page -> Some r
+              | Ok _ | Error _ -> None)
+        in
+        match region with
+        | Some region when c.up ->
+          let slot = machine_for c region page in
+          feed c ~span:(Op_ctx.span ctx) slot page (Ctypes.Peer { src; msg = body })
+        | Some _ | None -> ())
+
+let serve_flush t ctx ~src ~page ~region_base ~data ~version =
+  let c = t.c in
+  at_home c ~region_base page @@ fun slot ->
+    if version < Machine.packed_backup_version slot.packed then
+      (* An obsolete image: a background retry finally delivering a flush
+         some newer write has already overtaken. Applying it would plant
+         stale bytes in the WAL (replayed last on recovery) and the store.
+         Ack it — the writer's obligation was discharged by whatever
+         superseded it. *)
+      Wire.R_unit
+    else begin
+      (* Write-ahead first: the ack promises the image survives a home
+         crash. Then let the machine absorb it — CREW's Update keeps the
+         freshest version as the manager backup, so read fail-over around
+         a crashed owner serves nothing older than this write. The store
+         copy stays machine-governed: only write it when the machine holds
+         no valid copy of its own. *)
+      let tx = Wal.begin_tx c.wal in
+      Wal.log_page c.wal tx page data;
+      Wal.commit c.wal tx;
+      let has_copy = Machine.packed_has_valid_copy slot.packed in
+      Txn.discharge_on_flush t.txn page data ~has_copy;
+      feed c ~span:(Op_ctx.span ctx) slot page
+        (Ctypes.Peer { src; msg = Ctypes.Update { data; version } });
+      if not has_copy then begin
+        Store.write_immediate c.store page data ~dirty:false;
+        Store.flush_immediate c.store page
+      end;
+      Wire.R_unit
+    end
+
+(* Versioned publish at the home: let the machine mint (or refuse) a new
+   version and ship the outcome back. The minted image reaches the store
+   and the WAL through the Install action the machine returns, exactly
+   like a local write. *)
+let serve_publish c ctx ~src ~page ~region_base ~parent ~expected ~payload =
+  at_home c ~region_base page @@ fun slot ->
+  let result, actions =
+    Machine.packed_publish slot.packed ~src ~parent ~expected ~payload
+  in
+  apply_actions c ~span:(Op_ctx.span ctx) slot page actions;
+  Wire.R_publish result

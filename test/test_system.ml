@@ -648,6 +648,187 @@ let test_eventual_atomic_interval () =
   if got <> "x . z" && got <> ". y ." then
     Alcotest.failf "node 2's write interval applied in part: %s" got
 
+(* Regression: [write_cas] on a region under any protocol but versioned is
+   refused before it takes a lock. Under CREW a write lock revokes every
+   reader's copy, so a refusal that locked first would cost the readers
+   their caches for a write that never happens. *)
+let test_write_cas_refused_before_lock () =
+  let sys = mk () in
+  let c1 = System.client sys 1 () in
+  let c2 = System.client sys 2 ~principal:1 () in
+  let c4 = System.client sys 4 ~principal:1 () in
+  System.run_fiber sys (fun () ->
+      let r = ok (Client.create_region c1 4096) in
+      let base = r.Region.base in
+      ok (Client.write_bytes c1 ~addr:base (bytes_s "crew"));
+      ignore (ok (Client.read_bytes c4 ~addr:base 4));
+      Alcotest.(check bool) "reader warmed" true
+        (Daemon.holds_page (System.daemon sys 4) base);
+      (match Client.write_cas c2 ~addr:base ~expected:1 (bytes_s "nope") with
+      | Error (`Unavailable _) -> ()
+      | Ok () -> Alcotest.fail "write_cas on a crew region must be refused"
+      | Error e -> Alcotest.failf "wrong error: %s" (Daemon.error_to_string e));
+      Alcotest.(check bool) "reader keeps its copy" true
+        (Daemon.holds_page (System.daemon sys 4) base);
+      Alcotest.(check string) "bytes unchanged" "crew"
+        (Bytes.to_string (ok (Client.read_bytes c4 ~addr:base 4))))
+
+(* ----------- home-local and remote requests agree ----------- *)
+
+(* Each case runs twice on a fresh system: once from node 0 — the
+   bootstrap node, cluster 0's manager and the home of every region the
+   case creates — and once from node 1, a member of the same cluster. The
+   two runs must print the same outcome and leave the same region state,
+   and the calls made from node 0 must put nothing on the wire. *)
+let home = 0
+let member = 1
+
+(* Run [f] as the case's call under test: from the home it must put
+   nothing on the wire — no envelope at all, or none of [kind] when the
+   call also does other, inherently remote work. *)
+let quiet ?kind sys actor f =
+  let sent () =
+    let st = Khazana.Wire.Transport.Net.stats (System.net sys) in
+    match kind with
+    | None -> st.sent
+    | Some k -> Option.value (List.assoc_opt k st.by_kind) ~default:0
+  in
+  let before = sent () in
+  let r = f () in
+  if actor = home then
+    Alcotest.(check int) "home-local side sends no envelope" 0 (sent () - before);
+  r
+
+let both_sides case () =
+  let run actor =
+    let sys = mk () in
+    System.run_fiber sys (fun () -> case sys actor)
+  in
+  Alcotest.(check string) "home-local and remote outcomes" (run home)
+    (run member)
+
+let outcome = function Ok _ -> "ok" | Error e -> Daemon.error_to_string e
+
+(* The region as its home records it. *)
+let home_view sys base =
+  match
+    List.find_opt
+      (fun r -> Gaddr.equal r.Region.base base)
+      (Daemon.homed_regions (System.daemon sys home))
+  with
+  | None -> "not homed"
+  | Some r ->
+    Printf.sprintf "%s world=%s replicas=%d"
+      (match r.Region.state with
+       | Region.Reserved -> "reserved"
+       | Region.Allocated -> "allocated")
+      (match r.Region.attr.Attr.world with
+       | Attr.No_access -> "none"
+       | Attr.Read_only -> "ro"
+       | Attr.Read_write -> "rw")
+      r.Region.attr.Attr.min_replicas
+
+let client_of sys actor = System.client sys actor ~principal:home ()
+
+let agree_allocate sys actor =
+  let r = ok (Client.reserve (client_of sys home) 4096) in
+  let res = quiet sys actor (fun () -> Client.allocate (client_of sys actor) r.Region.base) in
+  outcome res ^ " / " ^ home_view sys r.Region.base
+
+let agree_set_get_attr sys actor =
+  let c = client_of sys actor in
+  let r = ok (Client.create_region (client_of sys home) 4096) in
+  let attr = Attr.make ~owner:home ~world:Attr.Read_only ~min_replicas:2 () in
+  let set = quiet sys actor (fun () -> Client.set_attr c r.Region.base attr) in
+  let got = ok (quiet sys actor (fun () -> Client.get_attr c r.Region.base)) in
+  Printf.sprintf "%s / replicas=%d / %s" (outcome set) got.Attr.min_replicas
+    (home_view sys r.Region.base)
+
+let versioned_at_home sys =
+  let c0 = client_of sys home in
+  let attr = Attr.make ~protocol:"versioned" ~owner:home () in
+  let r = ok (Client.create_region c0 ~attr 4096) in
+  ok (Client.write_bytes c0 ~addr:r.Region.base (bytes_s "aaaa"));
+  r.Region.base
+
+let agree_page_version sys actor =
+  let base = versioned_at_home sys in
+  let v = ok (quiet sys actor (fun () -> Client.page_version (client_of sys actor) base)) in
+  Printf.sprintf "version %d" v
+
+let agree_write_cas_mismatch sys actor =
+  let base = versioned_at_home sys in
+  let c0 = client_of sys home in
+  let c = client_of sys actor in
+  let v = ok (Client.page_version c0 base) in
+  ignore (ok (Client.read_bytes c ~addr:base 4));
+  ok (Client.write_cas c0 ~addr:base ~expected:v (bytes_s "bbbb"));
+  let res =
+    quiet sys actor (fun () -> Client.write_cas c ~addr:base ~expected:v (bytes_s "cccc"))
+  in
+  (* The refused bytes never reach a read: the cache was repaired. *)
+  let seen = Bytes.to_string (ok (Client.read_bytes c ~addr:base 4)) in
+  outcome res ^ " / " ^ seen
+
+let agree_snapshot_read sys actor =
+  let base = versioned_at_home sys in
+  let c = client_of sys actor in
+  let snap = ok (Client.snapshot c) in
+  let got = ok (quiet sys actor (fun () -> Client.snapshot_read c ~snap ~addr:base 4)) in
+  Client.release_snapshot c snap;
+  Bytes.to_string got
+
+let settle () = Ksim.Fiber.sleep (Ksim.Time.sec 5)
+
+(* The home frees synchronously; a remote free lands from the background. *)
+let agree_free sys actor =
+  let c0 = client_of sys home in
+  let r = ok (Client.create_region c0 4096) in
+  ok (Client.write_bytes c0 ~addr:r.Region.base (bytes_s "data"));
+  quiet sys actor (fun () -> Client.free (client_of sys actor) r.Region.base);
+  let at_return = home_view sys r.Region.base in
+  if actor = home then
+    Alcotest.(check string) "home frees before returning" "reserved world=rw replicas=1"
+      at_return;
+  settle ();
+  home_view sys r.Region.base
+
+let agree_unreserve sys actor =
+  let r = ok (Client.reserve (client_of sys home) 4096) in
+  quiet sys actor (fun () -> Client.unreserve (client_of sys actor) r.Region.base);
+  settle ();
+  home_view sys r.Region.base
+
+(* Reserving asks the cluster manager for a chunk of address space: the
+   manager serves itself from its own chunk pool. (Recording the region in
+   the address map writes replicated map pages from either side.) *)
+let agree_reserve sys actor =
+  let r =
+    ok
+      (quiet ~kind:"chunk_request" sys actor (fun () ->
+           Client.reserve (client_of sys actor) 4096))
+  in
+  let granted =
+    match Daemon.cluster_state (System.daemon sys home) with
+    | Some cm -> Khazana.Cluster.chunks_granted cm
+    | None -> -1
+  in
+  Printf.sprintf "len=%d homed at caller=%b chunks granted=%d" r.Region.len
+    (r.Region.home = actor) granted
+
+(* A region homed at node 2, known to the manager from node 2's reports
+   and to neither asker: both resolve it through the cluster manager. *)
+let agree_cluster_lookup sys actor =
+  let r = ok (Client.create_region (System.client sys 2 ()) 4096) in
+  settle ();
+  let d = System.daemon sys actor in
+  Daemon.reset_lookup_stats d;
+  let found = ok (quiet sys actor (fun () -> Daemon.locate_region d r.Region.base)) in
+  Printf.sprintf "found=%b cluster hits=%d map walks=%d"
+    (Gaddr.equal found.Region.base r.Region.base)
+    (Daemon.lookup_stats d).Daemon.cluster_hits
+    (Daemon.lookup_stats d).Daemon.map_walks
+
 let () =
   Alcotest.run "system"
     [
@@ -665,6 +846,26 @@ let () =
           Alcotest.test_case "set_attr" `Quick test_set_attr;
           Alcotest.test_case "get_attr remote" `Quick test_get_attr;
           Alcotest.test_case "free/unreserve" `Quick test_free_and_unreserve;
+          Alcotest.test_case "write_cas refused before the lock" `Quick
+            test_write_cas_refused_before_lock;
+        ] );
+      (* Home-local and remote requests agree. The group name stays short:
+         alcotest sizes its name column to the longest group name. *)
+      ( "agree",
+        [
+          Alcotest.test_case "allocate" `Quick (both_sides agree_allocate);
+          Alcotest.test_case "set_attr then get_attr" `Quick
+            (both_sides agree_set_get_attr);
+          Alcotest.test_case "page_version" `Quick (both_sides agree_page_version);
+          Alcotest.test_case "write_cas mismatch" `Quick
+            (both_sides agree_write_cas_mismatch);
+          Alcotest.test_case "snapshot_read" `Quick (both_sides agree_snapshot_read);
+          Alcotest.test_case "free" `Quick (both_sides agree_free);
+          Alcotest.test_case "unreserve" `Quick (both_sides agree_unreserve);
+          Alcotest.test_case "reserve from the manager's chunks" `Quick
+            (both_sides agree_reserve);
+          Alcotest.test_case "cluster-manager lookup" `Quick
+            (both_sides agree_cluster_lookup);
         ] );
       ( "behaviour",
         [
