@@ -36,7 +36,7 @@ let hint_period_run ~report_ms =
         Stats.add lookup_ms ms
       done);
   let s = Daemon.lookup_stats d2 in
-  let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let stats = Khazana.Wire.Transport.stats (System.transport sys) in
   let report_msgs =
     match List.assoc_opt "cluster_report" stats.by_kind with
     | Some n -> n

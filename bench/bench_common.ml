@@ -38,18 +38,18 @@ let f3 v = Printf.sprintf "%.3f" v
 
 (* Message count delta around a thunk. *)
 let messages sys f =
-  let before = (Khazana.Wire.Transport.Net.stats (System.net sys)).sent in
+  let before = (Khazana.Wire.Transport.stats (System.transport sys)).sent in
   let r = f () in
-  let after = (Khazana.Wire.Transport.Net.stats (System.net sys)).sent in
+  let after = (Khazana.Wire.Transport.stats (System.transport sys)).sent in
   (r, after - before)
 
 (* Traffic deltas around a thunk: envelopes sent, logical messages
    (batch items count individually) and bytes. The envelope/atom gap is
    what RPC coalescing saves. *)
 let traffic sys f =
-  let s0 = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let s0 = Khazana.Wire.Transport.stats (System.transport sys) in
   let r = f () in
-  let s1 = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let s1 = Khazana.Wire.Transport.stats (System.transport sys) in
   ( r,
     s1.sent - s0.sent,
     s1.atoms - s0.atoms,

@@ -27,7 +27,7 @@ let run_once ~min_replicas ~seed =
   in
   (* Let replication pushes and hint refreshes settle. *)
   System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
-  let msgs_before = (Khazana.Wire.Transport.Net.stats (System.net sys)).sent in
+  let msgs_before = (Khazana.Wire.Transport.stats (System.transport sys)).sent in
   let copies =
     List.fold_left
       (fun acc (r : Region.t) ->

@@ -28,7 +28,7 @@ let run_protocol (label, attr) =
   let wlat = Stats.summary () and rlat = Stats.summary () in
   let stale = ref 0 and reads = ref 0 in
   let current = ref "00000000" in
-  let msgs_before = (Khazana.Wire.Transport.Net.stats (System.net sys)).sent in
+  let msgs_before = (Khazana.Wire.Transport.stats (System.transport sys)).sent in
   System.run_fiber sys (fun () ->
       for i = 1 to rounds do
         let v = Printf.sprintf "%08d" i in
@@ -47,7 +47,7 @@ let run_protocol (label, attr) =
           readers;
         Ksim.Fiber.sleep (Ksim.Time.ms 20)
       done);
-  let msgs = (Khazana.Wire.Transport.Net.stats (System.net sys)).sent - msgs_before in
+  let msgs = (Khazana.Wire.Transport.stats (System.transport sys)).sent - msgs_before in
   ( label,
     Stats.mean wlat,
     Stats.mean rlat,

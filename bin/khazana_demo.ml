@@ -78,7 +78,7 @@ let run_workload nodes clusters ops seed level trace =
   Format.printf "ran %d ops (%d reads / %d writes) in %a of simulated time\n"
     ops !reads !writes Ksim.Time.pp (System.now sys);
   Format.printf "op latency: %a\n" (Kutil.Stats.pp_summary ~unit:"ms") latencies;
-  let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let stats = Khazana.Wire.Transport.stats (System.transport sys) in
   Printf.printf "network: %d msgs, %d bytes (%.1f msgs/op)\n" stats.sent
     stats.bytes_sent
     (float_of_int stats.sent /. float_of_int ops);

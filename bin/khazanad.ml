@@ -319,13 +319,15 @@ let attach_history ~dir ~proc client =
   Client.set_history client
     (Some (History.recorder ~now:wall_ns ~proc (History.jsonl_sink oc)))
 
-(* Chaos runs mutilate the real wire as well as the processes: a seeded
-   shim drops and duplicates outgoing frames and jitters their departure.
+(* Chaos runs mutilate the real wire as well as the processes: the
+   endpoint edge's seeded shim drops and duplicates frames bound for peers
+   and jitters their departure, exactly as the simulated network's does.
    The RPC retry ladder absorbs the damage; the history checker owns the
    verdict on what it may not do. *)
 let arm_chaos_faults ~id ep =
-  Sockets.set_frame_faults ep ~seed:(0xfaf + id) ~drop:0.02 ~duplicate:0.02
-    ~delay:0.002 ()
+  Knet.Edge.set_frame_faults
+    (Wire.Transport.faults (Sockets.pack ep))
+    ~seed:(0xfaf + id) ~drop:0.02 ~duplicate:0.02 ~delay:0.002 ()
 
 (* SIGTERM means graceful shutdown: the serve loops poll this flag and
    exit through [Daemon.shutdown] (WAL checkpoint) + [Sockets.close]. *)

@@ -93,6 +93,6 @@ let () =
         (List.length lines - 1);
       List.iteri (fun i l -> if i < 3 then Printf.printf "  %s\n" l) lines);
 
-  let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let stats = Khazana.Wire.Transport.stats (System.transport sys) in
   Printf.printf "\nsession took %s of simulated time, %d messages on the wire\n"
     (Format.asprintf "%a" Ksim.Time.pp (System.now sys)) stats.sent

@@ -70,7 +70,7 @@ let () =
   Format.printf "  first access (locate + fetch over WAN): %a@." Ksim.Time.pp cold;
   Format.printf "  second access (local replica):          %a@." Ksim.Time.pp warm;
 
-  let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let stats = Khazana.Wire.Transport.stats (System.transport sys) in
   Printf.printf "\nwire traffic for the whole session: %d messages, %d bytes\n"
     stats.sent stats.bytes_sent;
   List.iter (fun (k, v) -> Printf.printf "  %-22s %4d\n" k v) stats.by_kind

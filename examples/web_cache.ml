@@ -59,7 +59,7 @@ let run_protocol level =
         sample stale_settled
       done);
   let reads_per_kind = !per_kind / 2 in
-  let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let stats = Khazana.Wire.Transport.stats (System.transport sys) in
   ( Attr.level_to_string level,
     Kutil.Stats.mean read_latency,
     100.0 *. float_of_int !stale_now /. float_of_int reads_per_kind,

@@ -236,9 +236,7 @@ let recover t =
   let c = t.c in
   c.epoch <- c.epoch + 1;
   let epoch = c.epoch in
-  (match Wire.Transport.faults c.transport with
-   | Some f -> f.Ktransport.Transport.Faults.recover c.id
-   | None -> ());
+  Knet.Edge.recover (Wire.Transport.faults c.transport) c.id;
   (* Recovery is a real phase with a real duration: the node is back on
      the network but refuses service ([up] still false) until the WAL
      replay completes. The replay charges simulated time proportional to

@@ -573,12 +573,10 @@ let background_retry t ~name f =
 let crash t =
   t.up <- false;
   t.epoch <- t.epoch + 1;
-  (* On a simulated transport the node also drops off the network; on a
-     real one there is nothing to inject — a crashed process is its own
-     network failure. *)
-  (match Wire.Transport.faults t.transport with
-   | Some f -> f.Ktransport.Transport.Faults.crash t.id
-   | None -> ());
+  (* The node also drops off its link's fault view: the whole simulated
+     network, or on sockets this endpoint's own edge, which severs its
+     connections. *)
+  Knet.Edge.crash (Wire.Transport.faults t.transport) t.id;
   Store.crash t.store;
   Wal.crash t.wal;
   Gaddr.Table.reset t.machines;

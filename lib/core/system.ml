@@ -57,13 +57,14 @@ let crash t node = Daemon.crash (daemon t node)
 let recover t node = Daemon.recover (daemon t node)
 let set_disk_faults t node faults = Daemon.set_disk_faults (daemon t node) faults
 
-let partition t a b = Wire.Transport.Net.partition t.net a b
-let heal t = Wire.Transport.Net.heal t.net
+let faults t = Wire.Transport.faults t.transport
+let partition t a b = Knet.Edge.partition (faults t) a b
+let heal t = Knet.Edge.heal (faults t)
 
 let set_frame_faults t ?seed ?drop ?duplicate ?delay () =
-  Wire.Transport.Net.set_frame_faults t.net ?seed ?drop ?duplicate ?delay ()
+  Knet.Edge.set_frame_faults (faults t) ?seed ?drop ?duplicate ?delay ()
 
-let clear_frame_faults t = Wire.Transport.Net.clear_frame_faults t.net
+let clear_frame_faults t = Knet.Edge.set_frame_faults (faults t) ()
 
 let create ?(seed = 42) ?config ?lan ?wan ~nodes_per_cluster ~clusters () =
   let engine = Ksim.Engine.create ~seed () in

@@ -30,8 +30,9 @@ val transport : t -> Wire.Transport.t
     traffic {!Wire.Transport.stats} in benches). *)
 
 val net : t -> Wire.Transport.Net.t
-(** The simulated network under the transport, for byte-level traffic
-    counters, trace taps and fault knobs that only simulation has. *)
+(** The simulated network under the transport, for its trace tap. Its
+    traffic counters and fault knobs are the transport's
+    ({!Wire.Transport.stats}, {!Wire.Transport.faults}). *)
 
 val daemon : t -> Knet.Topology.node_id -> Daemon.t
 (** The node's daemon. *)
@@ -84,8 +85,8 @@ val set_frame_faults :
   t -> ?seed:int -> ?drop:float -> ?duplicate:float -> ?delay:float ->
   unit -> unit
 (** Arm the simulated network's seeded frame-fault shim (drop, duplicate,
-    extra delay per envelope) — the same knob
-    [Transport_unix.set_frame_faults] exposes for real sockets. See
-    {!Knet.Network.Make.set_frame_faults}. *)
+    extra delay per remote envelope) through the transport's [faults]:
+    the same {!Knet.Edge.set_frame_faults} a socket endpoint's edge
+    takes. *)
 
 val clear_frame_faults : t -> unit

@@ -9,17 +9,6 @@ end
 
 type node_id = Knet.Topology.node_id
 
-module Faults = struct
-  type t = {
-    crash : node_id -> unit;
-    recover : node_id -> unit;
-    is_up : node_id -> bool;
-    partition : node_id list -> node_id list -> unit;
-    heal : unit -> unit;
-    reachable : node_id -> node_id -> bool;
-  }
-end
-
 module Make (P : PROTOCOL) = struct
   module Msg = struct
     type t =
@@ -71,9 +60,7 @@ module Make (P : PROTOCOL) = struct
   type link = {
     send : src:node_id -> dst:node_id -> Msg.t -> bool;
     topology : Knet.Topology.t;
-    stats : unit -> Knet.Network.stats;
-    reset_stats : unit -> unit;
-    faults : Faults.t option;
+    edge : Knet.Edge.t;
   }
 
   type t = {
@@ -132,18 +119,7 @@ module Make (P : PROTOCOL) = struct
         {
           send = (fun ~src ~dst msg -> Net.send net ~src ~dst msg; true);
           topology;
-          stats = (fun () -> Net.stats net);
-          reset_stats = (fun () -> Net.reset_stats net);
-          faults =
-            Some
-              {
-                Faults.crash = Net.crash net;
-                recover = Net.recover net;
-                is_up = Net.is_up net;
-                partition = Net.partition net;
-                heal = (fun () -> Net.heal net);
-                reachable = Net.reachable net;
-              };
+          edge = Net.edge net;
         }
     in
     List.iter
@@ -156,9 +132,9 @@ module Make (P : PROTOCOL) = struct
 
   let engine t = t.engine
   let topology t = t.link.topology
-  let stats t = t.link.stats ()
-  let reset_stats t = t.link.reset_stats ()
-  let faults t = t.link.faults
+  let stats t = Knet.Edge.stats t.link.edge
+  let reset_stats t = Knet.Edge.reset_stats t.link.edge
+  let faults t = t.link.edge
   let set_server t node handler = t.servers.(node) <- Some handler
 
   let call t ~src ~dst ?(policy = Policy.default) ?(span = 0) request =

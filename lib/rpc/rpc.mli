@@ -7,11 +7,13 @@
     idempotent or deduplicate, as the paper's own retry-until-success
     error handling requires.
 
-    What moves envelopes is a {!Make.link}, a small record of closures.
-    The core hands a link each outgoing envelope with [send]; on arrival
-    the link calls {!Make.deliver}. {!Make.sim} links the core to the
-    simulated {!Knet.Network}. [Ktransport.Transport_unix] links it to
-    length-prefixed frames over Unix-domain sockets.
+    What moves envelopes is a {!Make.link}: a [send] closure and the
+    link's {!Knet.Edge.t}. The core hands a link each outgoing envelope
+    with [send]; on arrival the link calls {!Make.deliver}. The edge is
+    where every link injects faults, rolls its frame shim and counts its
+    traffic, so both links do those the same way. {!Make.sim} links the
+    core to the simulated {!Knet.Network}. [Ktransport.Transport_unix]
+    links it to length-prefixed frames over Unix-domain sockets.
 
     One-way messages marked coalescable are not sent immediately: they sit
     in a per-(source, destination) queue until the end of the current
@@ -36,18 +38,6 @@ module type PROTOCOL = sig
 end
 
 type node_id = Knet.Topology.node_id
-
-(** Failure injection, for links that can inject failures. *)
-module Faults : sig
-  type t = {
-    crash : node_id -> unit;
-    recover : node_id -> unit;
-    is_up : node_id -> bool;
-    partition : node_id list -> node_id list -> unit;
-    heal : unit -> unit;
-    reachable : node_id -> node_id -> bool;
-  }
-end
 
 module Make (P : PROTOCOL) : sig
   module Msg : sig
@@ -92,15 +82,13 @@ module Make (P : PROTOCOL) : sig
       send returns [false] fails with [`Unreachable]. A loss the sender
       cannot see (a simulated drop, a frame lost in flight) returns [true]
       and reads as silence. Whatever arrives at a node is passed to
-      {!deliver}, from inside an engine event. [stats] and [reset_stats]
-      are the link's traffic counters. [faults] is [None] only on a link
-      with no failure injection at all. *)
+      {!deliver}, from inside an engine event. [edge] is the link's fault
+      view, frame shim and traffic ledger; the link consults it on every
+      envelope it moves. *)
   type link = {
     send : src:node_id -> dst:node_id -> Msg.t -> bool;
     topology : Knet.Topology.t;
-    stats : unit -> Knet.Network.stats;
-    reset_stats : unit -> unit;
-    faults : Faults.t option;
+    edge : Knet.Edge.t;
   }
 
   type t
@@ -117,17 +105,22 @@ module Make (P : PROTOCOL) : sig
   val sim : Ksim.Engine.t -> Knet.Topology.t -> t * Net.t
   (** A core over a fresh simulated network, whose [send] always returns
       [true]: simulated calls time out but are never [`Unreachable]. The
-      network is returned for harnesses that need it (trace taps, frame
-      faults, byte-level counters). *)
+      network is returned for harnesses that need its trace tap. *)
 
   val create : Ksim.Engine.t -> Knet.Topology.t -> t
   (** [fst (sim engine topology)]. *)
 
   val engine : t -> Ksim.Engine.t
   val topology : t -> Knet.Topology.t
-  val stats : t -> Knet.Network.stats
+  val stats : t -> Knet.Edge.stats
+  (** The link's traffic ledger: {!Knet.Edge.stats} of its edge. *)
+
   val reset_stats : t -> unit
-  val faults : t -> Faults.t option
+
+  val faults : t -> Knet.Edge.t
+  (** The link's edge, where crashes, partitions and frame faults are
+      injected. On the simulated link it is the global network state; on a
+      socket endpoint it is that endpoint's local view. *)
 
   val set_server : t -> node_id -> handler -> unit
   (** Install (or replace) a node's request handler. *)

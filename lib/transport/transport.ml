@@ -1,6 +1,4 @@
-type stats = Knet.Network.stats
-
-module Faults = Krpc.Rpc.Faults
+type stats = Knet.Edge.stats
 
 module type WIRE = sig
   include Krpc.Rpc.PROTOCOL

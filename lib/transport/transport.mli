@@ -4,19 +4,19 @@
     a [Make (P).t], which is the {!Krpc.Rpc} core itself: request/response
     {!Krpc.Rpc.Make.call} with a retry {!Krpc.Policy}, one-way
     {!Krpc.Rpc.Make.notify} with optional same-instant coalescing, a
-    server handler per node, traffic {!stats}, and failure injection as an
-    {e optional} capability ([faults] is [None] on a link that cannot
-    inject failures at all).
+    server handler per node, and its link's {!Knet.Edge.t}: traffic
+    {!stats} and failure injection ([faults], on every link).
 
-    Two links carry the core's envelopes, and both offer [faults]:
+    Two links carry the core's envelopes. Each moves envelopes its own way
+    and injects, shims and counts through its edge:
     - {!Krpc.Rpc.Make.sim}: the deterministic simulated network
-      ({!Knet.Network}), every node sharing one virtual clock; injection
-      edits global network state.
+      ({!Knet.Network}), every node sharing one virtual clock and one
+      edge; injection edits global network state.
     - {!Transport_unix}: length-prefixed frames over Unix-domain sockets,
       one endpoint (and one {!Ksim.Engine.t} scheduler, driven against
-      the wall clock) per OS process; injection edits the local
-      endpoint's frame filter, and {e genuine} failures (a dead peer, a
-      refused dial) also surface as [`Unreachable] calls.
+      the wall clock) per OS process, each with its own edge; injection
+      edits that endpoint's local view, and {e genuine} failures (a dead
+      peer, a refused dial) also surface as [`Unreachable] calls.
 
     The scheduling dependency is explicit: every transport exposes the
     {!Ksim.Engine.t} its fibers and timers run on. Under simulation that
@@ -24,10 +24,8 @@
     each process owns one and its clock tracks real elapsed time, so the
     same fiber-blocking daemon code runs unchanged. *)
 
-type stats = Knet.Network.stats
+type stats = Knet.Edge.stats
 (** Traffic counters, one record for every link. *)
-
-module Faults = Krpc.Rpc.Faults
 
 (** What a socket link needs: a protocol that also round-trips through
     bytes ({!Kutil.Codec} wire format). *)

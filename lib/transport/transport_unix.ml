@@ -19,13 +19,6 @@ type incoming = {
 
 let initial_in_buf = 4096
 
-(* Seeded frame-level fault shim: probabilities roll per frame from a
-   dedicated deterministic stream, so a given seed always mutilates the
-   same frames in the same order. *)
-type frame_faults = { drop : float; duplicate : float; delay : float }
-
-let no_frame_faults = { drop = 0.0; duplicate = 0.0; delay = 0.0 }
-
 (* Re-dial pacing for a peer whose connection died. [ever] distinguishes
    start-up (peer may simply not have bound yet: wait politely) from a
    genuine loss (fail fast, back off between dial attempts). *)
@@ -50,19 +43,9 @@ module Make (W : Transport.WIRE) = struct
     mutable incoming : incoming list;
     enc : Codec.encoder;  (* reused for every outgoing frame *)
     mutable core : Core.t option;  (* the RPC core over this link; set by [create] *)
-    mutable sent : int;
-    mutable delivered : int;
-    mutable dropped : int;
-    mutable atoms : int;
-    mutable bytes_sent : int;
-    by_kind : (string, int) Hashtbl.t;
     mutable closed : bool;
-    (* injected-fault state; every filter is this endpoint's local view *)
-    mutable frng : Kutil.Rng.t;
-    mutable frame_faults : frame_faults;
-    mutable self_down : bool;
-    peer_down : (int, unit) Hashtbl.t;
-    mutable partitions : (int list * int list) list;
+    edge : Knet.Edge.t;  (* this endpoint's local fault view, shim and ledger *)
+    dial_rng : Kutil.Rng.t;  (* jitters re-dial backoff; nothing else draws *)
     dials : (int, dial) Hashtbl.t;
   }
 
@@ -142,18 +125,6 @@ module Make (W : Transport.WIRE) = struct
     in
     (src, msg)
 
-  (* ---------------- accounting ---------------- *)
-
-  let account_sent t msg len =
-    t.sent <- t.sent + 1;
-    t.bytes_sent <- t.bytes_sent + len;
-    List.iter
-      (fun k ->
-        t.atoms <- t.atoms + 1;
-        Hashtbl.replace t.by_kind k
-          (1 + Option.value (Hashtbl.find_opt t.by_kind k) ~default:0))
-      (Msg.kinds msg)
-
   (* ---------------- sockets ---------------- *)
 
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -180,38 +151,15 @@ module Make (W : Transport.WIRE) = struct
           | _ -> true)
         t.incoming
 
-  (* ---------------- injected faults (local view) ---------------- *)
-
-  (* A real process cannot reach into a peer, so fault injection here is
-     each endpoint's local belief: frames to or from a node marked down,
-     or across a declared partition, are discarded at this endpoint's
-     edge. Single-process harnesses apply the same calls to every
-     endpoint and get the simulated network's global semantics. *)
-
-  let across (l, r) a b =
-    (List.mem a l && List.mem b r) || (List.mem a r && List.mem b l)
-
-  let node_down t n =
-    if n = t.id then t.self_down else Hashtbl.mem t.peer_down n
-
-  let fault_blocked t a b =
-    node_down t a || node_down t b
-    || List.exists (fun p -> across p a b) t.partitions
-
-  let fault_crash t n =
-    if n = t.id then begin
-      t.self_down <- true;
-      (* drop live connections so recovery exercises the re-dial path *)
+  (* A real process cannot reach into a peer, so a crash injected here
+     also tears down the connections the simulated equivalent would kill:
+     every one for this node itself (recovery then exercises the re-dial
+     path), the peer's own otherwise. *)
+  let on_crash t n =
+    if n = t.id then
       List.iter (fun d -> sever t d)
         (Hashtbl.fold (fun k _ acc -> k :: acc) t.outgoing [])
-    end
-    else begin
-      Hashtbl.replace t.peer_down n ();
-      sever t n
-    end
-
-  let fault_recover t n =
-    if n = t.id then t.self_down <- false else Hashtbl.remove t.peer_down n
+    else sever t n
 
   (* ---------------- dialing ---------------- *)
 
@@ -230,7 +178,7 @@ module Make (W : Transport.WIRE) = struct
       let d =
         {
           d_backoff =
-            Kutil.Backoff.make ~rng:t.frng ~base:dial_backoff_base
+            Kutil.Backoff.make ~rng:t.dial_rng ~base:dial_backoff_base
               ~cap:dial_backoff_cap ();
           d_next = 0.0;
           d_ever = false;
@@ -297,7 +245,7 @@ module Make (W : Transport.WIRE) = struct
   let send_frame t ~dst frame len =
     match connect_out t dst with
     | None ->
-      t.dropped <- t.dropped + 1;
+      Knet.Edge.note_dropped t.edge;
       false
     | Some fd -> (
       try
@@ -305,7 +253,7 @@ module Make (W : Transport.WIRE) = struct
         true
       with Unix.Unix_error _ ->
         drop_outgoing t dst;
-        t.dropped <- t.dropped + 1;
+        Knet.Edge.note_dropped t.edge;
         false)
 
   (* Decode one frame's payload where it lies in [buf] and schedule its
@@ -319,71 +267,56 @@ module Make (W : Transport.WIRE) = struct
     | src, msg ->
       ignore
         (Ksim.Engine.schedule t.engine ~after (fun () ->
-             if fault_blocked t src t.id then t.dropped <- t.dropped + 1
-             else begin
-               t.delivered <- t.delivered + 1;
+             if Knet.Edge.reachable t.edge src t.id then begin
+               Knet.Edge.note_delivered t.edge;
                match t.core with
                | Some core -> Core.deliver core ~src ~dst:t.id msg
                | None -> ()
-             end))
-    | exception Codec.Decode_error _ -> t.dropped <- t.dropped + 1
+             end
+             else Knet.Edge.note_dropped t.edge))
+    | exception Codec.Decode_error _ -> Knet.Edge.note_dropped t.edge
 
-  (* Transmit = encode, roll the fault shim, then hand to the socket (or
-     the local loopback). Returns [false] only on positive evidence the
-     peer is unreachable right now; shim losses return [true] because the
-     frame left this endpoint as far as the caller can tell. *)
+  (* Hand one frame to the socket [after] ns from now. A deferred frame
+     must not alias the encoder, which will have moved on: it sends a
+     copy. *)
+  let push t ~dst frame len ~after =
+    if after = 0 then send_frame t ~dst frame len
+    else begin
+      let frame = Bytes.sub frame 0 len in
+      ignore
+        (Ksim.Engine.schedule t.engine ~after (fun () ->
+             ignore (send_frame t ~dst frame len)));
+      true
+    end
+
+  (* Transmit = encode, then the local loopback, or the edge's shim and the
+     socket. Returns [false] only on positive evidence the peer is
+     unreachable right now; shim losses return [true] because the frame
+     left this endpoint as far as the caller can tell. A self-send never
+     reaches the wire, so the shim never sees it; it is decoded now, and
+     the decoded message owns its bytes. *)
   let transmit t ~dst msg =
     encode_frame t msg;
     let frame = Codec.contents t.enc and len = Codec.length t.enc in
-    account_sent t msg len;
-    if fault_blocked t t.id dst then begin
-      t.dropped <- t.dropped + 1;
+    let edge = t.edge in
+    Knet.Edge.note_sent edge ~bytes:len (Msg.kinds msg);
+    if not (Knet.Edge.reachable edge t.id dst) then begin
+      Knet.Edge.note_dropped edge;
       false
     end
-    else begin
-      let ff = t.frame_faults in
-      if ff.drop > 0.0 && Kutil.Rng.float t.frng 1.0 < ff.drop then begin
-        t.dropped <- t.dropped + 1;
-        true (* silently lost in flight: the caller sees only silence *)
-      end
-      else begin
-        let delay_ns =
-          if ff.delay > 0.0 then
-            int_of_float (Kutil.Rng.float t.frng ff.delay *. 1e9)
-          else 0
-        in
-        let copies =
-          if ff.duplicate > 0.0 && Kutil.Rng.float t.frng 1.0 < ff.duplicate
-          then 2
-          else 1
-        in
-        (* Whatever outlives this call must not alias the encoder: a
-           self-send is decoded now (the decoded message owns its bytes),
-           a deferred write sends a copy. *)
-        let push () =
-          if dst = t.id then begin
-            receive t frame ~off:frame_header ~len:(len - frame_header)
-              ~after:(local_delay + delay_ns);
-            true
-          end
-          else if delay_ns > 0 then begin
-            let frame = Bytes.sub frame 0 len in
-            ignore
-              (Ksim.Engine.schedule t.engine ~after:delay_ns (fun () ->
-                   ignore (send_frame t ~dst frame len)));
-            true
-          end
-          else send_frame t ~dst frame len
-        in
-        let ok = push () in
-        if copies > 1 then begin
-          (* duplicated on the wire: more bytes, same logical message *)
-          t.bytes_sent <- t.bytes_sent + len;
-          ignore (push ())
-        end;
-        ok
-      end
+    else if dst = t.id then begin
+      receive t frame ~off:frame_header ~len:(len - frame_header)
+        ~after:local_delay;
+      true
     end
+    else
+      match Knet.Edge.fate edge ~bytes:len with
+      | Lost -> true (* silently lost in flight: the caller sees silence *)
+      | Once after -> push t ~dst frame len ~after
+      | Twice (a, b) ->
+        let ok = push t ~dst frame len ~after:a in
+        ignore (push t ~dst frame len ~after:b);
+        ok
 
   (* ---------------- socket pump ---------------- *)
 
@@ -506,33 +439,7 @@ module Make (W : Transport.WIRE) = struct
 
   (* ---------------- the link ---------------- *)
 
-  let stats t =
-    let by_kind =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_kind []
-      |> List.sort compare
-    in
-    {
-      Knet.Network.sent = t.sent;
-      delivered = t.delivered;
-      dropped = t.dropped;
-      in_flight = 0;
-      atoms = t.atoms;
-      bytes_sent = t.bytes_sent;
-      by_kind;
-    }
-
-  let reset_stats t =
-    t.sent <- 0;
-    t.delivered <- 0;
-    t.dropped <- 0;
-    t.atoms <- 0;
-    t.bytes_sent <- 0;
-    Hashtbl.reset t.by_kind
-
-  (* What the RPC core sees of this endpoint. Fault injection edits the
-     endpoint's local filter (and severs live connections where the
-     simulated equivalent would kill them), so the conformance suite can
-     drive both links through one interface. *)
+  (* What the RPC core sees of this endpoint. *)
   let link t =
     {
       Core.send =
@@ -541,28 +448,8 @@ module Make (W : Transport.WIRE) = struct
             invalid_arg "Transport_unix: src must be the local node";
           transmit t ~dst msg);
       topology = t.topology;
-      stats = (fun () -> stats t);
-      reset_stats = (fun () -> reset_stats t);
-      faults =
-        Some
-          {
-            Transport.Faults.crash = (fun n -> fault_crash t n);
-            recover = (fun n -> fault_recover t n);
-            is_up = (fun n -> not (node_down t n));
-            partition = (fun l r -> t.partitions <- (l, r) :: t.partitions);
-            heal = (fun () -> t.partitions <- []);
-            reachable = (fun a b -> not (fault_blocked t a b));
-          };
+      edge = t.edge;
     }
-
-  let set_frame_faults t ?seed ?(drop = 0.0) ?(duplicate = 0.0)
-      ?(delay = 0.0) () =
-    (match seed with
-     | Some s -> t.frng <- Kutil.Rng.create ~seed:s
-     | None -> ());
-    t.frame_faults <- { drop; duplicate; delay }
-
-  let clear_frame_faults t = t.frame_faults <- no_frame_faults
 
   (* ---------------- lifecycle and driving ---------------- *)
 
@@ -591,21 +478,15 @@ module Make (W : Transport.WIRE) = struct
         incoming = [];
         enc = Codec.encoder ();
         core = None;
-        sent = 0;
-        delivered = 0;
-        dropped = 0;
-        atoms = 0;
-        bytes_sent = 0;
-        by_kind = Hashtbl.create 16;
         closed = false;
-        frng = Kutil.Rng.create ~seed:(seed + (1000 * (id + 1)));
-        frame_faults = no_frame_faults;
-        self_down = false;
-        peer_down = Hashtbl.create 4;
-        partitions = [];
+        edge =
+          Knet.Edge.create ~seed:(seed + (1000 * (id + 1)))
+            (Knet.Topology.node_count topology);
+        dial_rng = Kutil.Rng.create ~seed:(seed + (1000 * (id + 1)) + 500);
         dials = Hashtbl.create 8;
       }
     in
+    Knet.Edge.on_crash t.edge (on_crash t);
     t.core <- Some (Core.connect t.engine (link t));
     t
 

@@ -13,12 +13,13 @@
     Two kinds of failure coexist on this link. {e Genuine} failures —
     a peer process that died, a refused dial, a dead socket mid-write —
     surface as evicted connections, [dropped] frames and [`Unreachable]
-    calls, with re-dials paced by {!Kutil.Backoff}. {e Injected} failures
-    are a deterministic local filter over the frame layer: the core's
-    [faults] is [Some _], and its operations edit this endpoint's view
-    (frames to or from a "crashed" node, or across a declared partition,
-    are discarded at this endpoint's edge), and {!Make.set_frame_faults}
-    arms a seeded shim that drops, delays or duplicates individual frames.
+    calls, with re-dials paced by {!Kutil.Backoff} on a stream of their
+    own. {e Injected} failures go through the endpoint's own
+    {!Knet.Edge.t}, the core's [faults]: frames to or from a "crashed"
+    node, or across a declared partition, are discarded at this endpoint,
+    an injected crash also severs the connections it names, and the
+    edge's seeded shim drops, delays or duplicates frames bound for
+    peers (never a self-send). Traffic counters are the edge's ledger.
     Single-process harnesses that apply the same fault calls to every
     endpoint recover the simulated network's global semantics, so one
     conformance suite drives both links. *)
@@ -64,34 +65,13 @@ module Make (W : Transport.WIRE) : sig
 
   (** {1 Fault injection}
 
-      Deterministic, endpoint-local failure modes for tests and chaos
-      harnesses. Topology-level injection (crash / partition) lives behind
-      the core's [faults] capability; the operations below are this
-      link's extras. *)
+      Crashes, partitions and frame faults are set through the core's
+      [faults] (this endpoint's edge). The operation below is this link's
+      extra. *)
 
   val sever : t -> Knet.Topology.node_id -> unit
   (** Tear down every live connection shared with the peer — the cached
       outgoing socket and any accepted connection the peer speaks on — as
       if the TCP-level link died. Subsequent sends re-dial; the peer is
       {e not} marked down, so a rebound peer is reached again. *)
-
-  val set_frame_faults :
-    t ->
-    ?seed:int ->
-    ?drop:float ->
-    ?duplicate:float ->
-    ?delay:float ->
-    unit ->
-    unit
-  (** Arm the seeded frame shim: each outgoing frame is independently
-      dropped with probability [drop], duplicated on the wire with
-      probability [duplicate], and delayed uniformly in [[0, delay]]
-      seconds (defaults all zero). [seed] reseeds the shim's private rng
-      so a run's mutilation sequence is reproducible. Shim drops count in
-      [dropped] but still look like silence to callers ([`Timeout],
-      not [`Unreachable]): the frame left the endpoint as far as the
-      sender can tell. *)
-
-  val clear_frame_faults : t -> unit
-  (** Disarm the shim: back to faithful frame delivery. *)
 end

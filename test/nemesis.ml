@@ -448,7 +448,7 @@ let run_nemesis ?(disk = false) ~seed () =
       regs
   in
   (* Network accounting survived the whole schedule. *)
-  let s = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let s = Khazana.Wire.Transport.stats (System.transport sys) in
   if s.sent <> s.delivered + s.dropped + s.in_flight then
     Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
       s.delivered s.dropped s.in_flight;
@@ -1089,7 +1089,7 @@ let run_2pc_nemesis ~seed () =
   System.run_until_quiet ~limit:(Ksim.Time.sec 10) sys;
   check_invariant 99;
   (* Accounting survived the fault schedule. *)
-  let s = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let s = Khazana.Wire.Transport.stats (System.transport sys) in
   if s.sent <> s.delivered + s.dropped + s.in_flight then
     Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
       s.delivered s.dropped s.in_flight;
@@ -1236,7 +1236,7 @@ let run_combined ~seed () =
           read_settled ~len:8 sys clients.(5) ~addr ])
       regs
   in
-  let s = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let s = Khazana.Wire.Transport.stats (System.transport sys) in
   if s.sent <> s.delivered + s.dropped + s.in_flight then
     Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
       s.delivered s.dropped s.in_flight;
@@ -1418,7 +1418,7 @@ let run_versioned_nemesis ~seed () =
   List.iter
     (fun (_, addr) -> ignore (read_settled ~len:8 sys clients.(0) ~addr))
     (crew_regs @ List.map (fun (h, b, _) -> (h, b)) ver_regs);
-  let s = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let s = Khazana.Wire.Transport.stats (System.transport sys) in
   if s.sent <> s.delivered + s.dropped + s.in_flight then
     Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
       s.delivered s.dropped s.in_flight;

@@ -302,7 +302,7 @@ let test_lossy_wan_ops_still_complete () =
           (Printf.sprintf "round %d consistent" i)
           v (Bytes.to_string b)
       done);
-  let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+  let stats = Khazana.Wire.Transport.stats (System.transport sys) in
   Alcotest.(check bool) "losses actually happened" true (stats.dropped > 0)
 
 let test_availability_sweep_shape () =

@@ -13,6 +13,7 @@ module Msg = struct
 end
 
 module Net = Knet.Network.Make (Msg)
+module Edge = Knet.Edge
 
 let mk ?(seed = 1) ?(nodes_per_cluster = 3) ?(clusters = 2) () =
   let eng = Ksim.Engine.create ~seed () in
@@ -88,7 +89,7 @@ let test_no_handler_drops () =
   let eng, _, net = mk () in
   Net.send net ~src:0 ~dst:1 (msg "void");
   Ksim.Engine.run eng;
-  let stats = Net.stats net in
+  let stats = Edge.stats (Net.edge net) in
   Alcotest.(check int) "dropped" 1 stats.dropped;
   Alcotest.(check int) "not delivered" 0 stats.delivered
 
@@ -98,11 +99,11 @@ let test_crash_blocks_delivery () =
   let eng, _, net = mk () in
   let got = ref 0 in
   Net.set_handler net 1 (fun ~src:_ _ -> incr got);
-  Net.crash net 1;
+  Edge.crash (Net.edge net) 1;
   Net.send net ~src:0 ~dst:1 (msg "lost");
   Ksim.Engine.run eng;
   Alcotest.(check int) "lost" 0 !got;
-  Net.recover net 1;
+  Edge.recover (Net.edge net) 1;
   Net.send net ~src:0 ~dst:1 (msg "ok");
   Ksim.Engine.run eng;
   Alcotest.(check int) "delivered after recover" 1 !got
@@ -111,7 +112,7 @@ let test_crashed_source_cannot_send () =
   let eng, _, net = mk () in
   let got = ref 0 in
   Net.set_handler net 1 (fun ~src:_ _ -> incr got);
-  Net.crash net 0;
+  Edge.crash (Net.edge net) 0;
   Net.send net ~src:0 ~dst:1 (msg "ghost");
   Ksim.Engine.run eng;
   Alcotest.(check int) "no ghost sends" 0 !got
@@ -122,7 +123,7 @@ let test_inflight_lost_on_crash () =
   Net.set_handler net 3 (fun ~src:_ _ -> incr got);
   Net.send net ~src:0 ~dst:3 (msg "inflight");
   (* Crash the destination while the message is on the (30ms) wire. *)
-  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 1) (fun () -> Net.crash net 3));
+  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 1) (fun () -> Edge.crash (Net.edge net) 3));
   Ksim.Engine.run eng;
   Alcotest.(check int) "in-flight message lost" 0 !got
 
@@ -130,23 +131,23 @@ let test_partition () =
   let eng, _, net = mk () in
   let got = ref 0 in
   Net.set_handler net 3 (fun ~src:_ _ -> incr got);
-  Net.partition net [ 0; 1; 2 ] [ 3; 4; 5 ];
-  Alcotest.(check bool) "unreachable" false (Net.reachable net 0 3);
-  Alcotest.(check bool) "intra still fine" true (Net.reachable net 0 1);
+  Edge.partition (Net.edge net) [ 0; 1; 2 ] [ 3; 4; 5 ];
+  Alcotest.(check bool) "unreachable" false (Edge.reachable (Net.edge net) 0 3);
+  Alcotest.(check bool) "intra still fine" true (Edge.reachable (Net.edge net) 0 1);
   Net.send net ~src:0 ~dst:3 (msg "blocked");
   Ksim.Engine.run eng;
   Alcotest.(check int) "blocked" 0 !got;
-  Net.heal net;
+  Edge.heal (Net.edge net);
   Net.send net ~src:0 ~dst:3 (msg "after heal");
   Ksim.Engine.run eng;
   Alcotest.(check int) "healed" 1 !got
 
 let test_partition_is_symmetric () =
   let _, _, net = mk () in
-  Net.partition net [ 0 ] [ 3 ];
-  Alcotest.(check bool) "a->b" false (Net.reachable net 0 3);
-  Alcotest.(check bool) "b->a" false (Net.reachable net 3 0);
-  Alcotest.(check bool) "others fine" true (Net.reachable net 1 3)
+  Edge.partition (Net.edge net) [ 0 ] [ 3 ];
+  Alcotest.(check bool) "a->b" false (Edge.reachable (Net.edge net) 0 3);
+  Alcotest.(check bool) "b->a" false (Edge.reachable (Net.edge net) 3 0);
+  Alcotest.(check bool) "others fine" true (Edge.reachable (Net.edge net) 1 3)
 
 let test_loss () =
   let eng = Ksim.Engine.create ~seed:5 () in
@@ -172,15 +173,15 @@ let test_crash_accounts_inflight () =
   Net.send net ~src:0 ~dst:3 (msg "doomed-2");
   ignore
     (Ksim.Engine.schedule eng ~after:(Time.ms 1) (fun () ->
-         let s = Net.stats net in
+         let s = Edge.stats (Net.edge net) in
          Alcotest.(check int) "on the wire" 2 s.in_flight;
          Alcotest.(check int) "nothing dropped yet" 0 s.dropped;
-         Net.crash net 3;
-         let s = Net.stats net in
+         Edge.crash (Net.edge net) 3;
+         let s = Edge.stats (Net.edge net) in
          Alcotest.(check int) "crash folds in-flight into dropped" 2 s.dropped;
          Alcotest.(check int) "nothing left in flight" 0 s.in_flight));
   Ksim.Engine.run eng;
-  let s = Net.stats net in
+  let s = Edge.stats (Net.edge net) in
   Alcotest.(check int) "sent" 2 s.sent;
   Alcotest.(check int) "delivered" 0 s.delivered;
   Alcotest.(check int) "conservation" s.sent
@@ -193,11 +194,11 @@ let test_no_stale_delivery_after_recover () =
   let got = ref 0 in
   Net.set_handler net 3 (fun ~src:_ _ -> incr got);
   Net.send net ~src:0 ~dst:3 (msg "stale");
-  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 1) (fun () -> Net.crash net 3));
-  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 2) (fun () -> Net.recover net 3));
+  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 1) (fun () -> Edge.crash (Net.edge net) 3));
+  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 2) (fun () -> Edge.recover (Net.edge net) 3));
   Ksim.Engine.run eng;
   Alcotest.(check int) "pre-crash message never delivered" 0 !got;
-  let s = Net.stats net in
+  let s = Edge.stats (Net.edge net) in
   Alcotest.(check int) "counted once, as dropped" 1 s.dropped;
   Alcotest.(check int) "conservation" s.sent
     (s.delivered + s.dropped + s.in_flight)
@@ -211,14 +212,14 @@ let test_stats_and_kinds () =
   Net.send net ~src:0 ~dst:1 (msg ~size:20 "a");
   Net.send net ~src:0 ~dst:1 (msg ~size:30 "b");
   Ksim.Engine.run eng;
-  let stats = Net.stats net in
+  let stats = Edge.stats (Net.edge net) in
   Alcotest.(check int) "sent" 3 stats.sent;
   Alcotest.(check int) "delivered" 3 stats.delivered;
   Alcotest.(check int) "bytes" 60 stats.bytes_sent;
   Alcotest.(check (list (pair string int))) "kinds" [ ("a", 2); ("b", 1) ]
     stats.by_kind;
-  Net.reset_stats net;
-  Alcotest.(check int) "reset" 0 (Net.stats net).sent
+  Edge.reset_stats (Net.edge net);
+  Alcotest.(check int) "reset" 0 (Edge.stats (Net.edge net)).sent
 
 let test_reset_stats_with_traffic_in_flight () =
   (* Resetting the window while messages are on the wire must not break
@@ -231,15 +232,15 @@ let test_reset_stats_with_traffic_in_flight () =
   Ksim.Engine.run eng;
   Net.send net ~src:0 ~dst:3 (msg "mid-air");
   Net.send net ~src:0 ~dst:3 (msg "mid-air");
-  let before = Net.stats net in
+  let before = Edge.stats (Net.edge net) in
   Alcotest.(check int) "two in flight at reset" 2 before.in_flight;
-  Net.reset_stats net;
-  let s0 = Net.stats net in
+  Edge.reset_stats (Net.edge net);
+  let s0 = Edge.stats (Net.edge net) in
   Alcotest.(check int) "window cleared of landed traffic" 0 s0.delivered;
   Alcotest.(check int) "conservation at reset" s0.sent
     (s0.delivered + s0.dropped + s0.in_flight);
   Ksim.Engine.run eng;
-  let s1 = Net.stats net in
+  let s1 = Edge.stats (Net.edge net) in
   Alcotest.(check int) "in-flight landed in the new window" 2 s1.delivered;
   Alcotest.(check int) "conservation after landing" s1.sent
     (s1.delivered + s1.dropped + s1.in_flight)

