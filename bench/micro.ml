@@ -17,6 +17,23 @@ let u128_tests =
         Kutil.U128.divmod_int a 37));
   ]
 
+(* The page arithmetic every lock and read runs: the enclosing page and the
+   offset into it of an unaligned address, and a region's range test. *)
+let page_tests =
+  let addr = Kutil.U128.of_hex "deadbeefcafebabe0123456789abcdef" in
+  let region =
+    Khazana.Region.make ~base:(Kutil.U128.of_hex "10000000000")
+      ~len:(1 lsl 20) ~attr:(Khazana.Attr.make ~owner:0 ()) ~home:0
+  in
+  let inside = Kutil.Gaddr.add_int region.Khazana.Region.base 8000 in
+  [
+    Test.make ~name:"gaddr page_floor+offset 4 KiB" (Staged.stage (fun () ->
+        ignore (Kutil.Gaddr.page_floor addr ~page_size:4096);
+        Kutil.Gaddr.page_offset addr ~page_size:4096));
+    Test.make ~name:"region contains_range" (Staged.stage (fun () ->
+        Khazana.Region.contains_range region inside ~len:4096));
+  ]
+
 let container_tests =
   [
     Test.make ~name:"heap push+pop x100" (Staged.stage (fun () ->
@@ -48,6 +65,14 @@ let engine_tests =
           Ksim.Fiber.spawn eng (fun () -> Ksim.Fiber.sleep 100)
         done;
         Ksim.Engine.run eng));
+    (* One child fiber awaited by its parent; the parent's own spawn is
+       part of the row. *)
+    Test.make ~name:"fiber async+await"
+      (let eng = Ksim.Engine.create () in
+       Staged.stage (fun () ->
+           Ksim.Fiber.spawn eng (fun () ->
+               ignore (Ksim.Fiber.await (Ksim.Fiber.async eng (fun () -> 1))));
+           Ksim.Engine.run eng));
   ]
 
 let crew_tests =
@@ -153,6 +178,16 @@ let end_to_end_tests =
         | Error _ -> assert false)
   in
   let payload = Bytes.make 64 'b' in
+  (* Node 2 shares node 1's cluster; its first read caches the page. *)
+  let reader = Khazana.System.client sys 2 () in
+  let read () =
+    match
+      Khazana.Client.read_bytes reader ~addr:region.Khazana.Region.base 4096
+    with
+    | Ok b -> b
+    | Error _ -> assert false
+  in
+  ignore (Khazana.System.run_fiber sys read);
   [
     Test.make ~name:"simulated local write op (full stack)"
       (Staged.stage (fun () ->
@@ -160,12 +195,14 @@ let end_to_end_tests =
                match Khazana.Client.write_bytes c ~addr:region.Khazana.Region.base payload with
                | Ok () -> ()
                | Error _ -> assert false)));
+    Test.make ~name:"simulated cached read_bytes (full stack)"
+      (Staged.stage (fun () -> Khazana.System.run_fiber sys read));
   ]
 
 let all_tests () =
   Test.make_grouped ~name:"khazana" ~fmt:"%s %s"
-    (u128_tests @ container_tests @ engine_tests @ crew_tests @ storage_tests
-    @ durable_write_tests @ codec_tests @ end_to_end_tests)
+    (u128_tests @ page_tests @ container_tests @ engine_tests @ crew_tests
+    @ storage_tests @ durable_write_tests @ codec_tests @ end_to_end_tests)
 
 (* Time per call, and heap words allocated per call on the minor and major
    heaps (a page-sized buffer is allocated straight into the major heap). *)

@@ -84,11 +84,20 @@ let create_region t ?attr ?ctx len =
         | Ok () -> Ok (Region.allocated region)
         | Error e -> Error e))
 
+(* The unlock runs on every exit, an exception included; a plain match
+   keeps the per-operation path free of [Fun.protect]'s closures. *)
 let with_lock_in t ctx ~addr ~len mode f =
   match Daemon.lock t.daemon ~ctx ~addr ~len mode with
   | Error e -> Error e
-  | Ok lctx ->
-    Fun.protect ~finally:(fun () -> unlock t lctx) (fun () -> f lctx)
+  | Ok lctx -> (
+    match f lctx with
+    | v ->
+      unlock t lctx;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unlock t lctx;
+      Printexc.raise_with_backtrace e bt)
 
 let with_lock t ?ctx ~addr ~len mode f =
   with_op t "client.with_lock" ctx (fun ctx ->

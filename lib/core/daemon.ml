@@ -40,8 +40,8 @@ let set_disk_faults t faults =
   Wal.set_faults t.c.wal faults
 
 let cluster_state t = t.c.cm_state
-let lookup_stats t = t.loc.stats
-let reset_lookup_stats t = t.loc.stats <- Locate.zero_stats
+let lookup_stats t = Locate.stats t.loc
+let reset_lookup_stats t = Locate.reset_stats t.loc
 let metrics t = t.c.metrics
 let homed_regions t = Gaddr.Table.fold (fun _ r acc -> r :: acc) t.c.homed []
 let pool_bytes t = Alloc.pool_bytes t.alloc

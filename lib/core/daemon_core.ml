@@ -33,6 +33,9 @@ type t = {
   bootstrap : Topology.node_id;
   cluster_manager : Topology.node_id;
   peer_managers : Topology.node_id list;  (* other clusters' managers *)
+  map_region : Region.t;
+      (* the well-known descriptor of the address map's region, bootstrap
+         state every node builds once *)
   cm_state : Cluster.t option;
   store : Store.t;
   wal : Wal.t;
@@ -78,6 +81,7 @@ let create ~cfg ?wal_file ~id ~bootstrap ~cluster_manager ~peer_managers
     bootstrap;
     cluster_manager;
     peer_managers = List.filter (fun n -> n <> cluster_manager) peer_managers;
+    map_region = Layout.map_region ~bootstrap_node:bootstrap;
     cm_state =
       (if cluster_manager = id then
          Some (Cluster.create ~cluster_id:(Topology.cluster_of topology id))
@@ -121,9 +125,6 @@ let each_page ~page_size addr ~len f =
   in
   go addr 0
 
-(* The map region descriptor is well-known bootstrap state. *)
-let map_region t = Layout.map_region ~bootstrap_node:t.bootstrap
-
 let homed_containing t addr =
   Gaddr.Table.fold
     (fun _ r acc ->
@@ -139,29 +140,33 @@ let serving t = if t.up then Ok () else Error (`Unavailable "node down")
 
 (* -- tracing helpers -- *)
 
+(* Does work under [ctx] open spans? Background contexts (null span) stay
+   span-free: only work rooted in a traced client operation lands in the
+   trace tree, so one operation reads as exactly one connected trace. *)
+let traced ctx = Trace.enabled () && not (Trace.is_null (Op_ctx.span ctx))
+
 (* Open a span under an operation context. All span creation funnels
    through here so the disabled path is one branch and no attribute list
-   is built. Background contexts (null span) stay span-free: only work
-   rooted in a traced client operation lands in the trace tree, so one
-   operation reads as exactly one connected trace. *)
+   is built. A thunk that captures arguments is itself an allocation, so
+   hot paths test {!traced} before building one. *)
 let span_of t ctx name attrs =
-  if Trace.enabled () && not (Trace.is_null (Op_ctx.span ctx)) then
+  if traced ctx then
     Trace.child ~engine:t.engine ~node:t.id ~attrs:(attrs ())
       ~parent:(Op_ctx.span ctx) name
   else Trace.null
 
-let finish_span ?(attrs = fun () -> []) t span =
-  if not (Trace.is_null span) then
-    Trace.finish ~engine:t.engine ~attrs:(attrs ()) span
+let finish_span t span =
+  if not (Trace.is_null span) then Trace.finish ~engine:t.engine span
 
 let finish_status t span status =
-  finish_span ~attrs:(fun () -> [ ("status", status) ]) t span
+  if not (Trace.is_null span) then
+    Trace.finish ~engine:t.engine ~attrs:[ ("status", status) ] span
 
 (* Close an operation's span with its outcome and pass the outcome on. *)
 let finish_result t span result =
-  (match result with
-   | Ok _ -> finish_status t span "ok"
-   | Error e -> finish_status t span (error_to_string e));
+  if not (Trace.is_null span) then
+    finish_status t span
+      (match result with Ok _ -> "ok" | Error e -> error_to_string e);
   result
 
 (* Effective per-attempt timeout honouring the context deadline. *)
@@ -420,9 +425,11 @@ let on_evict t page data ~dirty =
 
 let acquire_page t ctx (region : Region.t) page mode ~timeout =
   let span =
-    span_of t ctx "cm.acquire" (fun () ->
-        [ ("page", Gaddr.to_string page);
-          ("mode", Ctypes.mode_to_string mode) ])
+    if traced ctx then
+      span_of t ctx "cm.acquire" (fun () ->
+          [ ("page", Gaddr.to_string page);
+            ("mode", Ctypes.mode_to_string mode) ])
+    else Trace.null
   in
   let slot = machine_for t region page in
   let req = t.next_req in
@@ -457,8 +464,10 @@ let release_page t ctx page mode ~data =
    travels in the RPC envelope so the peer's dispatch nests under it. *)
 let rpc t ctx ?policy ~dst req =
   let span =
-    span_of t ctx ("rpc." ^ Wire.request_kind req) (fun () ->
-        [ ("dst", string_of_int dst) ])
+    if traced ctx then
+      span_of t ctx ("rpc." ^ Wire.request_kind req) (fun () ->
+          [ ("dst", string_of_int dst) ])
+    else Trace.null
   in
   (* Unless the caller picked one (2PC traffic uses [Policy.idempotent]),
      the per-attempt timeout comes from a jittered policy: the base equals
@@ -548,6 +557,22 @@ let serve t ~src ~span request ~reply =
           Option.iter reply (t.handler ctx ~src request))
     | _ -> Option.iter reply (t.handler ctx ~src request)
   end
+
+(* Sleep before a retry. [backoff] is shared by every attempt of one
+   operation and built on its first retry: a call that succeeds at once
+   builds none. *)
+let retry_pause t backoff ~base =
+  let b =
+    match !backoff with
+    | Some b -> b
+    | None ->
+      let b =
+        Kutil.Backoff.make ~rng:t.rng ~base ~cap:t.cfg.retry_backoff_cap ()
+      in
+      backoff := Some b;
+      b
+  in
+  Ksim.Fiber.sleep (Kutil.Backoff.next b)
 
 (* Release-class operations retry in the background until they succeed
    (paper §3.5): errors while releasing resources are never reflected.

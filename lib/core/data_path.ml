@@ -59,6 +59,90 @@ let release_pages c ctx (region : Region.t) mode ?(unpin = false) ?written
       release_page c ctx page mode ~data)
     pages
 
+(* A Read context never writes, and only versioned write intents record
+   parents: every other context shares these, and nothing adds to them. *)
+let nothing_written : unit Gaddr.Table.t = Gaddr.Table.create 1
+let no_parents : Ctypes.version Gaddr.Table.t = Gaddr.Table.create 1
+
+(* Acquire one page of a lock, retrying up to [n] times. Every page of one
+   lock shares [backoff] (built on the first retry, see {!retry_pause}) and
+   the context deadline. *)
+let rec acquire_one c ctx region mode backoff page n =
+  let timeout = budgeted_timeout c ctx c.cfg.lock_timeout in
+  if timeout <= 0 then Error `Timeout
+  else
+    match acquire_page c ctx region page mode ~timeout with
+    | Ok () -> Ok ()
+    | Error _ when n > 1 ->
+      retry_pause c backoff ~base:(Ksim.Time.ms 50);
+      acquire_one c ctx region mode backoff page (n - 1)
+    | Error e -> Error e
+
+(* Pipelined acquisition: issue up to [acquire_window] page acquires
+   concurrently (each in its own fiber), so an N-page lock costs
+   O(N / window) round-trip waves instead of N sequential round trips.
+   A one-page wave runs in the calling fiber after one yield, which takes
+   the engine event the spawned fiber would have taken, so the schedule
+   is the same. Rollback stays all-or-nothing: any failure releases every
+   page this call acquired — prior waves and the failing wave's partial
+   grants. *)
+let rec acquire_all c ctx region mode backoff acquired remaining =
+  let window = max 1 c.cfg.acquire_window in
+  let retries = c.cfg.lock_retries in
+  match remaining with
+  | [] -> Ok (List.rev acquired)
+  | page :: rest when window = 1 || rest = [] -> (
+    Ksim.Fiber.yield ();
+    match acquire_one c ctx region mode backoff page retries with
+    | Ok () -> acquire_all c ctx region mode backoff (page :: acquired) rest
+    | Error e ->
+      release_pages c ctx region mode (List.rev acquired);
+      Error e)
+  | _ ->
+    let rec take n acc = function
+      | rest when n = 0 -> (List.rev acc, rest)
+      | [] -> (List.rev acc, [])
+      | p :: rest -> take (n - 1) (p :: acc) rest
+    in
+    let wave, rest = take window [] remaining in
+    let results =
+      wave
+      |> List.map (fun page ->
+             ( page,
+               Ksim.Fiber.async c.engine ~name:"daemon.lock.acquire"
+                 (fun () -> acquire_one c ctx region mode backoff page retries)
+             ))
+      |> List.map (fun (page, p) -> (page, Ksim.Fiber.await p))
+    in
+    let granted =
+      List.filter_map
+        (fun (page, r) -> match r with Ok () -> Some page | Error _ -> None)
+        results
+    in
+    (match
+       List.find_map
+         (fun (_, r) -> match r with Error e -> Some e | Ok () -> None)
+         results
+     with
+     | Some e ->
+       (* Roll back already-acquired pages, including the failing
+          wave's partial grants. *)
+       release_pages c ctx region mode (List.rev_append acquired granted);
+       Error e
+     | None ->
+       acquire_all c ctx region mode backoff (List.rev_append granted acquired)
+         rest)
+
+let reflect c t0 span result =
+  (match result with
+   | Ok _ ->
+     Metrics.incr c.metrics "lock.grant";
+     Metrics.observe c.metrics "lock.ms"
+       (Ksim.Time.to_ms_f (Ksim.Engine.now c.engine - t0))
+   | Error `Timeout -> Metrics.incr c.metrics "lock.timeout"
+   | Error _ -> Metrics.incr c.metrics "lock.reject");
+  finish_result c span result
+
 (* [refuse] vets the located region before any page is acquired: a call
    the region's protocol cannot serve must not disturb its copyset. *)
 let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
@@ -69,24 +153,16 @@ let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
   let t0 = Ksim.Engine.now c.engine in
   let op = ctx in
   let span =
-    span_of c ctx "daemon.lock" (fun () ->
-        [ ("addr", Gaddr.to_string addr);
-          ("len", string_of_int len);
-          ("mode", Ctypes.mode_to_string mode) ])
+    if traced ctx then
+      span_of c ctx "daemon.lock" (fun () ->
+          [ ("addr", Gaddr.to_string addr);
+            ("len", string_of_int len);
+            ("mode", Ctypes.mode_to_string mode) ])
+    else Trace.null
   in
   let ctx = Op_ctx.with_span ctx span in
   let principal = Op_ctx.principal ctx in
-  let reflect result =
-    (match result with
-     | Ok _ ->
-       Metrics.incr c.metrics "lock.grant";
-       Metrics.observe c.metrics "lock.ms"
-         (Ksim.Time.to_ms_f (Ksim.Engine.now c.engine - t0))
-     | Error `Timeout -> Metrics.incr c.metrics "lock.timeout"
-     | Error _ -> Metrics.incr c.metrics "lock.reject");
-    finish_result c span result
-  in
-  reflect
+  reflect c t0 span
   @@
   match Locate.locate t.loc ctx addr with
   | Error e -> Error e
@@ -115,87 +191,31 @@ let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
       in
       if List.exists (fun p -> Txn.in_doubt t.txn p) pages then
         Error (`Conflict "transaction in doubt")
-      else begin
-      (* One backoff across the whole multi-page acquire: every failed
-         attempt anywhere in the range widens the pause before the next. *)
-      let backoff =
-        Kutil.Backoff.make ~rng:c.rng ~base:(Ksim.Time.ms 50)
-          ~cap:c.cfg.retry_backoff_cap ()
-      in
-      let acquire_one page =
-        let rec attempt n =
-          let timeout = budgeted_timeout c ctx c.cfg.lock_timeout in
-          if timeout <= 0 then Error `Timeout
-          else
-            match acquire_page c ctx region page mode ~timeout with
-            | Ok () -> Ok ()
-            | Error _ when n > 1 ->
-              Ksim.Fiber.sleep (Kutil.Backoff.next backoff);
-              attempt (n - 1)
-            | Error e -> Error e
-        in
-        attempt c.cfg.lock_retries
-      in
-      (* Pipelined acquisition: issue up to [acquire_window] page acquires
-         concurrently (each in its own fiber, all sharing the backoff and
-         the context deadline), so an N-page lock costs O(N / window)
-         round-trip waves instead of N sequential round trips. Rollback
-         stays all-or-nothing: any failure releases every page this call
-         acquired — prior waves and the failing wave's partial grants. *)
-      let window = max 1 c.cfg.acquire_window in
-      let rec take n acc = function
-        | rest when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | p :: rest -> take (n - 1) (p :: acc) rest
-      in
-      let rec acquire_all acquired remaining =
-        match remaining with
-        | [] -> Ok (List.rev acquired)
-        | _ ->
-          let wave, rest = take window [] remaining in
-          let results =
-            wave
-            |> List.map (fun page ->
-                   ( page,
-                     Ksim.Fiber.async c.engine ~name:"daemon.lock.acquire"
-                       (fun () -> acquire_one page) ))
-            |> List.map (fun (page, p) -> (page, Ksim.Fiber.await p))
-          in
-          let granted =
-            List.filter_map
-              (fun (page, r) -> match r with Ok () -> Some page | Error _ -> None)
-              results
-          in
-          (match
-             List.find_map
-               (fun (_, r) -> match r with Error e -> Some e | Ok () -> None)
-               results
-           with
-           | Some e ->
-             (* Roll back already-acquired pages, including the failing
-                wave's partial grants. *)
-             release_pages c ctx region mode (List.rev_append acquired granted);
-             Error e
-           | None -> acquire_all (List.rev_append granted acquired) rest)
-      in
-      match acquire_all [] pages with
+      else
+      match acquire_all c ctx region mode (ref None) [] pages with
       | Error e -> Error e
       | Ok pages ->
         List.iter (Store.pin c.store) pages;
+        let versioned_write = mode = Ctypes.Write && versioned_region region in
         (* Versioned write intents remember the home version each page was
            granted at: that version is the parent a publish diffs against,
            and — because versioned grants exclude nobody — the way the home
            tells "applied onto what I have" from "applied onto history". *)
-        let parents = Gaddr.Table.create 8 in
-        if mode = Ctypes.Write && versioned_region region then
-          List.iter
-            (fun page ->
-              match Gaddr.Table.find_opt c.machines page with
-              | Some slot ->
-                Gaddr.Table.replace parents page
-                  (Machine.packed_version slot.packed)
-              | None -> ())
-            pages;
+        let parents =
+          if not versioned_write then no_parents
+          else begin
+            let parents = Gaddr.Table.create 8 in
+            List.iter
+              (fun page ->
+                match Gaddr.Table.find_opt c.machines page with
+                | Some slot ->
+                  Gaddr.Table.replace parents page
+                    (Machine.packed_version slot.packed)
+                | None -> ())
+              pages;
+            parents
+          end
+        in
         Ok
           {
             ctx_op = op;
@@ -204,13 +224,14 @@ let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
             ctx_len = len;
             ctx_mode = mode;
             ctx_pages = pages;
-            ctx_written = Gaddr.Table.create 8;
+            ctx_written =
+              (if mode = Ctypes.Write then Gaddr.Table.create 8
+               else nothing_written);
             ctx_parents = parents;
             ctx_expected = None;
             ctx_publish = Ok ();
             ctx_live = true;
           }
-      end
     end
 
 (* Versioned publish: push one lock context's written pages to the region
@@ -332,8 +353,10 @@ let unlock c ctx =
   if ctx.ctx_live then begin
     ctx.ctx_live <- false;
     let span =
-      span_of c ctx.ctx_op "daemon.unlock" (fun () ->
-          [ ("addr", Gaddr.to_string ctx.ctx_addr) ])
+      if traced ctx.ctx_op then
+        span_of c ctx.ctx_op "daemon.unlock" (fun () ->
+            [ ("addr", Gaddr.to_string ctx.ctx_addr) ])
+      else Trace.null
     in
     let op = Op_ctx.with_span ctx.ctx_op span in
     release_pages c op ctx.ctx_region ctx.ctx_mode ~unpin:true
@@ -350,17 +373,20 @@ let unlock c ctx =
     finish_span c span
   end
 
+(* Does the live context cover [addr, addr+len)? Offsets, not ends: no
+   allocation. *)
 let ctx_covers ctx addr ~len =
-  ctx.ctx_live && len >= 0
-  && Gaddr.compare ctx.ctx_addr addr <= 0
-  && Gaddr.compare (Gaddr.add_int addr len) (Gaddr.add_int ctx.ctx_addr ctx.ctx_len) <= 0
+  let off = Gaddr.offset_from ~base:ctx.ctx_addr addr in
+  ctx.ctx_live && len >= 0 && off >= 0 && len <= ctx.ctx_len - off
 
 let read c ctx ~addr ~len =
   if not (ctx_covers ctx addr ~len) then Error `Bad_range
   else begin
     let span =
-      span_of c ctx.ctx_op "daemon.read" (fun () ->
-          [ ("addr", Gaddr.to_string addr); ("len", string_of_int len) ])
+      if traced ctx.ctx_op then
+        span_of c ctx.ctx_op "daemon.read" (fun () ->
+            [ ("addr", Gaddr.to_string addr); ("len", string_of_int len) ])
+      else Trace.null
     in
     let out = Bytes.create len in
     finish_result c span
@@ -383,8 +409,10 @@ let write c ctx ~addr data =
   else if not (ctx_covers ctx addr ~len) then Error `Bad_range
   else begin
     let span =
-      span_of c ctx.ctx_op "daemon.write" (fun () ->
-          [ ("addr", Gaddr.to_string addr); ("len", string_of_int len) ])
+      if traced ctx.ctx_op then
+        span_of c ctx.ctx_op "daemon.write" (fun () ->
+            [ ("addr", Gaddr.to_string addr); ("len", string_of_int len) ])
+      else Trace.null
     in
     finish_result c span
     @@ each_page ~page_size:ctx.ctx_region.Region.attr.Attr.page_size addr ~len
@@ -510,7 +538,7 @@ let serve_cm_msg t ctx ~src ~page ~region_base body =
        directory hit) in a fiber, then feed. *)
     Ksim.Fiber.spawn c.engine ~name:"cm-resolve" (fun () ->
         let region =
-          if Region.contains (map_region c) page then Some (map_region c)
+          if Region.contains c.map_region page then Some c.map_region
           else
             match homed_containing c page with
             | Some r -> Some r

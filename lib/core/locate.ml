@@ -5,19 +5,33 @@
 
 open Daemon_core
 
-let zero_stats =
-  { homed_hits = 0; rdir_hits = 0; cluster_hits = 0; map_walks = 0;
-    map_walk_depth_total = 0; cluster_walks = 0; failures = 0 }
+(* The {!lookup_stats} counters, bumped in place on every lookup; [stats]
+   copies them out. *)
+let homed = 0
+let rdir_hit = 1
+let cluster_hit = 2
+let map_walk = 3
+let walk_depth = 4
+let cluster_walk_found = 5
+let failure = 6
 
 type t = {
   c : Daemon_core.t;
   rdir : Region_directory.t;
-  mutable stats : lookup_stats;
+  counts : int array;
 }
 
 let create c =
   { c; rdir = Region_directory.create ~capacity:c.cfg.rdir_capacity;
-    stats = zero_stats }
+    counts = Array.make 7 0 }
+
+let stats t =
+  let n i = t.counts.(i) in
+  { homed_hits = n homed; rdir_hits = n rdir_hit; cluster_hits = n cluster_hit;
+    map_walks = n map_walk; map_walk_depth_total = n walk_depth;
+    cluster_walks = n cluster_walk_found; failures = n failure }
+
+let reset_stats t = Array.fill t.counts 0 (Array.length t.counts) 0
 
 (* A crash forgets every cached descriptor. *)
 let crash t =
@@ -32,7 +46,7 @@ let crash t =
 exception Map_unavailable of string
 
 let map_page_read c ctx i =
-  let region = map_region c in
+  let region = c.map_region in
   let page = Layout.map_page_addr i in
   match acquire_page c ctx region page Ctypes.Read ~timeout:c.cfg.lock_timeout with
   | Error e ->
@@ -52,7 +66,7 @@ let map_page_write_locked c i node =
 let map_io c ctx : Address_map.io =
   let read_page i = map_page_read c ctx i in
   let mutate f =
-    let region = map_region c in
+    let region = c.map_region in
     let root_page = Layout.map_page_addr 0 in
     match acquire_page c ctx region root_page Ctypes.Write ~timeout:c.cfg.lock_timeout with
     | Error e -> raise (Map_unavailable ("map mutation: " ^ error_to_string e))
@@ -88,7 +102,7 @@ let map_io c ctx : Address_map.io =
 
 let bootstrap_map c =
   if c.id <> c.bootstrap then invalid_arg "Daemon.bootstrap_map: wrong node";
-  let region = map_region c in
+  let region = c.map_region in
   Gaddr.Table.replace c.homed region.Region.base region;
   note_homed_put c region;
   let root = Address_map.Node.empty_root () in
@@ -139,40 +153,37 @@ let cluster_lookup c addr =
     Wire.R_lookup { desc; holders }
   | None -> Wire.R_error "not a cluster manager"
 
-let count t bump name =
-  t.stats <- bump t.stats;
+let count t i name =
+  t.counts.(i) <- t.counts.(i) + 1;
   Metrics.incr t.c.metrics name
 
 let fail t error =
-  count t (fun s -> { s with failures = s.failures + 1 }) "locate.failure";
+  count t failure "locate.failure";
   Error (`Unavailable error)
 
 let found_by_walk t desc =
-  count t (fun s -> { s with cluster_walks = s.cluster_walks + 1 })
-    "locate.cluster_walk";
+  count t cluster_walk_found "locate.cluster_walk";
   Region_directory.put t.rdir desc;
   Ok desc
 
-let rec locate_once ?(walk = false) t ctx addr =
+let rec locate_once ~walk t ctx addr =
   let c = t.c in
-  if Region.contains (map_region c) addr then Ok (map_region c)
+  if Region.contains c.map_region addr then Ok c.map_region
   else
     match homed_containing c addr with
     | Some r ->
-      count t (fun s -> { s with homed_hits = s.homed_hits + 1 }) "locate.homed_hit";
+      count t homed "locate.homed_hit";
       Ok r
     | None -> (
       match Region_directory.find t.rdir addr with
       | Some r ->
-        count t (fun s -> { s with rdir_hits = s.rdir_hits + 1 }) "locate.rdir_hit";
+        count t rdir_hit "locate.rdir_hit";
         Ok r
       | None -> (
         (* Ask the cluster manager before touching the tree (§3.5). *)
         match ask c ctx ~dst:c.cluster_manager (Wire.Cluster_lookup { addr }) with
         | Ok (Wire.R_lookup { desc = Some desc; _ }) ->
-          count t
-            (fun s -> { s with cluster_hits = s.cluster_hits + 1 })
-            "locate.cluster_hit";
+          count t cluster_hit "locate.cluster_hit";
           Region_directory.put t.rdir desc;
           Ok desc
         | Ok _ | Error (`Timeout | `Unreachable) -> (
@@ -180,13 +191,9 @@ let rec locate_once ?(walk = false) t ctx addr =
           match Address_map.lookup (map_io c ctx) addr with
           | exception Map_unavailable why -> cluster_walk t ctx addr why
           | result -> (
-            count t
-              (fun s ->
-                { s with
-                  map_walks = s.map_walks + 1;
-                  map_walk_depth_total =
-                    s.map_walk_depth_total + result.Address_map.depth })
-              "locate.map_walk";
+            count t map_walk "locate.map_walk";
+            t.counts.(walk_depth) <-
+              t.counts.(walk_depth) + result.Address_map.depth;
             match result.Address_map.entry with
             | Some entry -> (
               match fetch_descriptor t ctx ~addr entry.Address_map.homes with
@@ -226,26 +233,24 @@ and cluster_walk t ctx addr fallback_error =
    timeout" (§3.5). A miss may just mean a release-consistent map update is
    still in flight, so back off briefly and retry before reflecting the
    error. *)
+let rec locate_retrying t ctx addr backoff attempt =
+  match locate_once ~walk:(attempt >= 3) t ctx addr with
+  | Ok _ as ok -> ok
+  | Error _ as e when attempt >= 4 -> e
+  | Error _ ->
+    retry_pause t.c backoff ~base:(Ksim.Time.ms 25);
+    locate_retrying t ctx addr backoff (attempt + 1)
+
 let locate t ctx addr =
   let c = t.c in
   let t0 = Ksim.Engine.now c.engine in
   let span =
-    span_of c ctx "daemon.locate" (fun () -> [ ("addr", Gaddr.to_string addr) ])
+    if traced ctx then
+      span_of c ctx "daemon.locate" (fun () -> [ ("addr", Gaddr.to_string addr) ])
+    else Trace.null
   in
   let ctx = Op_ctx.with_span ctx span in
-  let backoff =
-    Kutil.Backoff.make ~rng:c.rng ~base:(Ksim.Time.ms 25)
-      ~cap:c.cfg.retry_backoff_cap ()
-  in
-  let rec go attempt =
-    match locate_once ~walk:(attempt >= 3) t ctx addr with
-    | Ok _ as ok -> ok
-    | Error _ as e when attempt >= 4 -> e
-    | Error _ ->
-      Ksim.Fiber.sleep (Kutil.Backoff.next backoff);
-      go (attempt + 1)
-  in
-  let result = go 0 in
+  let result = locate_retrying t ctx addr (ref None) 0 in
   Metrics.observe c.metrics "locate.ms"
     (Ksim.Time.to_ms_f (Ksim.Engine.now c.engine - t0));
   finish_result c span result

@@ -26,12 +26,15 @@ let pages t =
 
 let end_ t = Gaddr.add_int t.base t.len
 
+(* Both range tests compare the address's offset into the region with its
+   length instead of building [end_]: no allocation on a lookup. *)
 let contains t addr =
-  Gaddr.compare t.base addr <= 0 && Gaddr.compare addr (end_ t) < 0
+  let off = Gaddr.offset_from ~base:t.base addr in
+  off >= 0 && off < t.len
 
 let contains_range t addr ~len =
-  len >= 0 && contains t addr
-  && (len = 0 || contains t (Gaddr.add_int addr (len - 1)))
+  let off = Gaddr.offset_from ~base:t.base addr in
+  len >= 0 && off >= 0 && off < t.len && len <= t.len - off
 
 let page_of t addr =
   if not (contains t addr) then invalid_arg "Region.page_of: out of range";

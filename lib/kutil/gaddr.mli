@@ -8,6 +8,11 @@ type t = U128.t
 val zero : t
 val of_int : int -> t
 val add_int : t -> int -> t
+
+val offset_from : base:t -> t -> int
+(** {!U128.offset_from}: [addr - base] as an int, [-1] when [addr] lies
+    below [base] or too far above it. Allocates nothing. *)
+
 val diff : t -> t -> int
 (** [diff a b] is [a - b] as an int; raises if negative or too large. *)
 
@@ -24,7 +29,8 @@ val valid_page_size : int -> bool
 (** Power of two, at least 4 KiB (the paper allows 4K, 16K, 64K, ...). *)
 
 val page_floor : t -> page_size:int -> t
-(** Round down to the enclosing page boundary. *)
+(** Round down to the enclosing page boundary by masking the low word; an
+    aligned address comes back physically unchanged. *)
 
 val page_offset : t -> page_size:int -> int
 val is_page_aligned : t -> page_size:int -> bool

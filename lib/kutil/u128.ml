@@ -26,7 +26,30 @@ let sub a b =
   let borrow = if Int64.unsigned_compare a.lo b.lo < 0 then 1L else 0L in
   { hi = Int64.sub (Int64.sub a.hi b.hi) borrow; lo }
 
-let add_int v n = add v (of_int n)
+(* Unsigned [a < b] on the raw halves, from primitives only so the
+   halves stay unboxed. *)
+let[@inline] ult (a : int64) (b : int64) =
+  Int64.logxor a 0x8000_0000_0000_0000L < Int64.logxor b 0x8000_0000_0000_0000L
+
+(* The carry is added in place and an untouched [hi] keeps its box: one
+   record and one [lo] box per call. *)
+let add_int v n =
+  if n < 0 then invalid_arg "U128.add_int: negative";
+  if n = 0 then v
+  else
+    let lo = Int64.add v.lo (Int64.of_int n) in
+    if ult lo v.lo then { hi = Int64.succ v.hi; lo } else { hi = v.hi; lo }
+
+let offset_from ~base v =
+  let ge = if v.hi = base.hi then not (ult v.lo base.lo) else ult base.hi v.hi in
+  if not ge then -1
+  else
+    let lo = Int64.sub v.lo base.lo in
+    let borrow = if ult v.lo base.lo then 1L else 0L in
+    let hi = Int64.sub (Int64.sub v.hi base.hi) borrow in
+    if hi = 0L && lo >= 0L && lo <= 0x3FFF_FFFF_FFFF_FFFFL then Int64.to_int lo
+    else -1
+
 let succ v = add v one
 
 (* Multiply by a small non-negative integer using 32-bit limbs so every

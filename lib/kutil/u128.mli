@@ -31,7 +31,13 @@ val sub : t -> t -> t
 (** Wrapping subtraction modulo 2^128. *)
 
 val add_int : t -> int -> t
-(** [add_int v n] adds a non-negative integer offset. *)
+(** [add_int v n] adds a non-negative integer offset (wrapping modulo
+    2^128). [add_int v 0] is [v] itself. *)
+
+val offset_from : base:t -> t -> int
+(** [offset_from ~base v] is [v - base] when [base <= v] and the distance
+    fits in a non-negative OCaml int, [-1] otherwise. Allocates nothing:
+    range tests on hot paths compare offsets instead of building ends. *)
 
 val succ : t -> t
 val mul_int : t -> int -> t

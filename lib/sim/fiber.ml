@@ -20,7 +20,9 @@ type _ Effect.t +=
    fiber suspends, control returns normally out of those calls and the
    restore fires, so the ref never dangles across a suspension (a protect
    inside the fiber's own stack would be captured by the continuation and
-   deferred instead). *)
+   deferred instead). It runs on every suspension and resumption, so it
+   is a plain match, and [cur] (the engine as an option) is built once per
+   fiber. *)
 let current_engine : Engine.t option ref = ref None
 
 let engine_now () =
@@ -28,12 +30,18 @@ let engine_now () =
   | Some eng -> eng
   | None -> failwith "Fiber: blocking call outside of a fiber"
 
-let with_engine eng seg =
+let with_engine cur seg =
   let saved = !current_engine in
-  current_engine := Some eng;
-  Fun.protect ~finally:(fun () -> current_engine := saved) seg
+  current_engine := cur;
+  match seg () with
+  | () -> current_engine := saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    current_engine := saved;
+    Printexc.raise_with_backtrace e bt
 
 let run_fiber eng name f =
+  let cur = Some eng in
   let on_exn e = raise (Fiber_failure (name, e)) in
   let handler =
     {
@@ -49,16 +57,16 @@ let run_fiber eng name f =
               (fun (k : (b, unit) continuation) ->
                 ignore
                   (Engine.schedule eng ~after:d (fun () ->
-                       with_engine eng (fun () -> continue k ()))))
+                       with_engine cur (fun () -> continue k ()))))
           | Await p ->
             Some
               (fun (k : (b, unit) continuation) ->
                 Promise.on_resolve p (fun v ->
-                    with_engine eng (fun () -> continue k v)))
+                    with_engine cur (fun () -> continue k v)))
           | _ -> None);
     }
   in
-  with_engine eng (fun () -> match_with f () handler)
+  with_engine cur (fun () -> match_with f () handler)
 
 let spawn eng ?(name = "fiber") f =
   ignore (Engine.schedule eng ~after:0 (fun () -> run_fiber eng name f))

@@ -1,30 +1,33 @@
 module Stats = Kutil.Stats
+module Histogram = Stats.Histogram
 
 type t = {
   counters : (string, Stats.counter) Hashtbl.t;
-  summaries : (string, Stats.summary) Hashtbl.t;
+  summaries : (string, Histogram.t) Hashtbl.t;
 }
 
 let create () = { counters = Hashtbl.create 16; summaries = Hashtbl.create 16 }
 
+(* Lookups sit on every operation's path: [Hashtbl.find] hands back the
+   binding without the option [find_opt] would build. *)
 let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.counters name with
+  | c -> c
+  | exception Not_found ->
     let c = Stats.counter () in
     Hashtbl.replace t.counters name c;
     c
 
 let summary t name =
-  match Hashtbl.find_opt t.summaries name with
-  | Some s -> s
-  | None ->
-    let s = Stats.summary () in
+  match Hashtbl.find t.summaries name with
+  | s -> s
+  | exception Not_found ->
+    let s = Histogram.create () in
     Hashtbl.replace t.summaries name s;
     s
 
 let incr t ?by name = Stats.incr ?by (counter t name)
-let observe t name v = Stats.add (summary t name) v
+let observe t name v = Histogram.add (summary t name) v
 
 let sorted_bindings tbl =
   List.sort
@@ -46,6 +49,6 @@ let pp ppf t =
     (counters t);
   List.iter
     (fun (name, s) ->
-      if Stats.samples s > 0 then
-        Format.fprintf ppf "%-32s %a@." name (Stats.pp_summary ~unit:"ms") s)
+      if Histogram.count s > 0 then
+        Format.fprintf ppf "%-32s %a@." name (Histogram.pp ~unit:"ms") s)
     (summaries t)

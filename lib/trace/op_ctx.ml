@@ -9,7 +9,7 @@ let background = { principal = -1; span = Trace.null; deadline = None }
 let principal t = t.principal
 let span t = t.span
 let deadline t = t.deadline
-let with_span t span = { t with span }
+let with_span t span = if span = t.span then t else { t with span }
 
 let remaining t ~now =
   Option.map (fun d -> if d > now then d - now else 0) t.deadline

@@ -7,7 +7,7 @@
     keep trying (an optional absolute deadline in simulated time).
 
     Contexts are immutable; deriving a narrower context ({!with_span})
-    allocates a new one. *)
+    allocates a new one unless the span is unchanged. *)
 
 type t
 
@@ -24,7 +24,9 @@ val span : t -> Trace.span
 val deadline : t -> Ksim.Time.t option
 
 val with_span : t -> Trace.span -> t
-(** Same principal and deadline, new enclosing span. *)
+(** Same principal and deadline, new enclosing span; the context itself
+    when the span is the one it already has (an untraced operation's null
+    span). *)
 
 val remaining : t -> now:Ksim.Time.t -> Ksim.Time.t option
 (** Time left until the deadline (clamped at 0); [None] when unbounded. *)

@@ -119,6 +119,116 @@ let prop_hex_roundtrip =
   QCheck.Test.make ~name:"u128 hex roundtrip" ~count:500 arb_u128 (fun v ->
       U128.equal v (U128.of_hex (U128.to_hex v)))
 
+(* The masked page arithmetic and the offset range tests against the
+   arithmetic they replace: division and multiplication, [add] of an
+   [of_int], and comparisons against a built end address. *)
+
+(* Anywhere in the 128-bit space, a low word just below 2^64 (so adding
+   carries into [hi]), or a small non-zero [hi]. *)
+let gen_addr =
+  QCheck.Gen.(
+    oneof
+      [ map2 (fun hi lo -> U128.make ~hi ~lo) int64 int64;
+        map2
+          (fun hi d -> U128.make ~hi ~lo:(Int64.sub (-1L) (Int64.of_int d)))
+          int64 (int_bound 1_000_000);
+        map2
+          (fun hi lo -> U128.make ~hi:(Int64.of_int hi) ~lo)
+          (int_range 1 16) int64 ])
+
+(* 4 KiB to 1 MiB. *)
+let gen_page_size = QCheck.Gen.map (fun k -> 1 lsl k) (QCheck.Gen.int_range 12 20)
+
+let gen_offset =
+  QCheck.Gen.(oneof [ int_bound 100_000; map (fun n -> n land max_int) int ])
+
+let print_addr_int (a, n) = Printf.sprintf "(%s, %d)" (U128.to_string a) n
+
+let prop_page_floor_offset =
+  QCheck.Test.make ~name:"gaddr page floor/offset" ~count:1000
+    (QCheck.make ~print:print_addr_int (QCheck.Gen.pair gen_addr gen_page_size))
+    (fun (a, page_size) ->
+      let q, r = U128.divmod_int a page_size in
+      U128.equal (Gaddr.page_floor a ~page_size) (U128.mul_int q page_size)
+      && Gaddr.page_offset a ~page_size = r)
+
+let prop_add_int =
+  QCheck.Test.make ~name:"u128 add_int" ~count:1000
+    (QCheck.make ~print:print_addr_int (QCheck.Gen.pair gen_addr gen_offset))
+    (fun (a, n) -> U128.equal (U128.add_int a n) (U128.add a (U128.of_int n)))
+
+let prop_offset_from =
+  QCheck.Test.make ~name:"u128 offset_from" ~count:1000
+    (QCheck.pair arb_u128 arb_u128)
+    (fun (base, a) ->
+      let d = U128.sub a base in
+      let expect =
+        if U128.compare a base >= 0 && U128.compare d (U128.of_int max_int) <= 0
+        then U128.to_int d
+        else -1
+      in
+      U128.offset_from ~base a = expect)
+
+(* A region that does not wrap past 2^128 - 1, and probes around it:
+   anywhere, inside, just below its base, exactly at its end and on the
+   last byte. *)
+let gen_region_probe =
+  QCheck.Gen.(
+    gen_addr >>= fun a ->
+    gen_page_size >>= fun page_size ->
+    int_range 1 64 >>= fun pages ->
+    let a = if a.U128.hi = -1L then U128.make ~hi:0L ~lo:a.U128.lo else a in
+    let base = Gaddr.page_floor a ~page_size in
+    let region =
+      Khazana.Region.make ~base ~len:(pages * page_size)
+        ~attr:(Khazana.Attr.make ~page_size ~owner:0 ())
+        ~home:0
+    in
+    let len = region.Khazana.Region.len in
+    let end_ = Khazana.Region.end_ region in
+    oneof
+      [ gen_addr;
+        map (fun k -> Gaddr.add_int base k) (int_bound (2 * len));
+        map (fun k -> U128.sub base (U128.of_int (k + 1))) (int_bound len);
+        return end_;
+        return (U128.sub end_ U128.one) ]
+    >>= fun probe -> return (region, probe))
+
+let print_region_probe (r, a) =
+  Format.asprintf "%a at %s" Khazana.Region.pp r (U128.to_string a)
+
+let ref_contains r a =
+  U128.compare r.Khazana.Region.base a <= 0
+  && U128.compare a (Khazana.Region.end_ r) < 0
+
+let prop_region_contains =
+  QCheck.Test.make ~name:"region contains" ~count:1000
+    (QCheck.make ~print:print_region_probe gen_region_probe)
+    (fun (r, a) -> Khazana.Region.contains r a = ref_contains r a)
+
+(* Lengths from 0 up to twice the region, and ranges ending exactly at
+   the region's end. *)
+let prop_region_contains_range =
+  QCheck.Test.make ~name:"region contains_range" ~count:1000
+    (QCheck.make
+       ~print:(fun ((r, a), n) -> print_region_probe (r, a) ^ " len " ^ string_of_int n)
+       QCheck.Gen.(
+         gen_region_probe >>= fun (r, a) ->
+         let rlen = r.Khazana.Region.len in
+         let to_end = U128.sub (Khazana.Region.end_ r) a in
+         let exact =
+           if U128.compare to_end (U128.of_int rlen) <= 0 then [ return (U128.to_int to_end) ]
+           else []
+         in
+         oneof ([ return 0; int_bound (2 * rlen) ] @ exact) >>= fun n ->
+         return ((r, a), n)))
+    (fun ((r, a), n) ->
+      let expect =
+        n >= 0 && ref_contains r a
+        && (n = 0 || ref_contains r (U128.add a (U128.of_int (n - 1))))
+      in
+      Khazana.Region.contains_range r a ~len:n = expect)
+
 (* ------------------------------ Gaddr ------------------------------ *)
 
 let test_page_math () =
@@ -499,6 +609,33 @@ let test_stats_counter () =
   Kutil.Stats.reset_counter c;
   Alcotest.(check int) "reset" 0 (Kutil.Stats.count c)
 
+(* Histogram percentiles land within 10% of the exact nearest-rank
+   sample; count, mean and the extremes are exact. *)
+let test_stats_histogram () =
+  let module H = Kutil.Stats.Histogram in
+  let h = H.create () in
+  let s = Kutil.Stats.summary () in
+  for i = 0 to 9_999 do
+    let v = float_of_int (i * 7919 mod 10_000) *. 0.01 in
+    H.add h v;
+    Kutil.Stats.add s v
+  done;
+  Alcotest.(check int) "count" 10_000 (H.count h);
+  Alcotest.(check (float 1e-6)) "mean" (Kutil.Stats.mean s) (H.mean h);
+  Alcotest.(check (float 0.0)) "min" 0.0 (H.minimum h);
+  Alcotest.(check (float 0.0)) "max" (Kutil.Stats.maximum s) (H.maximum h);
+  List.iter
+    (fun p ->
+      let exact = Kutil.Stats.percentile s p and got = H.percentile h p in
+      if Float.abs (got -. exact) > 0.1 *. exact then
+        Alcotest.failf "p%g: %g, exact %g" p got exact)
+    [ 50.0; 90.0; 99.0; 99.9; 100.0 ];
+  Alcotest.(check (float 0.0)) "zeros" 0.0 (H.percentile h 0.001);
+  H.add h 1e12;
+  Alcotest.(check (float 0.0)) "beyond the last bucket" 1e12
+    (H.percentile h 100.0);
+  Alcotest.(check (float 0.0)) "empty" 0.0 (H.percentile (H.create ()) 99.0)
+
 let test_stats_table () =
   let t = Kutil.Stats.table ~columns:[ "a"; "bb" ] in
   Kutil.Stats.row t [ "xxx"; "y" ];
@@ -543,7 +680,8 @@ let () =
         ] );
       qsuite "u128-properties"
         [ prop_add_sub; prop_add_commutes; prop_compare_total; prop_divmod;
-          prop_hex_roundtrip ];
+          prop_hex_roundtrip; prop_page_floor_offset; prop_add_int;
+          prop_offset_from; prop_region_contains; prop_region_contains_range ];
       ( "gaddr",
         [
           Alcotest.test_case "page math" `Quick test_page_math;
@@ -590,5 +728,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "counter" `Quick test_stats_counter;
           Alcotest.test_case "table" `Quick test_stats_table;
+          Alcotest.test_case "histogram" `Quick test_stats_histogram;
         ] );
     ]

@@ -829,6 +829,65 @@ let agree_cluster_lookup sys actor =
     (Daemon.lookup_stats d).Daemon.cluster_hits
     (Daemon.lookup_stats d).Daemon.map_walks
 
+(* -- allocation on the local hit path -- *)
+
+(* Heap words [f] allocates per call over [n] calls, minor and major heap
+   alike (a page buffer goes straight to the major heap), less what the
+   minor heap promoted, so no word counts twice. Both readings follow an
+   emptying minor collection: everything promoted in between was
+   allocated by [f], and [Gc.counters] counts the words of a minor heap
+   that has not been collected yet only approximately. *)
+let words_per_call n f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int n
+
+(* Node 2 reads a page of a region homed at node 1, in its own cluster,
+   once to cache it; the measured calls then hit that cached copy. *)
+let cached_page () =
+  let sys = mk () in
+  let reader = System.client sys 2 () in
+  let base =
+    System.run_fiber sys (fun () ->
+        let r = ok (Client.create_region (System.client sys 1 ()) 4096) in
+        ignore (ok (Client.read_bytes reader ~addr:r.Region.base 4096));
+        r.Region.base)
+  in
+  (sys, reader, base)
+
+(* Each bound is the measured words plus 10%. Before the allocation-lean
+   hit path (masked page arithmetic, the map region built once, one-page
+   locks in the calling fiber, no retry state before a retry) the read
+   took 1,402 words, 514 of them the returned page, and the lock + unlock
+   695; after it, 782 and 198. *)
+let test_cached_read_words () =
+  let sys, reader, addr = cached_page () in
+  let words =
+    System.run_fiber sys (fun () ->
+        words_per_call 1000 (fun () ->
+            ignore (ok (Client.read_bytes reader ~addr 4096))))
+  in
+  if words > 860.0 then
+    Alcotest.failf "a cached read_bytes allocates %.1f words, bound 860" words
+
+let test_lock_unlock_words () =
+  let sys, reader, addr = cached_page () in
+  let words =
+    System.run_fiber sys (fun () ->
+        words_per_call 1000 (fun () ->
+            Client.unlock reader
+              (ok (Client.lock reader ~addr ~len:4096 Ctypes.Read))))
+  in
+  if words > 218.0 then
+    Alcotest.failf "a one-page Read lock + unlock allocates %.1f words, bound 218"
+      words
+
 let () =
   Alcotest.run "system"
     [
@@ -891,6 +950,12 @@ let () =
           Alcotest.test_case "write_cas conflict" `Quick test_mvcc_write_cas;
           Alcotest.test_case "txn read-your-writes" `Quick
             test_mvcc_txn_read_your_writes;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "cached read_bytes" `Quick test_cached_read_words;
+          Alcotest.test_case "one-page lock + unlock" `Quick
+            test_lock_unlock_words;
         ] );
       ( "tracing",
         [

@@ -187,10 +187,29 @@ let test_metrics () =
     (Metrics.counters m);
   (match Metrics.summaries m with
    | [ ("lock.ms", s) ] ->
-     Alcotest.(check (float 1e-6)) "mean" 5.0 (Kutil.Stats.mean s)
+     Alcotest.(check (float 1e-6)) "mean" 5.0 (Kutil.Stats.Histogram.mean s)
    | _ -> Alcotest.fail "summaries");
   Metrics.reset m;
   Alcotest.(check int) "reset" 0 (List.length (Metrics.counters m))
+
+(* A summary is a fixed-size histogram: a node that observes every lock
+   keeps a registry of constant size however long it runs. *)
+let test_metrics_bounded () =
+  let m = Metrics.create () in
+  let observe n =
+    for i = 1 to n do
+      Metrics.observe m "lock.ms" (float_of_int (i mod 4099) *. 0.37)
+    done
+  in
+  observe 1_000;
+  let words = Obj.reachable_words (Obj.repr m) in
+  observe 999_000;
+  Alcotest.(check int) "same size after 10^6 observations" words
+    (Obj.reachable_words (Obj.repr m));
+  match Metrics.summaries m with
+  | [ ("lock.ms", s) ] ->
+    Alcotest.(check int) "count" 1_000_000 (Kutil.Stats.Histogram.count s)
+  | _ -> Alcotest.fail "summaries"
 
 let test_op_ctx_deadline () =
   let ctx = Op_ctx.make ~deadline:(Ksim.Time.ms 10) 7 in
@@ -249,7 +268,9 @@ let () =
           Alcotest.test_case "phase breakdown" `Quick test_phase_breakdown;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "counters and summaries" `Quick test_metrics ] );
+        [ Alcotest.test_case "counters and summaries" `Quick test_metrics;
+          Alcotest.test_case "summaries stay bounded" `Quick
+            test_metrics_bounded ] );
       ( "op-ctx",
         [ Alcotest.test_case "deadline arithmetic" `Quick test_op_ctx_deadline ] );
       ( "error",
