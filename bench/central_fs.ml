@@ -19,19 +19,41 @@ module Proto = struct
     | R_size of int
     | R_err of string
 
-  let request_size = function
-    | Create p -> 16 + String.length p
-    | Write { path; data; _ } -> 24 + String.length path + Bytes.length data
-    | Read { path; _ } -> 24 + String.length path
-    | Readdir -> 8
-    | Size p -> 8 + String.length p
+  module Codec = Kutil.Codec
 
-  let response_size = function
-    | R_unit -> 8
-    | R_data b -> 8 + Bytes.length b
-    | R_names ns -> 8 + List.fold_left (fun a n -> a + String.length n + 4) 0 ns
-    | R_size _ -> 16
-    | R_err e -> 8 + String.length e
+  let encode_request enc = function
+    | Create p ->
+      Codec.u8 enc 0;
+      Codec.string enc p
+    | Write { path; off; data } ->
+      Codec.u8 enc 1;
+      Codec.string enc path;
+      Codec.int enc off;
+      Codec.bytes enc data
+    | Read { path; off; len } ->
+      Codec.u8 enc 2;
+      Codec.string enc path;
+      Codec.int enc off;
+      Codec.int enc len
+    | Readdir -> Codec.u8 enc 3
+    | Size p ->
+      Codec.u8 enc 4;
+      Codec.string enc p
+
+  let encode_response enc = function
+    | R_unit -> Codec.u8 enc 0
+    | R_data b ->
+      Codec.u8 enc 1;
+      Codec.bytes enc b
+    | R_names ns ->
+      Codec.u8 enc 2;
+      Codec.list enc (Codec.string enc) ns
+    | R_size n ->
+      Codec.u8 enc 3;
+      Codec.int enc n
+    | R_err e ->
+      Codec.u8 enc 4;
+      Codec.string enc e
 
   let request_kind = function
     | Create _ -> "cfs.create"

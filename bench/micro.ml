@@ -166,6 +166,42 @@ let codec_tests =
         Khazana.Address_map.Node.decode (Khazana.Address_map.Node.encode node)));
   ]
 
+(* One envelope's frame, encoded into a reused encoder: what the socket
+   link writes and what the simulated link encodes to size every
+   envelope it carries. *)
+let frame_tests =
+  let module Msg = Khazana.Wire.Transport.Msg in
+  let enc = Kutil.Codec.encoder () in
+  let page = Kutil.Gaddr.of_int (3 * 4096) and base = Kutil.Gaddr.of_int 0 in
+  let cm body =
+    Msg.Oneway { span = 0; body = Khazana.Wire.Cm_msg { page; region_base = base; body } }
+  in
+  let frame name msg =
+    Test.make ~name:("frame encode " ^ name)
+      (Staged.stage (fun () -> Msg.encode_frame enc ~src:1 msg))
+  in
+  [
+    frame "cm read_grant 4 KiB"
+      (cm
+         (Kconsistency.Types.Read_grant
+            { data = Bytes.make 4096 'g'; version = 3; fence = 1 }));
+    frame "cm invalidate" (cm (Kconsistency.Types.Invalidate { fence = 1 }));
+    frame "tx_prepare 2 pages"
+      (Msg.Request
+         {
+           id = 17;
+           span = 0;
+           body =
+             Khazana.Wire.Tx_prepare
+               {
+                 gtx = Kutil.Txid.make ~coord:0 ~epoch:1 ~seq:9;
+                 pages =
+                   [ (page, Bytes.make 4096 'p');
+                     (Kutil.Gaddr.add_int page 4096, Bytes.make 4096 'q') ];
+               };
+         });
+  ]
+
 let end_to_end_tests =
   (* A full simulated lock/write/unlock against a pre-built 6-node system:
      measures the whole daemon/CM/engine stack per operation. *)
@@ -202,7 +238,8 @@ let end_to_end_tests =
 let all_tests () =
   Test.make_grouped ~name:"khazana" ~fmt:"%s %s"
     (u128_tests @ page_tests @ container_tests @ engine_tests @ crew_tests
-    @ storage_tests @ durable_write_tests @ codec_tests @ end_to_end_tests)
+    @ storage_tests @ durable_write_tests @ codec_tests @ frame_tests
+    @ end_to_end_tests)
 
 (* Time per call, and heap words allocated per call on the minor and major
    heaps (a page-sized buffer is allocated straight into the major heap). *)

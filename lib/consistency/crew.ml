@@ -413,6 +413,14 @@ let fail_over t ~dest ~mode ~tried acc =
     | Some data -> (
       match mode with
       | Read -> grant_from_backup t dest ~mode:Read ~data ~version:t.ver acc
+      | Write when dest = t.cfg.self ->
+        (* The writer is this node's own cache role, which already holds
+           the copy: upgrade it in place under a fresh fence. Surrendering
+           it would discard the copy under the writer's feet, and a stale
+           decline of the superseded grant would then read as the new
+           grant's refusal and discard it again, under a held lock. *)
+        t.owner <- dest;
+        ownership_phase t dest acc
       | Write ->
         (* Surrender the manager's own copy: availability over freshness
            when the real owner is unreachable. *)

@@ -79,17 +79,6 @@ let msg_kind = function
   | Diff _ -> "cm.diff"
   | Fence_bump _ -> "cm.fence_bump"
 
-let msg_size = function
-  | Read_grant { data; _ } | Own_grant { data; _ }
-  | Own_return { data; _ } | Update { data; _ } ->
-    32 + Bytes.length data
-  | Diff { patches; _ } ->
-    List.fold_left (fun acc (_, b) -> acc + 12 + Bytes.length b) 32 patches
-  | Read_req | Write_req | Fetch _ | Fetch_own _ | Upgrade_grant _
-  | Invalidate _ | Invalidate_ack | Done _ | Nack | Evict_notify | Update_ack
-  | Pull_req | Fence_bump _ ->
-    32
-
 (* Byte codecs for [msg], used when CM traffic crosses a real transport.
    Tags are wire format: renumbering breaks cross-version interop. *)
 
@@ -233,11 +222,6 @@ type publish_result =
   | Publish_unsupported
       (** This machine is not a versioned home (wrong protocol, or the
           request landed off-home). *)
-
-let publish_payload_size = function
-  | Whole b -> 32 + Bytes.length b
-  | Runs runs ->
-    List.fold_left (fun acc (_, b) -> acc + 12 + Bytes.length b) 32 runs
 
 let encode_publish_payload enc = function
   | Whole b ->

@@ -76,10 +76,6 @@ type msg =
 val msg_kind : msg -> string
 (** Stable dotted label for traces and metrics, e.g. ["cm.read_grant"]. *)
 
-val msg_size : msg -> int
-(** Modelled wire size in bytes: a 32-byte envelope plus payload bytes.
-    The simulator charges link latency with it; benches report it. *)
-
 val encode_mode : Kutil.Codec.encoder -> mode -> unit
 val decode_mode : Kutil.Codec.decoder -> mode
 
@@ -118,10 +114,6 @@ type publish_result =
   | Publish_unsupported
       (** This machine is not a versioned home (wrong protocol, or the
           request landed off-home). *)
-
-val publish_payload_size : publish_payload -> int
-(** Modelled wire size of a publish payload, same envelope accounting as
-    {!msg_size}: how many bytes a [Page_diff] RPC puts on the wire. *)
 
 val encode_publish_payload : Kutil.Codec.encoder -> publish_payload -> unit
 val decode_publish_payload : Kutil.Codec.decoder -> publish_payload

@@ -116,48 +116,6 @@ type response =
   | R_publish of Ctypes.publish_result
       (** Outcome of a {!request.Page_diff} publish at the home. *)
 
-let addr_size = 16
-let desc_size = 64 (* serialized descriptor estimate *)
-
-let request_size = function
-  | Cm_msg { body; _ } -> (2 * addr_size) + Ctypes.msg_size body
-  | Get_descriptor _ -> addr_size + 8
-  | Alloc_region _ -> desc_size
-  | Free_region _ | Unreserve_region _ -> addr_size + 8
-  | Set_attr _ -> addr_size + 32
-  | Chunk_request -> 8
-  | Cluster_lookup _ -> addr_size + 8
-  | Cluster_walk _ -> addr_size + 8
-  | Cluster_report { node_regions; _ } ->
-    16 + (List.length node_regions * (addr_size + desc_size))
-  | Suspect_hint { suspects; _ } -> 16 + (4 * List.length suspects)
-  | Page_pull _ | Page_probe _ -> addr_size + 8
-  | Ping -> 8
-  | Tx_prepare { pages; _ } ->
-    20 + List.fold_left (fun a (_, img) -> a + addr_size + Bytes.length img) 0 pages
-  | Tx_decide _ -> 21
-  | Tx_status _ -> 20
-  | Page_flush { data; _ } -> (2 * addr_size) + 16 + Bytes.length data
-  | Page_diff { payload; _ } ->
-    (2 * addr_size) + 16 + Ctypes.publish_payload_size payload
-  | Page_version _ -> (2 * addr_size) + 16
-
-let response_size = function
-  | R_unit -> 8
-  | R_descriptor None -> 9
-  | R_descriptor (Some _) -> 8 + desc_size
-  | R_chunk _ -> 8 + addr_size + 8
-  | R_lookup { desc; holders } ->
-    8 + (match desc with Some _ -> desc_size | None -> 1)
-    + (4 * List.length holders)
-  | R_page None -> 9
-  | R_page (Some (data, _)) -> 16 + Bytes.length data
-  | R_held _ -> 9
-  | R_error s -> 8 + String.length s
-  | R_tx_vote _ -> 9
-  | R_tx_status _ -> 9
-  | R_publish _ -> 17
-
 let request_kind = function
   | Cm_msg { body; _ } -> Ctypes.msg_kind body
   | Get_descriptor _ -> "get_descriptor"
@@ -405,8 +363,6 @@ module P = struct
   type nonrec request = request
   type nonrec response = response
 
-  let request_size = request_size
-  let response_size = response_size
   let request_kind = request_kind
   let encode_request = encode_request
   let decode_request = decode_request

@@ -67,11 +67,18 @@ module Overlay_proto = struct
   type request = { obj_addr : Gaddr.t; meth : string; arg : bytes }
   type response = R_ok of bytes | R_err of string
 
-  let request_size r = 16 + String.length r.meth + Bytes.length r.arg + 16
+  let encode_request enc r =
+    Codec.u128 enc r.obj_addr;
+    Codec.string enc r.meth;
+    Codec.bytes enc r.arg
 
-  let response_size = function
-    | R_ok b -> 16 + Bytes.length b
-    | R_err s -> 16 + String.length s
+  let encode_response enc = function
+    | R_ok b ->
+      Codec.u8 enc 0;
+      Codec.bytes enc b
+    | R_err s ->
+      Codec.u8 enc 1;
+      Codec.string enc s
 
   let request_kind _ = "obj.invoke"
 end

@@ -54,7 +54,12 @@ let u64 e v =
   Bytes.set_int64_be e.buf e.len v;
   e.len <- e.len + 8
 
-let int e v = u64 e (Int64.of_int v)
+(* Written out rather than [u64 e (Int64.of_int v)]: the conversion then
+   feeds the store primitive directly and boxes nothing. *)
+let int e v =
+  reserve e 8;
+  Bytes.set_int64_be e.buf e.len (Int64.of_int v);
+  e.len <- e.len + 8
 
 let u128 e (v : U128.t) =
   u64 e v.U128.hi;

@@ -12,8 +12,9 @@ module type MESSAGE = sig
   type t
 
   val size_bytes : t -> int
-  (** Approximate wire size, used for serialisation delay and traffic
-      accounting. *)
+  (** Wire size in bytes, used for serialisation delay and traffic
+      accounting. The RPC core fills it with the length of the envelope's
+      encoded frame, the bytes a socket link would write. *)
 
   val kind : t -> string
   (** Short label for per-message-kind counters and traces. *)

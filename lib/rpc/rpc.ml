@@ -1,9 +1,11 @@
+module Codec = Kutil.Codec
+
 module type PROTOCOL = sig
   type request
   type response
 
-  val request_size : request -> int
-  val response_size : response -> int
+  val encode_request : Codec.encoder -> request -> unit
+  val encode_response : Codec.encoder -> response -> unit
   val request_kind : request -> string
 end
 
@@ -17,29 +19,91 @@ module Make (P : PROTOCOL) = struct
       | Oneway of { span : int; body : P.request }
       | Batch of { items : (int * P.request) list }
 
-    let header_size = 16
+    (* The frame (layout in rpc.mli). Tags are wire format: renumbering
+       breaks cross-version interop. *)
 
-    (* A non-null trace span id adds one correlation word to the envelope;
-       untraced traffic is byte-identical to the pre-tracing protocol. *)
-    let span_size span = if span = 0 then 0 else 8
+    let frame_prefix = 4
 
-    (* Batched items share one envelope header and pay a small per-item
-       length prefix instead: coalescing N messages saves
-       (N-1) * (header_size - item_header) bytes on top of the N-1 saved
-       envelopes. *)
-    let item_header = 4
+    let tag_request = 1
+    and tag_response = 2
+    and tag_oneway = 3
+    and tag_batch = 4
 
-    let size_bytes = function
-      | Request { span; body; _ } ->
-        header_size + span_size span + P.request_size body
-      | Response { body; _ } -> header_size + P.response_size body
-      | Oneway { span; body } ->
-        header_size + span_size span + P.request_size body
-      | Batch { items } ->
-        List.fold_left
-          (fun acc (span, body) ->
-            acc + item_header + span_size span + P.request_size body)
-          header_size items
+    (* A named recursion, not [Codec.list] with a fresh closure: encoding
+       a batch allocates nothing. *)
+    let rec encode_items enc = function
+      | [] -> ()
+      | (span, body) :: rest ->
+        Codec.int enc span;
+        P.encode_request enc body;
+        encode_items enc rest
+
+    let encode_frame enc ~src msg =
+      Codec.reset enc;
+      Codec.u32 enc 0;
+      (match msg with
+       | Request { id; span; body } ->
+         Codec.u8 enc tag_request;
+         Codec.u32 enc src;
+         Codec.int enc id;
+         Codec.int enc span;
+         P.encode_request enc body
+       | Response { id; body } ->
+         Codec.u8 enc tag_response;
+         Codec.u32 enc src;
+         Codec.int enc id;
+         P.encode_response enc body
+       | Oneway { span; body } ->
+         Codec.u8 enc tag_oneway;
+         Codec.u32 enc src;
+         Codec.int enc span;
+         P.encode_request enc body
+       | Batch { items } ->
+         Codec.u8 enc tag_batch;
+         Codec.u32 enc src;
+         Codec.u32 enc (List.length items);
+         encode_items enc items);
+      Codec.patch_u32 enc ~at:0 (Codec.length enc - frame_prefix)
+
+    let payload_length buf off = Int32.to_int (Bytes.get_int32_be buf off)
+
+    let payload_src buf ~off ~len =
+      if len < 5 then None
+      else Some (Int32.to_int (Bytes.get_int32_be buf (off + 1)))
+
+    let decode_payload ~request ~response dec =
+      let tag = Codec.read_u8 dec in
+      let src = Codec.read_u32 dec in
+      let msg =
+        if tag = tag_request then
+          let id = Codec.read_int dec in
+          let span = Codec.read_int dec in
+          Request { id; span; body = request dec }
+        else if tag = tag_response then
+          let id = Codec.read_int dec in
+          Response { id; body = response dec }
+        else if tag = tag_oneway then
+          let span = Codec.read_int dec in
+          Oneway { span; body = request dec }
+        else if tag = tag_batch then
+          Batch
+            {
+              items =
+                Codec.read_list dec (fun () ->
+                    let span = Codec.read_int dec in
+                    (span, request dec));
+            }
+        else raise (Codec.Decode_error "Rpc: unknown frame tag")
+      in
+      (src, msg)
+
+    (* The simulated link sizes every envelope by encoding its frame here.
+       [src] is a fixed-width field, so any value gives the same length. *)
+    let sizing = Codec.encoder ()
+
+    let size_bytes msg =
+      encode_frame sizing ~src:0 msg;
+      Codec.length sizing
 
     let kind = function
       | Request { body; _ } -> P.request_kind body

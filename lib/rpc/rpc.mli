@@ -1,11 +1,11 @@
 (** Request/response messaging: the one RPC core under every transport.
 
     Khazana daemons drive every protocol through this layer. It owns the
-    envelope alphabet, call correlation, {!Policy} timeouts and retries,
-    same-instant coalescing of one-way messages, and server dispatch.
-    Retried requests give at-least-once execution: handlers must be
-    idempotent or deduplicate, as the paper's own retry-until-success
-    error handling requires.
+    envelope alphabet and its one frame format, call correlation,
+    {!Policy} timeouts and retries, same-instant coalescing of one-way
+    messages, and server dispatch. Retried requests give at-least-once
+    execution: handlers must be idempotent or deduplicate, as the paper's
+    own retry-until-success error handling requires.
 
     What moves envelopes is a {!Make.link}: a [send] closure and the
     link's {!Knet.Edge.t}. The core hands a link each outgoing envelope
@@ -13,7 +13,13 @@
     where every link injects faults, rolls its frame shim and counts its
     traffic, so both links do those the same way. {!Make.sim} links the
     core to the simulated {!Knet.Network}. [Ktransport.Transport_unix]
-    links it to length-prefixed frames over Unix-domain sockets.
+    links it to the same frames ({!Make.Msg.encode_frame}) over
+    Unix-domain sockets.
+
+    Both links count an envelope as the length of its encoded frame: the
+    socket link writes that frame, the simulated link encodes it only to
+    measure it and charges the bytes as bandwidth delay. So one envelope
+    costs the same bytes on either link, traced or not.
 
     One-way messages marked coalescable are not sent immediately: they sit
     in a per-(source, destination) queue until the end of the current
@@ -22,16 +28,15 @@
     pays one envelope, not N. *)
 
 (** The user-supplied wire protocol: one request and one response type,
-    with enough metadata for the network's size and kind accounting. *)
+    their byte encoders ({!Kutil.Codec}), and a kind label for the
+    traffic counters. A link that also receives bytes needs the decoders
+    too ([Ktransport.Transport.WIRE]). *)
 module type PROTOCOL = sig
   type request
   type response
 
-  val request_size : request -> int
-  (** Approximate serialised size of a request body in bytes. *)
-
-  val response_size : response -> int
-  (** Approximate serialised size of a response body in bytes. *)
+  val encode_request : Kutil.Codec.encoder -> request -> unit
+  val encode_response : Kutil.Codec.encoder -> response -> unit
 
   val request_kind : request -> string
   (** Short label for per-kind traffic counters ({!Knet.Network}). *)
@@ -55,14 +60,51 @@ module Make (P : PROTOCOL) : sig
               [Oneway] would have been. *)
 
     val size_bytes : t -> int
-    (** Envelope wire size: header + body, plus a span correlation word
-        when traced; batches share one header across items. *)
+    (** Length of the envelope's frame ({!encode_frame}), prefix included:
+        what either link counts for it. Encodes into one encoder kept for
+        the purpose. *)
 
     val kind : t -> string
     (** Envelope-level label ("rpc.batch" for batches). *)
 
     val kinds : t -> string list
     (** Per-logical-message labels; see {!Knet.Network.MESSAGE.kinds}. *)
+
+    (** {2 The frame}
+
+        [[u32 payload length]] (big-endian) then the payload, which opens
+        with [[u8 tag][u32 src]] and continues by tag:
+        - 1 [Request]: [[int id][int span][request]]
+        - 2 [Response]: [[int id][response]]
+        - 3 [Oneway]: [[int span][request]]
+        - 4 [Batch]: [[u32 count]], then [[int span][request]] per item.
+
+        Fields are {!Kutil.Codec} encodings; [span] is always present
+        (0 when untraced). *)
+
+    val frame_prefix : int
+    (** Bytes of the length prefix before the payload (4). *)
+
+    val encode_frame : Kutil.Codec.encoder -> src:node_id -> t -> unit
+    (** Reset the encoder and write one whole frame from [src] into it:
+        the frame is the encoder's first {!Kutil.Codec.length} bytes.
+        The framing itself allocates nothing. *)
+
+    val payload_length : bytes -> int -> int
+    (** The payload length a frame's prefix at that offset declares; a
+        negative value marks a corrupt stream. *)
+
+    val payload_src : bytes -> off:int -> len:int -> node_id option
+    (** The sender named by the [len]-byte payload at [off], read without
+        decoding it; [None] when the payload is too short to name one. *)
+
+    val decode_payload :
+      request:(Kutil.Codec.decoder -> P.request) ->
+      response:(Kutil.Codec.decoder -> P.response) ->
+      Kutil.Codec.decoder -> node_id * t
+    (** The sender and envelope of one payload (the frame after its
+        prefix), bodies read with [request] and [response].
+        @raise Kutil.Codec.Decode_error on a malformed payload. *)
   end
 
   module Net : module type of Knet.Network.Make (Msg)

@@ -7,8 +7,10 @@
     server handler per node, and its link's {!Knet.Edge.t}: traffic
     {!stats} and failure injection ([faults], on every link).
 
-    Two links carry the core's envelopes. Each moves envelopes its own way
-    and injects, shims and counts through its edge:
+    Two links carry the core's envelopes, both in the core's one frame
+    format ({!Krpc.Rpc.Make.Msg.encode_frame}) and both counting an
+    envelope as that frame's length. Each moves envelopes its own way and
+    injects, shims and counts through its edge:
     - {!Krpc.Rpc.Make.sim}: the deterministic simulated network
       ({!Knet.Network}), every node sharing one virtual clock and one
       edge; injection edits global network state.
@@ -27,14 +29,13 @@
 type stats = Knet.Edge.stats
 (** Traffic counters, one record for every link. *)
 
-(** What a socket link needs: a protocol that also round-trips through
-    bytes ({!Kutil.Codec} wire format). *)
+(** What a socket link needs: a protocol whose bodies also decode. The
+    encoders are already the core's ({!Krpc.Rpc.PROTOCOL}); a [WIRE]
+    adds the two decoders. *)
 module type WIRE = sig
   include Krpc.Rpc.PROTOCOL
 
-  val encode_request : Kutil.Codec.encoder -> request -> unit
   val decode_request : Kutil.Codec.decoder -> request
-  val encode_response : Kutil.Codec.encoder -> response -> unit
   val decode_response : Kutil.Codec.decoder -> response
 end
 

@@ -1,7 +1,5 @@
 module Codec = Kutil.Codec
 
-let frame_header = 4
-
 (* An accepted connection. Received bytes live in [in_buf.[in_lo ..
    in_hi - 1]]; [Unix.read] writes straight into the free tail, complete
    frames are decoded where they lie, and the buffer is compacted in place
@@ -57,73 +55,9 @@ module Make (W : Transport.WIRE) = struct
   let id t = t.id
   let engine t = t.engine
 
-  (* ---------------- frames ---------------- *)
-
-  let tag_request = 1
-  and tag_response = 2
-  and tag_oneway = 3
-  and tag_batch = 4
-
-  (* Encode [msg] as one length-prefixed frame into the endpoint's encoder:
-     reserve the 4-byte length, encode the payload, patch the length. The
-     frame is [Codec.contents t.enc] up to [Codec.length t.enc], valid until
-     the next encode. *)
-  let encode_frame t (msg : Msg.t) =
-    let enc = t.enc and src = t.id in
-    Codec.reset enc;
-    Codec.u32 enc 0;
-    (match msg with
-     | Request { id = call; span; body } ->
-       Codec.u8 enc tag_request;
-       Codec.u32 enc src;
-       Codec.int enc call;
-       Codec.int enc span;
-       W.encode_request enc body
-     | Response { id = call; body } ->
-       Codec.u8 enc tag_response;
-       Codec.u32 enc src;
-       Codec.int enc call;
-       W.encode_response enc body
-     | Oneway { span; body } ->
-       Codec.u8 enc tag_oneway;
-       Codec.u32 enc src;
-       Codec.int enc span;
-       W.encode_request enc body
-     | Batch { items } ->
-       Codec.u8 enc tag_batch;
-       Codec.u32 enc src;
-       Codec.list enc
-         (fun (span, body) ->
-           Codec.int enc span;
-           W.encode_request enc body)
-         items);
-    Codec.patch_u32 enc ~at:0 (Codec.length enc - frame_header)
-
-  let decode_payload dec =
-    let tag = Codec.read_u8 dec in
-    let src = Codec.read_u32 dec in
-    let msg : Msg.t =
-      if tag = tag_request then
-        let id = Codec.read_int dec in
-        let span = Codec.read_int dec in
-        Request { id; span; body = W.decode_request dec }
-      else if tag = tag_response then
-        let id = Codec.read_int dec in
-        Response { id; body = W.decode_response dec }
-      else if tag = tag_oneway then
-        let span = Codec.read_int dec in
-        Oneway { span; body = W.decode_request dec }
-      else if tag = tag_batch then
-        Batch
-          {
-            items =
-              Codec.read_list dec (fun () ->
-                  let span = Codec.read_int dec in
-                  (span, W.decode_request dec));
-          }
-      else raise (Codec.Decode_error "Transport_unix: unknown frame tag")
-    in
-    (src, msg)
+  (* The core's frame format, bodies read with this protocol's decoders. *)
+  let decode_payload =
+    Msg.decode_payload ~request:W.decode_request ~response:W.decode_response
 
   (* ---------------- sockets ---------------- *)
 
@@ -296,7 +230,7 @@ module Make (W : Transport.WIRE) = struct
      reaches the wire, so the shim never sees it; it is decoded now, and
      the decoded message owns its bytes. *)
   let transmit t ~dst msg =
-    encode_frame t msg;
+    Msg.encode_frame t.enc ~src:t.id msg;
     let frame = Codec.contents t.enc and len = Codec.length t.enc in
     let edge = t.edge in
     Knet.Edge.note_sent edge ~bytes:len (Msg.kinds msg);
@@ -305,7 +239,7 @@ module Make (W : Transport.WIRE) = struct
       false
     end
     else if dst = t.id then begin
-      receive t frame ~off:frame_header ~len:(len - frame_header)
+      receive t frame ~off:Msg.frame_prefix ~len:(len - Msg.frame_prefix)
         ~after:local_delay;
       true
     end
@@ -345,19 +279,19 @@ module Make (W : Transport.WIRE) = struct
   let take_frames t c =
     let rec go () =
       let avail = c.in_hi - c.in_lo in
-      if avail < frame_header then true
+      if avail < Msg.frame_prefix then true
       else
-        let n = Int32.to_int (Bytes.get_int32_be c.in_buf c.in_lo) in
+        let n = Msg.payload_length c.in_buf c.in_lo in
         if n < 0 then false
-        else if avail < frame_header + n then true
+        else if avail < Msg.frame_prefix + n then true
         else begin
-          let off = c.in_lo + frame_header in
-          (* Every frame begins [u8 tag][u32 src] (see [encode_frame]); peek
-             the src so [sever] can find the connection a peer speaks on. *)
-          if c.in_src = None && n >= 5 then
-            c.in_src <- Some (Int32.to_int (Bytes.get_int32_be c.in_buf (off + 1)));
+          let off = c.in_lo + Msg.frame_prefix in
+          (* Peek the speaker so [sever] can find the connection a peer
+             speaks on. *)
+          if c.in_src = None then
+            c.in_src <- Msg.payload_src c.in_buf ~off ~len:n;
           receive t c.in_buf ~off ~len:n ~after:0;
-          c.in_lo <- c.in_lo + frame_header + n;
+          c.in_lo <- c.in_lo + Msg.frame_prefix + n;
           go ()
         end
     in
@@ -373,8 +307,8 @@ module Make (W : Transport.WIRE) = struct
   let make_room c =
     let pending = c.in_hi - c.in_lo in
     let want =
-      if pending < frame_header then frame_header
-      else frame_header + Int32.to_int (Bytes.get_int32_be c.in_buf c.in_lo)
+      if pending < Msg.frame_prefix then Msg.frame_prefix
+      else Msg.frame_prefix + Msg.payload_length c.in_buf c.in_lo
     in
     let cap = Bytes.length c.in_buf in
     if want <= cap then Bytes.blit c.in_buf c.in_lo c.in_buf 0 pending

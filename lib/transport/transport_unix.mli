@@ -5,10 +5,12 @@
     opened outgoing connections to peers, and a private {!Ksim.Engine.t}
     whose virtual clock is driven to track real elapsed time — so the same
     fiber-blocking daemon code that runs under simulation runs here with
-    real-time semantics. Frames are a 4-byte big-endian length followed by
-    a {!Kutil.Codec} payload carrying one of the core's envelopes (request
-    / response / oneway / batch). Correlation, retries, coalescing and
-    dispatch are the core's; this module only moves frames.
+    real-time semantics. The frames are the core's
+    ({!Krpc.Rpc.Make.Msg.encode_frame}: a 4-byte length prefix, then one
+    envelope), encoded into one encoder per endpoint and decoded in place
+    from each connection's receive buffer; the simulated link counts the
+    same frame lengths. Correlation, retries, coalescing, dispatch and the
+    frame layout are the core's; this module only moves frames.
 
     Two kinds of failure coexist on this link. {e Genuine} failures —
     a peer process that died, a refused dial, a dead socket mid-write —

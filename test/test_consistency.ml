@@ -173,6 +173,44 @@ let test_crew_owner_crash_failover () =
   Alcotest.(check (option string)) "data recovered" (Some "precious")
     (Option.map Bytes.to_string (H.installed_data h 2))
 
+(* The home writing its own page upgrades in place: after the readers'
+   invalidation it sends itself an Upgrade_grant. A Fence_bump landing
+   while that grant is in flight restarts the transaction. The restart
+   must keep the home's copy: surrendering it turned the superseded
+   grant's arrival into a decline (an Evict_notify), which the home then
+   took for a refusal of the new grant and answered by discarding the
+   copy again, under the write lock the new grant had just let through.
+   kbench's sim-wan seed 8105 hit this as a transaction commit finding
+   its locked page missing from the store. *)
+let test_crew_fence_bump_keeps_home_writer_copy () =
+  let h = mk () in
+  ignore (H.acquire_sync h 1 Ctypes.Read);
+  H.release h 1 Ctypes.Read ~data:None;
+  let w = H.acquire h 0 Ctypes.Write in
+  (* Write_req to self, then Invalidate to n1 and its ack: what is left
+     in flight is the home's Upgrade_grant to itself. *)
+  let rec until_upgrade_in_flight () =
+    match h.H.wire with
+    | [ (0, 0, Ctypes.Upgrade_grant _) ] -> ()
+    | [] -> Alcotest.fail "no upgrade grant in flight"
+    | _ ->
+      ignore (H.deliver_one h);
+      until_upgrade_in_flight ()
+  in
+  until_upgrade_in_flight ();
+  H.feed h 0 (Ctypes.Peer { src = 2; msg = Ctypes.Fence_bump { floor = 1000 } });
+  let check_copy () =
+    let _, writer = H.locks h 0 in
+    if writer && not (H.has_copy h 0) then
+      Alcotest.fail "home holds the write lock without its copy"
+  in
+  while h.H.wire <> [] do
+    ignore (H.deliver_one h);
+    check_copy ()
+  done;
+  Alcotest.(check bool) "write granted" true (H.is_granted h w);
+  Alcotest.(check string) "home owns exclusively" "owned_excl" (H.state h 0)
+
 (* ----------------------------- Release ----------------------------- *)
 
 let test_release_stale_reads_allowed () =
@@ -338,12 +376,17 @@ let test_wshared_diff_only_changed_bytes () =
   let page = Bytes.make 4096 'a' in
   Bytes.blit_string "tiny" 0 page 100 4;
   H.release h 1 Ctypes.Write ~data:(Some page);
-  (* The wire carries a Diff whose payload is ~the 4 changed bytes, not
+  (* The wire carries a Diff whose encoding is ~the 4 changed bytes, not
      the whole page. *)
+  let encoded_size msg =
+    let enc = Kutil.Codec.encoder () in
+    Ctypes.encode_msg enc msg;
+    Kutil.Codec.length enc
+  in
   let diff_size =
     List.fold_left
       (fun acc (_, _, msg) ->
-        match msg with Ctypes.Diff _ -> acc + Ctypes.msg_size msg | _ -> acc)
+        match msg with Ctypes.Diff _ -> acc + encoded_size msg | _ -> acc)
       0 h.H.wire
   in
   Alcotest.(check bool)
@@ -771,6 +814,8 @@ let () =
           Alcotest.test_case "min replicas" `Quick test_crew_min_replicas;
           Alcotest.test_case "owner crash fail-over" `Quick
             test_crew_owner_crash_failover;
+          Alcotest.test_case "fence bump keeps the home writer's copy" `Quick
+            test_crew_fence_bump_keeps_home_writer_copy;
         ] );
       ( "release",
         [

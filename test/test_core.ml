@@ -246,16 +246,22 @@ let test_wire_sizes_positive () =
           body = Ctypes.Read_grant { data = Bytes.create 4096; version = 1; fence = 0 } };
     ]
   in
+  (* Sizes are encoded lengths: the bytes the request puts on the wire. *)
+  let encoded_size r =
+    let enc = Kutil.Codec.encoder () in
+    Khazana.Wire.encode_request enc r;
+    Kutil.Codec.length enc
+  in
   List.iter
     (fun r ->
       Alcotest.(check bool)
         (Khazana.Wire.request_kind r ^ " has positive size")
         true
-        (Khazana.Wire.request_size r > 0))
+        (encoded_size r > 0))
     reqs;
   (* Data-bearing messages dominate. *)
   Alcotest.(check bool) "grant carries page" true
-    (Khazana.Wire.request_size (List.nth reqs 3) > 4096)
+    (encoded_size (List.nth reqs 3) > 4096)
 
 let () =
   Alcotest.run "core-units"

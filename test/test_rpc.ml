@@ -8,12 +8,26 @@ module Proto = struct
   type request = Echo of string | Slow of Time.t
   type response = Echoed of string
 
-  let request_size = function
-    | Echo s -> 16 + String.length s
-    | Slow _ -> 24
+  module Codec = Kutil.Codec
 
-  let response_size (Echoed s) = 16 + String.length s
   let request_kind = function Echo _ -> "echo" | Slow _ -> "slow"
+
+  let encode_request enc = function
+    | Echo s ->
+      Codec.u8 enc 0;
+      Codec.string enc s
+    | Slow d ->
+      Codec.u8 enc 1;
+      Codec.int enc d
+
+  let decode_request dec =
+    match Codec.read_u8 dec with
+    | 0 -> Echo (Codec.read_string dec)
+    | 1 -> Slow (Codec.read_int dec)
+    | n -> raise (Codec.Decode_error (Printf.sprintf "Proto.request: %d" n))
+
+  let encode_response enc (Echoed s) = Codec.string enc s
+  let decode_response dec = Echoed (Codec.read_string dec)
 end
 
 module R = Krpc.Rpc.Make (Proto)
@@ -134,6 +148,8 @@ let test_coalesce_batches_same_tick () =
   Alcotest.(check int) "three logical messages" 3
     (s1.Knet.Edge.atoms - s0.Knet.Edge.atoms)
 
+(* Sizes are encoded frame lengths: a batch pays one prefix, tag and src
+   for all its items. *)
 let test_batch_envelope_cheaper_than_oneways () =
   let batch =
     R.Msg.Batch { items = [ (0, Proto.Echo "aa"); (0, Proto.Echo "bb") ] }
@@ -146,6 +162,67 @@ let test_batch_envelope_cheaper_than_oneways () =
     (R.Msg.size_bytes batch < oneways);
   Alcotest.(check (list string)) "batch kinds are per item" [ "echo"; "echo" ]
     (R.Msg.kinds batch)
+
+(* ---- the frame ---- *)
+
+let frame ~src msg =
+  let enc = Kutil.Codec.encoder () in
+  R.Msg.encode_frame enc ~src msg;
+  Kutil.Codec.to_bytes enc
+
+let decode frame =
+  let n = R.Msg.payload_length frame 0 in
+  Alcotest.(check int) "prefix holds the payload length"
+    (Bytes.length frame - R.Msg.frame_prefix) n;
+  let dec = Kutil.Codec.decoder_sub frame ~off:R.Msg.frame_prefix ~len:n in
+  let decoded =
+    R.Msg.decode_payload ~request:Proto.decode_request
+      ~response:Proto.decode_response dec
+  in
+  Alcotest.(check int) "payload consumed" 0 (Kutil.Codec.remaining dec);
+  decoded
+
+(* Every envelope shape decodes to itself and its sender, and what the
+   simulated link counts for it is exactly its frame's length. *)
+let test_frame_round_trip () =
+  let shapes =
+    [
+      R.Msg.Request { id = 0; span = 0; body = Proto.Echo "" };
+      R.Msg.Request { id = 41; span = 7; body = Proto.Slow (Time.ms 3) };
+      R.Msg.Response { id = 41; body = Proto.Echoed "pong" };
+      R.Msg.Oneway { span = 0; body = Proto.Echo "one" };
+      R.Msg.Oneway { span = 9; body = Proto.Echo "traced" };
+      R.Msg.Batch { items = [] };
+      R.Msg.Batch
+        { items =
+            [ (0, Proto.Echo "a"); (3, Proto.Slow 5); (0, Proto.Echo "c") ] };
+    ]
+  in
+  List.iteri
+    (fun i msg ->
+      let src = 5 + i in
+      let f = frame ~src msg in
+      Alcotest.(check int) "size_bytes is the frame length" (Bytes.length f)
+        (R.Msg.size_bytes msg);
+      Alcotest.(check (option int)) "src peeked without decoding" (Some src)
+        (R.Msg.payload_src f ~off:R.Msg.frame_prefix
+           ~len:(Bytes.length f - R.Msg.frame_prefix));
+      let src', msg' = decode f in
+      Alcotest.(check int) "sender" src src';
+      Alcotest.(check bool) (Printf.sprintf "shape %d round-trips" i) true
+        (msg = msg'))
+    shapes;
+  (* The span word is always on the wire: tracing costs no bytes. *)
+  Alcotest.(check int) "traced and untraced oneways are the same size"
+    (R.Msg.size_bytes (R.Msg.Oneway { span = 0; body = Proto.Echo "x" }))
+    (R.Msg.size_bytes (R.Msg.Oneway { span = 12345; body = Proto.Echo "x" }))
+
+let test_frame_rejects_unknown_tag () =
+  let f = frame ~src:1 (R.Msg.Oneway { span = 0; body = Proto.Echo "x" }) in
+  Bytes.set_uint8 f R.Msg.frame_prefix 99;
+  match decode f with
+  | _ -> Alcotest.fail "decoded a frame with an unknown tag"
+  | exception Kutil.Codec.Decode_error _ -> ()
 
 let () =
   Alcotest.run "krpc"
@@ -164,5 +241,11 @@ let () =
           Alcotest.test_case "same-tick batch" `Quick test_coalesce_batches_same_tick;
           Alcotest.test_case "envelope economics" `Quick
             test_batch_envelope_cheaper_than_oneways;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "every envelope round-trips" `Quick
+            test_frame_round_trip;
+          Alcotest.test_case "unknown tag" `Quick test_frame_rejects_unknown_tag;
         ] );
     ]

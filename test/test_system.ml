@@ -507,6 +507,35 @@ let test_tracing_disabled_zero_records () =
   Alcotest.(check bool) "tracing off" false (Trace.enabled ());
   Alcotest.(check int) "no records" 0 (Trace.Ring.length ring)
 
+(* Span ids ride in every envelope whether or not anyone traces, so a
+   sink changes no envelope's bytes and hence no simulated delay. *)
+let test_tracing_keeps_the_schedule () =
+  let run () =
+    let sys = mk ~seed:91 () in
+    let c1 = System.client sys 1 ()
+    and c2 = System.client sys 2 ()
+    and c4 = System.client sys 4 () in
+    System.run_fiber sys (fun () ->
+        let r = ok (Client.create_region c1 (4 * 4096)) in
+        let base = r.Region.base in
+        ok (Client.write_bytes c1 ~addr:base (Bytes.make 5000 'a'));
+        ok (Client.write_bytes c4 ~addr:base (bytes_s "remote write"));
+        ignore (ok (Client.read_bytes c2 ~addr:base 4096));
+        ignore (ok (Client.read_bytes c4 ~addr:(Gaddr.add_int base 4096) 100));
+        ok (Client.write_bytes c2 ~addr:base (bytes_s "third writer")));
+    let stats = Khazana.Wire.Transport.stats (System.transport sys) in
+    (System.now sys, stats.sent, stats.bytes_sent)
+  in
+  let dark = run () in
+  let lit, records =
+    with_trace_ring (fun ring ->
+        let r = run () in
+        (r, Trace.Ring.length ring))
+  in
+  Alcotest.(check bool) "the traced run recorded spans" true (records > 0);
+  Alcotest.(check (triple int int int))
+    "same virtual time, envelopes and bytes with a sink installed" dark lit
+
 (* ---------------------- MVCC (versioned regions) -------------------- *)
 
 let versioned_attr = Attr.make ~protocol:"versioned" ~owner:1 ()
@@ -965,5 +994,7 @@ let () =
             test_cross_node_lock_hop_spans;
           Alcotest.test_case "disabled emits nothing" `Quick
             test_tracing_disabled_zero_records;
+          Alcotest.test_case "sink leaves the schedule alone" `Quick
+            test_tracing_keeps_the_schedule;
         ] );
     ]

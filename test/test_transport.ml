@@ -15,11 +15,6 @@ module Proto = struct
   type request = Echo of string | Silent
   type response = Echoed of string
 
-  let request_size = function
-    | Echo s -> 16 + String.length s
-    | Silent -> 8
-
-  let response_size (Echoed s) = 16 + String.length s
   let request_kind = function Echo _ -> "echo" | Silent -> "silent"
 
   module Codec = Kutil.Codec
@@ -74,6 +69,10 @@ module type HARNESS = sig
   (** Apply a fault operation at every vantage: once to the simulated
       link's one edge, once per endpoint's edge on sockets (where
       injection is each endpoint's local view). *)
+
+  val vantages : h -> T.t list
+  (** One transport per traffic ledger: the simulated network's one, or
+      every endpoint's. Summed, their stats count every envelope once. *)
 end
 
 module Sim_harness : HARNESS = struct
@@ -102,6 +101,7 @@ module Sim_harness : HARNESS = struct
   let refused = `Timeout
 
   let inject h f = f (T.faults h.transport)
+  let vantages h = [ h.transport ]
 end
 
 module Unix_harness = struct
@@ -146,6 +146,7 @@ module Unix_harness = struct
   let refused = `Unreachable
 
   let inject h f = Array.iter (fun e -> f (T.faults (Sockets.pack e))) h.eps
+  let vantages h = Array.to_list (Array.map Sockets.pack h.eps)
 end
 
 (* The functor application below still checks Unix_harness against
@@ -921,10 +922,78 @@ module Unix_only = struct
     ]
 end
 
+(* ---- both links count the same frame for the same envelope ---- *)
+
+(* A call and its reply, a oneway, a 3-item coalesced batch and a traced
+   call and its reply, sent from node 0 to node 1 over [H]'s link; the
+   traffic every ledger of the link counted, as (envelopes, bytes). *)
+let traffic (module H : HARNESS) =
+  let h = H.setup () in
+  Fun.protect
+    ~finally:(fun () -> H.teardown h)
+    (fun () ->
+      let t0 = H.transport h ~node:0 in
+      let policy = Policy.with_timeout H.timeout in
+      T.set_server (H.transport h ~node:1) 1 (fun ~src:_ ~span:_ req ~reply ->
+          match req with
+          | Proto.Echo s -> reply (Proto.Echoed s)
+          | Proto.Silent -> ());
+      List.iter T.reset_stats (H.vantages h);
+      let call ?span s =
+        match
+          H.run h ~src:0 (fun () ->
+              T.call t0 ~src:0 ~dst:1 ~policy ?span (Proto.Echo s))
+        with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.failf "%s: call %S failed" H.name s
+      in
+      call "hello";
+      T.notify t0 ~src:0 ~dst:1 (Proto.Echo "oneway");
+      H.run h ~src:0 (fun () ->
+          List.iter
+            (fun s -> T.notify t0 ~src:0 ~dst:1 ~coalesce:true (Proto.Echo s))
+            [ "a"; "bb"; "ccc" ]);
+      call ~span:77 "traced";
+      H.settle h;
+      List.fold_left
+        (fun (n, b) t ->
+          let s = T.stats t in
+          (n + s.sent, b + s.bytes_sent))
+        (0, 0) (H.vantages h))
+
+let test_links_count_the_same_bytes () =
+  let expected =
+    let open T.Msg in
+    let envelopes =
+      [
+        Request { id = 0; span = 0; body = Proto.Echo "hello" };
+        Response { id = 0; body = Proto.Echoed "hello" };
+        Oneway { span = 0; body = Proto.Echo "oneway" };
+        Batch
+          { items =
+              [ (0, Proto.Echo "a"); (0, Proto.Echo "bb"); (0, Proto.Echo "ccc") ] };
+        Request { id = 1; span = 77; body = Proto.Echo "traced" };
+        Response { id = 1; body = Proto.Echoed "traced" };
+      ]
+    in
+    (List.length envelopes, List.fold_left (fun a m -> a + size_bytes m) 0 envelopes)
+  in
+  let sim = traffic (module Sim_harness) in
+  let unix = traffic (module Unix_harness) in
+  Alcotest.(check (pair int int)) "sim: the frames' lengths" expected sim;
+  Alcotest.(check (pair int int)) "unix: the frames' lengths" expected unix;
+  Alcotest.(check (pair int int)) "same sent and bytes_sent on both links" sim
+    unix
+
 let () =
   Alcotest.run "ktransport"
     [
       ("conformance:" ^ Sim_harness.name, Sim_suite.cases);
       ("conformance:" ^ Unix_harness.name, Unix_suite.cases);
+      ( "conformance:both",
+        [
+          Alcotest.test_case "one envelope, one byte count" `Quick
+            test_links_count_the_same_bytes;
+        ] );
       ("sockets", Unix_only.cases);
     ]
