@@ -42,13 +42,6 @@ let container_tests =
           Kutil.Heap.push h ((i * 37) mod 100)
         done;
         while Kutil.Heap.pop h <> None do () done));
-    Test.make ~name:"lru put+find x100"
-      (let lru = Kutil.Lru.create ~capacity:64 () in
-       Staged.stage (fun () ->
-           for i = 0 to 99 do
-             ignore (Kutil.Lru.put lru (i mod 80) i);
-             ignore (Kutil.Lru.find lru (i mod 80))
-           done));
   ]
 
 let engine_tests =

@@ -16,7 +16,7 @@ include Replica.Make (struct
 
   let name = "eventual"
   let init _ = ()
-  let period cfg = cfg.propagate_every
+  let period = Replica.propagate_every
   let fresh (t : extra Replica.t) version = version > t.ver
 
   let absorb t ~src:_ msg acc =

@@ -23,8 +23,6 @@ module type MACHINE = sig
   val has_valid_copy : t -> bool
   (** Would a local read observe protocol-valid data? *)
 
-  val is_owner : t -> bool
-
   val locks_held : t -> int * bool
   (** (readers, writer) currently granted locally. *)
 
@@ -97,7 +95,6 @@ let handle_packed ?hook (Packed ((module M), m)) event =
     actions
 let packed_state_name (Packed ((module M), m)) = M.state_name m
 let packed_has_valid_copy (Packed ((module M), m)) = M.has_valid_copy m
-let packed_is_owner (Packed ((module M), m)) = M.is_owner m
 let packed_locks_held (Packed ((module M), m)) = M.locks_held m
 let packed_version (Packed ((module M), m)) = M.version m
 let packed_backup_version (Packed ((module M), m)) = M.backup_version m

@@ -25,9 +25,6 @@ module type MACHINE = sig
   val has_valid_copy : t -> bool
   (** Would a local read observe protocol-valid data? *)
 
-  val is_owner : t -> bool
-  (** Does this node hold exclusive write ownership (CREW-family)? *)
-
   val locks_held : t -> int * bool
   (** (readers, writer) currently granted locally. *)
 
@@ -98,7 +95,6 @@ val handle_packed :
 
 val packed_state_name : packed -> string
 val packed_has_valid_copy : packed -> bool
-val packed_is_owner : packed -> bool
 val packed_locks_held : packed -> int * bool
 val packed_version : packed -> Types.version
 val packed_backup_version : packed -> Types.version

@@ -15,7 +15,6 @@ type timer_id = int
 type mode = Read | Write
 
 let mode_to_string = function Read -> "read" | Write -> "write"
-let pp_mode ppf m = Format.pp_print_string ppf (mode_to_string m)
 
 (** Wire messages exchanged between CM peers for one page. The same message
     alphabet serves all protocols; each protocol uses a subset. *)
@@ -333,18 +332,6 @@ type action =
       (** Home's current view of nodes holding copies; the daemon mirrors it
           into its page directory. *)
 
-let pp_action ppf = function
-  | Send (n, m) -> Format.fprintf ppf "send(%d,%s)" n (msg_kind m)
-  | Grant r -> Format.fprintf ppf "grant(%d)" r
-  | Reject (r, Unavailable why) -> Format.fprintf ppf "reject(%d,%s)" r why
-  | Install _ -> Format.fprintf ppf "install"
-  | Discard -> Format.fprintf ppf "discard"
-  | Start_timer { id; after } ->
-    Format.fprintf ppf "timer(%d,%a)" id Ksim.Time.pp after
-  | Sharers_hint ns ->
-    Format.fprintf ppf "sharers[%s]"
-      (String.concat "," (List.map string_of_int ns))
-
 (** How a machine comes to life on a node. *)
 type init =
   | Start_unknown          (** ordinary node: no copy, no role *)
@@ -359,8 +346,6 @@ type config = {
       (** preferred nodes for extra primary replicas, excluding home *)
   request_timeout : Ksim.Time.t;
       (** home-side per-hop timeout before it retries/fails over *)
-  propagate_every : Ksim.Time.t;
-      (** eventual consistency: anti-entropy period *)
   version_chain_depth : int;
       (** versioned CM: how many immutable page versions the home retains
           per page. Older versions fall past the GC watermark: snapshot
@@ -375,6 +360,5 @@ let default_config ~self ~home =
     min_replicas = 1;
     replica_targets = [];
     request_timeout = Ksim.Time.ms 200;
-    propagate_every = Ksim.Time.ms 100;
     version_chain_depth = 8;
   }

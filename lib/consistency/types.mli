@@ -24,7 +24,6 @@ type mode = Read | Write
 (** Lock mode of a client intent. *)
 
 val mode_to_string : mode -> string
-val pp_mode : Format.formatter -> mode -> unit
 
 type fence = int
 (** A manager-side transaction sequence number. Grants and invalidations
@@ -185,8 +184,6 @@ type action =
       (** Home's current view of nodes holding copies; the daemon mirrors it
           into its page directory. *)
 
-val pp_action : Format.formatter -> action -> unit
-
 (** How a machine comes to life on a node. *)
 type init =
   | Start_unknown          (** ordinary node: no copy, no role *)
@@ -201,8 +198,6 @@ type config = {
       (** preferred nodes for extra primary replicas, excluding home *)
   request_timeout : Ksim.Time.t;
       (** home-side per-hop timeout before it retries/fails over *)
-  propagate_every : Ksim.Time.t;
-      (** eventual consistency: anti-entropy period *)
   version_chain_depth : int;
       (** versioned CM: how many immutable page versions the home retains
           per page. Older versions fall past the GC watermark: snapshot
@@ -211,5 +206,5 @@ type config = {
 }
 
 val default_config : self:node_id -> home:node_id -> config
-(** One replica, 200 ms request timeout, 100 ms propagation period, an
-    8-deep version chain. Regions override through their attributes. *)
+(** One replica, 200 ms request timeout, an 8-deep version chain. Regions
+    override through their attributes. *)

@@ -61,7 +61,7 @@ include Replica.Make (struct
     | Some b -> [ { e_ver = 1; e_data = b } ]
     | None -> []
 
-  let period cfg = cfg.propagate_every
+  let period = Replica.propagate_every
 
   (* Never absorb a fan-out while a local writer holds the page: the dirty
      runs the daemon extracts at unlock are relative to the version the

@@ -50,7 +50,7 @@ include Replica.Make (struct
 
   (* Full-page anti-entropy heals lost patches; a few propagation periods
      apart so diffs dominate the steady state. *)
-  let period cfg = 4 * cfg.propagate_every
+  let period = 4 * Replica.propagate_every
 
   (* Skip a full sync while a local writer is active: its diff will carry
      its bytes, and the next sync carries everyone else's. *)

@@ -85,13 +85,6 @@ val create_region :
   (Region.t, Daemon.error) result
 (** reserve + allocate; the length is the final positional argument. *)
 
-val with_lock :
-  t -> ?ctx:Ktrace.Op_ctx.t -> addr:Kutil.Gaddr.t -> len:int ->
-  Kconsistency.Types.mode ->
-  (Daemon.lock_ctx -> ('a, Daemon.error) result) ->
-  ('a, Daemon.error) result
-(** Lock, run, always unlock. *)
-
 (** {1 Atomic transactions}
 
     Multi-region all-or-nothing updates via the daemon's two-phase commit

@@ -160,6 +160,10 @@ let handle t ctx ~src (req : Wire.request) =
 
 (* -- background loops -- *)
 
+(* Heartbeat silence before a manager suspects a member: three missed
+   reports at the default [report_every]. *)
+let suspect_after = Ksim.Time.ms 1500
+
 (* Periodic hint refresh to the cluster manager (§3.1); the same loop is
    the heartbeat (member side) and the detector tick (manager side). *)
 let start_reporting t =
@@ -182,7 +186,7 @@ let start_reporting t =
        | Some cm -> (
          match
            Detector.tick c.fd cm ~now:(Ksim.Engine.now c.engine)
-             ~timeout:c.cfg.suspect_after ~members
+             ~timeout:suspect_after ~members
          with
          | Some sus -> send_hint c ~cluster:my_cluster sus (members @ c.peer_managers)
          | None -> ())
@@ -201,11 +205,14 @@ let start_reporting t =
   in
   Ksim.Fiber.spawn c.engine ~name:"cluster-report" loop
 
+(* Period of the home-side replica-repair pass. *)
+let repair_every = Ksim.Time.ms 500
+
 let start_repair t =
   let c = t.c in
   let epoch = c.epoch in
   let rec loop () =
-    Ksim.Fiber.sleep c.cfg.repair_every;
+    Ksim.Fiber.sleep repair_every;
     if alive c epoch then begin
       Repair.pass c;
       let now = Ksim.Engine.now c.engine in

@@ -19,19 +19,9 @@ type config = {
   disk_pages : int;             (** disk frames (default 65536) *)
   lock_timeout : Ksim.Time.t;   (** per lock attempt (default 2 s) *)
   lock_retries : int;           (** attempts before reflecting failure (3) *)
-  rpc_timeout : Ksim.Time.t;    (** control-plane calls (default 500 ms) *)
   request_timeout : Ksim.Time.t;(** CM-internal per-hop timeout (200 ms) *)
   report_every : Ksim.Time.t;   (** cluster-hint refresh period (500 ms);
                                     the report doubles as the heartbeat *)
-  background_retry_every : Ksim.Time.t;
-      (** release-op retry backoff base (250 ms) *)
-  retry_backoff_cap : Ksim.Time.t;
-      (** ceiling for all exponential retry backoffs (default 2 s) *)
-  suspect_after : Ksim.Time.t;
-      (** heartbeat silence before a manager suspects a member (1.5 s =
-          three missed reports) *)
-  repair_every : Ksim.Time.t;
-      (** period of the home-side replica-repair pass (500 ms) *)
   wal_checkpoint_every : int;
       (** intent-log records before the repair loop takes a truncating
           checkpoint (default 512) *)

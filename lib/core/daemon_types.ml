@@ -7,13 +7,8 @@ type config = {
   disk_pages : int;
   lock_timeout : Ksim.Time.t;
   lock_retries : int;
-  rpc_timeout : Ksim.Time.t;
   request_timeout : Ksim.Time.t;
   report_every : Ksim.Time.t;
-  background_retry_every : Ksim.Time.t;
-  retry_backoff_cap : Ksim.Time.t;
-  suspect_after : Ksim.Time.t;
-  repair_every : Ksim.Time.t;
   wal_checkpoint_every : int;
   acquire_window : int;
   txn_resolve_after : Ksim.Time.t;
@@ -28,14 +23,8 @@ let default_config =
     disk_pages = 65_536;
     lock_timeout = Ksim.Time.sec 2;
     lock_retries = 3;
-    rpc_timeout = Ksim.Time.ms 500;
     request_timeout = Ksim.Time.ms 200;
     report_every = Ksim.Time.ms 500;
-    background_retry_every = Ksim.Time.ms 250;
-    retry_backoff_cap = Ksim.Time.sec 2;
-    (* Three missed reports before a member is suspected. *)
-    suspect_after = Ksim.Time.ms 1500;
-    repair_every = Ksim.Time.ms 500;
     wal_checkpoint_every = 512;
     (* Pages per concurrent acquisition wave in a multi-page lock; 1
        recovers the old fully-sequential behaviour. *)

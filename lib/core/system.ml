@@ -66,11 +66,9 @@ let set_frame_faults t ?seed ?drop ?duplicate ?delay () =
 
 let clear_frame_faults t = Knet.Edge.set_frame_faults (faults t) ()
 
-let create ?(seed = 42) ?config ?lan ?wan ~nodes_per_cluster ~clusters () =
+let create ?(seed = 42) ?config ~nodes_per_cluster ~clusters () =
   let engine = Ksim.Engine.create ~seed () in
   let topology = Topology.symmetric ~nodes_per_cluster ~clusters in
-  (match lan with Some p -> Topology.set_lan topology p | None -> ());
-  (match wan with Some p -> Topology.set_wan topology p | None -> ());
   let transport, net = Wire.Transport.sim engine topology in
   let bootstrap = 0 in
   let manager_of node =

@@ -10,8 +10,6 @@ type t
 val create :
   ?seed:int ->
   ?config:Daemon.config ->
-  ?lan:Knet.Topology.link_profile ->
-  ?wan:Knet.Topology.link_profile ->
   nodes_per_cluster:int ->
   clusters:int ->
   unit ->

@@ -14,8 +14,6 @@ let to_int v =
     invalid_arg "U128.to_int: does not fit";
   Int64.to_int v.lo
 
-let of_int64 lo = { hi = 0L; lo }
-
 let add a b =
   let lo = Int64.add a.lo b.lo in
   let carry = if Int64.unsigned_compare lo a.lo < 0 then 1L else 0L in

@@ -21,9 +21,6 @@ val to_int : t -> int
 (** [to_int v] converts back to an OCaml integer. Raises [Invalid_argument]
     when [v] does not fit in 62 bits. *)
 
-val of_int64 : int64 -> t
-(** [of_int64 n] treats [n] as unsigned. *)
-
 val add : t -> t -> t
 (** Wrapping addition modulo 2^128. *)
 

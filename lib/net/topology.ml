@@ -1,7 +1,5 @@
 type node_id = int
 
-let pp_node ppf n = Format.fprintf ppf "n%d" n
-
 type link_profile = {
   base_latency : Ksim.Time.t;
   jitter : Ksim.Time.t;

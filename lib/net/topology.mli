@@ -6,8 +6,6 @@
 
 type node_id = int
 
-val pp_node : Format.formatter -> node_id -> unit
-
 type link_profile = {
   base_latency : Ksim.Time.t;  (** propagation delay *)
   jitter : Ksim.Time.t;        (** uniform extra delay in [0, jitter) *)

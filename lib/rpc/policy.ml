@@ -8,13 +8,6 @@ type t = {
 
 let default = { timeout = Ksim.Time.sec 1; attempts = 1; backoff = None }
 
-let wan =
-  {
-    timeout = Ksim.Time.sec 2;
-    attempts = 4;
-    backoff = Some { cap = Ksim.Time.sec 16; rng = None };
-  }
-
 let idempotent =
   {
     timeout = Ksim.Time.ms 300;

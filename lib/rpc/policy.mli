@@ -26,10 +26,6 @@ type t = {
 val default : t
 (** One attempt, 1 s timeout, no backoff — the old [call] defaults. *)
 
-val wan : t
-(** Patient preset for slow or lossy links: 2 s base, four attempts,
-    exponential growth capped at 16 s. *)
-
 val idempotent : t
 (** Aggressive-retry preset for messages the receiver treats as
     idempotent — 2PC prepare/decision traffic above all: 300 ms base,

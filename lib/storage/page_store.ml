@@ -1,25 +1,13 @@
 module Gaddr = Kutil.Gaddr
 
-type config = {
-  ram_pages : int;
-  disk_pages : int;
-  ram_latency : Ksim.Time.t;
-  disk_read_latency : Ksim.Time.t;
-  disk_write_latency : Ksim.Time.t;
-}
+type config = { ram_pages : int; disk_pages : int }
 
-let default_config =
-  {
-    ram_pages = 256;
-    disk_pages = 65_536;
-    ram_latency = Ksim.Time.us 2;
-    disk_read_latency = Ksim.Time.ms 6;
-    disk_write_latency = Ksim.Time.ms 8;
-  }
+let config ?(ram_pages = 256) ?(disk_pages = 65_536) () =
+  { ram_pages; disk_pages }
 
-let config ?(ram_pages = default_config.ram_pages)
-    ?(disk_pages = default_config.disk_pages) () =
-  { default_config with ram_pages; disk_pages }
+let ram_latency = Ksim.Time.us 2
+let disk_read_latency = Ksim.Time.ms 6
+let disk_write_latency = Ksim.Time.ms 8
 
 type frame = {
   mutable data : bytes;
@@ -211,8 +199,8 @@ let rec make_ram_room t ~charge =
         if charge then begin
           let epoch = t.epoch in
           t.in_flight <- (addr, frame) :: t.in_flight;
-          maybe_crash_during_io t t.cfg.disk_write_latency;
-          Ksim.Fiber.sleep t.cfg.disk_write_latency;
+          maybe_crash_during_io t disk_write_latency;
+          Ksim.Fiber.sleep disk_write_latency;
           if t.epoch = epoch then begin
             t.in_flight <-
               List.filter (fun (_, f) -> f != frame) t.in_flight;
@@ -256,7 +244,7 @@ let read_frame t addr =
     t.ram_hits <- t.ram_hits + 1;
     touch t frame;
     let epoch = t.epoch in
-    Ksim.Fiber.sleep t.cfg.ram_latency;
+    Ksim.Fiber.sleep ram_latency;
     if t.epoch = epoch then Some frame.data else None
   | None -> (
     match Gaddr.Table.find_opt t.disk addr with
@@ -264,8 +252,8 @@ let read_frame t addr =
       t.disk_hits <- t.disk_hits + 1;
       touch t frame;
       let epoch = t.epoch in
-      maybe_crash_during_io t t.cfg.disk_read_latency;
-      Ksim.Fiber.sleep t.cfg.disk_read_latency;
+      maybe_crash_during_io t disk_read_latency;
+      Ksim.Fiber.sleep disk_read_latency;
       if t.epoch <> epoch then None
       else begin
         (* Inclusive promotion: the disk frame stays put — after a WAL
@@ -312,7 +300,7 @@ let write_owned t addr data ~dirty =
     frame.data <- data;
     frame.dirty <- frame.dirty || dirty;
     touch t frame;
-    Ksim.Fiber.sleep t.cfg.ram_latency
+    Ksim.Fiber.sleep ram_latency
   | None ->
     (* Overwriting a disk-resident page installs the new content in RAM in
        front of it; the disk frame keeps the prior durable bytes until a
@@ -333,7 +321,7 @@ let write_owned t addr data ~dirty =
     touch t frame;
     let epoch = t.epoch in
     install_ram t addr frame;
-    if t.epoch = epoch then Ksim.Fiber.sleep t.cfg.ram_latency
+    if t.epoch = epoch then Ksim.Fiber.sleep ram_latency
 
 let write t addr data ~dirty = write_owned t addr (Bytes.copy data) ~dirty
 
@@ -353,7 +341,7 @@ let write_from t addr ~off src ~src_off ~len =
        Bytes.blit src src_off data off len;
        frame.dirty <- true;
        touch t frame;
-       Ksim.Fiber.sleep t.cfg.ram_latency
+       Ksim.Fiber.sleep ram_latency
      | Some _ | None ->
        (* A disk hit (the read returned the disk frame's bytes, fronted by
           a fresh RAM copy) or a page that moved while the read slept:

@@ -18,17 +18,16 @@
     seed. *)
 
 type config = {
-  ram_pages : int;                  (** RAM frames *)
-  disk_pages : int;                 (** disk frames *)
-  ram_latency : Ksim.Time.t;        (** per access, default 2us *)
-  disk_read_latency : Ksim.Time.t;  (** default 6ms *)
-  disk_write_latency : Ksim.Time.t; (** default 8ms *)
+  ram_pages : int;   (** RAM frames *)
+  disk_pages : int;  (** disk frames *)
 }
 
-val default_config : config
-(** 256 RAM frames, 65536 disk frames, 2us/6ms/8ms. *)
-
 val config : ?ram_pages:int -> ?disk_pages:int -> unit -> config
+(** Defaults: 256 RAM frames, 65536 disk frames. *)
+
+val ram_latency : Ksim.Time.t
+(** Simulated cost of one RAM-tier access (2 us). A disk read costs 6 ms
+    and a disk write 8 ms. *)
 
 type t
 

@@ -4,18 +4,10 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Gaddr = Kutil.Gaddr
 module Codec = Kutil.Codec
 
-type config = {
-  checkpoint_every : int;
-  replay_open_cost : Ksim.Time.t;
-  replay_record_cost : Ksim.Time.t;
-}
-
-let default_config =
-  {
-    checkpoint_every = 512;
-    replay_open_cost = Ksim.Time.ms 6;
-    replay_record_cost = Ksim.Time.us 40;
-  }
+(* Simulated recovery cost: one disk seek to open the log, then a
+   sequential read and re-apply per surviving record. *)
+let replay_open_cost = Ksim.Time.ms 6
+let replay_record_cost = Ksim.Time.us 40
 
 type payload = Page of Gaddr.t * bytes | Note of string * bytes
 
@@ -59,7 +51,7 @@ type stats = {
 }
 
 type t = {
-  config : config;
+  checkpoint_every : int;
   rng : Kutil.Rng.t;
   enc : Codec.encoder;           (* reused by every append but checkpoints *)
   mutable faults : Disk_fault.config;
@@ -80,9 +72,9 @@ type t = {
 
 type tx = { id : int; born : int (* generation *) }
 
-let create ?(config = default_config) ~rng () =
+let create ?(checkpoint_every = 512) ~rng () =
   {
-    config;
+    checkpoint_every;
     rng;
     enc = Codec.encoder ();
     faults = Disk_fault.none;
@@ -280,22 +272,19 @@ let prepare t tx gtx =
     sync t
   end
 
-let decide t ?(sync_ = true) gtx ~commit ~participants =
-  append t (Decide (gtx, commit, participants));
-  if sync_ then sync t
+(* The optional [?sync] label below hides the function inside [decide]
+   and [control]. *)
+let sync_log = sync
 
-(* Same ?sync shadowing dance as [control]. *)
 let decide t ?(sync = true) gtx ~commit ~participants =
-  decide t ~sync_:sync gtx ~commit ~participants
+  append t (Decide (gtx, commit, participants));
+  if sync then sync_log t
 
-let control t ?(sync_ = true) tag data =
+let control t ?(sync = true) tag data =
   append t Control ~payload:(Note (tag, data));
-  if sync_ then sync t
+  if sync then sync_log t
 
-(* .mli exposes the label as ?sync; shadowing dance below. *)
-let control t ?(sync = true) tag data = control t ~sync_:sync tag data
-
-let needs_checkpoint t = t.since_checkpoint >= t.config.checkpoint_every
+let needs_checkpoint t = t.since_checkpoint >= t.checkpoint_every
 let size t = t.len
 let records_since_checkpoint t = t.since_checkpoint
 
@@ -534,7 +523,7 @@ let replay t =
   }
 
 let replay_cost t =
-  t.config.replay_open_cost + (t.config.replay_record_cost * t.len)
+  replay_open_cost + (replay_record_cost * t.len)
 
 let file_backed t = t.file <> None
 

@@ -29,24 +29,12 @@
     Payloads live only in that image; {!replay} decodes fresh copies of
     them, so nothing it returns aliases the log. *)
 
-type config = {
-  checkpoint_every : int;
-      (** records appended since the last checkpoint before
-          {!needs_checkpoint} turns true (default 512) *)
-  replay_open_cost : Ksim.Time.t;
-      (** fixed simulated cost of opening the log at recovery (default
-          6 ms, one disk seek) *)
-  replay_record_cost : Ksim.Time.t;
-      (** simulated cost per surviving record at recovery (default 40 us:
-          sequential read + re-apply) *)
-}
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> rng:Kutil.Rng.t -> unit -> t
-(** [rng] drives the crash fault model; split it from the owning node's
+val create : ?checkpoint_every:int -> rng:Kutil.Rng.t -> unit -> t
+(** [checkpoint_every] is the number of records appended since the last
+    checkpoint before {!needs_checkpoint} turns true (default 512). [rng]
+    drives the crash fault model; split it from the owning node's
     deterministic stream. *)
 
 val set_faults : t -> Disk_fault.config -> unit

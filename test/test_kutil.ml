@@ -343,60 +343,6 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
-(* -------------------------------- Lru ------------------------------ *)
-
-let test_lru_evicts_oldest () =
-  let lru = Kutil.Lru.create ~capacity:2 () in
-  Alcotest.(check (option (pair int string))) "no evict" None
-    (Kutil.Lru.put lru 1 "a");
-  ignore (Kutil.Lru.put lru 2 "b");
-  Alcotest.(check (option (pair int string))) "evicts 1" (Some (1, "a"))
-    (Kutil.Lru.put lru 3 "c");
-  Alcotest.(check (option string)) "2 stays" (Some "b") (Kutil.Lru.find lru 2)
-
-let test_lru_touch_on_find () =
-  let lru = Kutil.Lru.create ~capacity:2 () in
-  ignore (Kutil.Lru.put lru 1 "a");
-  ignore (Kutil.Lru.put lru 2 "b");
-  ignore (Kutil.Lru.find lru 1);
-  (* 2 is now the LRU entry. *)
-  Alcotest.(check (option (pair int string))) "evicts 2" (Some (2, "b"))
-    (Kutil.Lru.put lru 3 "c")
-
-let test_lru_peek_no_touch () =
-  let lru = Kutil.Lru.create ~capacity:2 () in
-  ignore (Kutil.Lru.put lru 1 "a");
-  ignore (Kutil.Lru.put lru 2 "b");
-  ignore (Kutil.Lru.peek lru 1);
-  Alcotest.(check (option (pair int string))) "still evicts 1" (Some (1, "a"))
-    (Kutil.Lru.put lru 3 "c")
-
-let test_lru_replace () =
-  let lru = Kutil.Lru.create ~capacity:2 () in
-  ignore (Kutil.Lru.put lru 1 "a");
-  ignore (Kutil.Lru.put lru 1 "a2");
-  Alcotest.(check int) "no duplicate" 1 (Kutil.Lru.length lru);
-  Alcotest.(check (option string)) "updated" (Some "a2") (Kutil.Lru.find lru 1)
-
-let test_lru_remove () =
-  let lru = Kutil.Lru.create ~capacity:4 () in
-  ignore (Kutil.Lru.put lru 1 "a");
-  ignore (Kutil.Lru.put lru 2 "b");
-  Kutil.Lru.remove lru 1;
-  Alcotest.(check int) "one left" 1 (Kutil.Lru.length lru);
-  Alcotest.(check (option string)) "gone" None (Kutil.Lru.find lru 1);
-  Kutil.Lru.remove lru 99 (* absent: no-op *)
-
-let test_lru_iter_order () =
-  let lru = Kutil.Lru.create ~capacity:4 () in
-  ignore (Kutil.Lru.put lru 1 "a");
-  ignore (Kutil.Lru.put lru 2 "b");
-  ignore (Kutil.Lru.put lru 3 "c");
-  ignore (Kutil.Lru.find lru 1);
-  let order = ref [] in
-  Kutil.Lru.iter (fun k _ -> order := k :: !order) lru;
-  Alcotest.(check (list int)) "mru first" [ 1; 3; 2 ] (List.rev !order)
-
 (* ------------------------------- Codec ----------------------------- *)
 
 let test_codec_roundtrip () =
@@ -703,15 +649,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
         ] );
       qsuite "heap-properties" [ prop_heap_sorts ];
-      ( "lru",
-        [
-          Alcotest.test_case "evicts oldest" `Quick test_lru_evicts_oldest;
-          Alcotest.test_case "find touches" `Quick test_lru_touch_on_find;
-          Alcotest.test_case "peek does not touch" `Quick test_lru_peek_no_touch;
-          Alcotest.test_case "replace" `Quick test_lru_replace;
-          Alcotest.test_case "remove" `Quick test_lru_remove;
-          Alcotest.test_case "iter order" `Quick test_lru_iter_order;
-        ] );
       ( "codec",
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;

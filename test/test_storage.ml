@@ -450,7 +450,7 @@ let test_write_from_crash_mid_sleep () =
     Ksim.Engine.run eng;
     (s, !result)
   in
-  let ram = (Store.config ()).Store.ram_latency in
+  let ram = Store.ram_latency in
   (* RAM hit, crash during the read: nothing written, RAM stays empty. *)
   let s, r = run ~on_disk:false ~crash_after:(ram / 2) in
   Alcotest.(check (option bool)) "read sleep: not written" (Some false) r;
@@ -501,8 +501,9 @@ let test_checksum_every_bit () =
 
 module Wal = Kstorage.Wal
 
-let mk_wal ?config ?(faults = Kstorage.Disk_fault.none) ?(seed = 7) () =
-  let w = Wal.create ?config ~rng:(Kutil.Rng.create ~seed) () in
+let mk_wal ?checkpoint_every ?(faults = Kstorage.Disk_fault.none) ?(seed = 7)
+    () =
+  let w = Wal.create ?checkpoint_every ~rng:(Kutil.Rng.create ~seed) () in
   Wal.set_faults w faults;
   w
 
@@ -554,9 +555,7 @@ let test_wal_replay_idempotent () =
     (apply (r1.Wal.ops @ r1.Wal.ops))
 
 let test_wal_checkpoint_truncates () =
-  let w =
-    mk_wal ~config:{ Wal.default_config with Wal.checkpoint_every = 10 } ()
-  in
+  let w = mk_wal ~checkpoint_every:10 () in
   for i = 1 to 4 do
     let tx = Wal.begin_tx w in
     Wal.log_page w tx (page i) (data "d");
