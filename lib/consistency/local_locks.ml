@@ -9,9 +9,12 @@ type t = {
   mutable writer : bool;
   mutable cache_req : Types.mode option;
       (** the mode of the one request to the home in flight, if any *)
+  waiters : (Types.req_id * Types.mode) Queue.t;
+      (** lock intents not yet granted, oldest first *)
 }
 
-let create () = { readers = 0; writer = false; cache_req = None }
+let create () =
+  { readers = 0; writer = false; cache_req = None; waiters = Queue.create () }
 
 let can t = function
   | Types.Read -> not t.writer
@@ -40,17 +43,18 @@ let request_for = function
   | Types.Read -> Types.Read_req
   | Types.Write -> Types.Write_req
 
-(* The FIFO queue of lock intents every machine keeps beside its lock
-   table. [pump] grants from the head while the protocol state [st]
+let enqueue t req mode = Queue.push (req, mode) t.waiters
+
+(* Grant intents from the head of the queue while the protocol state [st]
    [allows] the mode and no local holder conflicts. At the first intent it
    cannot grant it stops; when the protocol state is what blocks it, it
    sends [ask mode] to [home] unless a request is already in flight.
    Callers pass top-level functions, so a pump allocates only what it
    emits. *)
-let rec pump t waiters ~allows ~ask ~home st acc =
-  if Queue.is_empty waiters then acc
+let rec pump t ~allows ~ask ~home st acc =
+  if Queue.is_empty t.waiters then acc
   else
-    let req, mode = Queue.peek waiters in
+    let req, mode = Queue.peek t.waiters in
     if not (allows st mode) then
       if t.cache_req <> None then acc
       else begin
@@ -58,20 +62,28 @@ let rec pump t waiters ~allows ~ask ~home st acc =
         Types.Send (home, ask mode) :: acc
       end
     else if can t mode then begin
-      ignore (Queue.pop waiters);
+      ignore (Queue.pop t.waiters);
       take t mode;
-      pump t waiters ~allows ~ask ~home st (Types.Grant req :: acc)
+      pump t ~allows ~ask ~home st (Types.Grant req :: acc)
     end
     else acc
+
+(* The home refused the request in flight ([Nack]): it was made for the
+   head intent, which is rejected with [why]. *)
+let reject_head t why acc =
+  t.cache_req <- None;
+  match Queue.take_opt t.waiters with
+  | Some (req, _) -> Types.Reject (req, Types.Unavailable why) :: acc
+  | None -> acc
 
 (* Forget the intent [req] (the daemon gave up on it). If it was at the
    head of the queue, the request in flight was made for it: clear the
    marker so the next intent asks again. *)
-let abort t waiters req =
-  (match Queue.peek_opt waiters with
+let abort t req =
+  (match Queue.peek_opt t.waiters with
    | Some (r, _) when r = req -> t.cache_req <- None
    | Some _ | None -> ());
   let remaining = Queue.create () in
-  Queue.iter (fun (r, m) -> if r <> req then Queue.push (r, m) remaining) waiters;
-  Queue.clear waiters;
-  Queue.transfer remaining waiters
+  Queue.iter (fun (r, m) -> if r <> req then Queue.push (r, m) remaining) t.waiters;
+  Queue.clear t.waiters;
+  Queue.transfer remaining t.waiters
