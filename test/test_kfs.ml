@@ -204,6 +204,39 @@ let test_rename () =
       | Error e -> Alcotest.failf "wrong error: %s" (Fs.error_to_string e)
       | Ok () -> Alcotest.fail "renamed a ghost")
 
+(* Directories whose entry blobs cross a block boundary, so the
+   transactional rename reads and rewrites both blobs across several
+   blocks (or several pages of one contiguous region). *)
+let test_rename_multi_block_dirs policy () =
+  with_fs ~policy (fun _sys _sb fs ->
+      let names prefix =
+        List.init 34 (fun i -> Printf.sprintf "%s-%02d-%s" prefix i (String.make 100 'x'))
+      in
+      let src_names = names "s" and dst_names = names "d" in
+      ok (Fs.mkdir fs "/src");
+      ok (Fs.mkdir fs "/dst");
+      List.iter (fun n -> ok (Fs.create fs ("/src/" ^ n))) src_names;
+      List.iter (fun n -> ok (Fs.create fs ("/dst/" ^ n))) dst_names;
+      let block = 4096 in
+      List.iter
+        (fun d ->
+          let st = ok (Fs.stat fs d) in
+          Alcotest.(check bool) (d ^ " entries span blocks") true (st.Fs.bytes > block))
+        [ "/src"; "/dst" ];
+      let moving = List.nth src_names 20 in
+      let data = Bytes.init 5000 (fun i -> Char.chr (i mod 241)) in
+      ok (Fs.write fs ("/src/" ^ moving) ~off:0 data);
+      ok (Fs.rename fs ("/src/" ^ moving) "/dst/moved");
+      let sorted l = List.sort compare l in
+      Alcotest.(check (list string)) "src listing"
+        (sorted (List.filter (fun n -> n <> moving) src_names))
+        (sorted (ok (Fs.readdir fs "/src")));
+      Alcotest.(check (list string)) "dst listing"
+        (sorted ("moved" :: dst_names))
+        (sorted (ok (Fs.readdir fs "/dst")));
+      let b = ok (Fs.read fs "/dst/moved" ~off:0 ~len:5000) in
+      Alcotest.(check bool) "moved file's bytes" true (Bytes.equal data b))
+
 let test_large_pages () =
   (* The paper allows regions "managed in pages larger than 4-kilobytes
      (e.g., 16 kilobytes...)": a filesystem formatted with 16K pages uses
@@ -278,6 +311,10 @@ let () =
           Alcotest.test_case "contiguous policy" `Quick test_contiguous_policy;
           Alcotest.test_case "per-file attributes" `Quick test_per_file_attributes;
           Alcotest.test_case "rename" `Quick test_rename;
+          Alcotest.test_case "rename across multi-block dirs (per-block)" `Quick
+            (test_rename_multi_block_dirs Fs.Per_block_regions);
+          Alcotest.test_case "rename across multi-block dirs (contiguous)" `Quick
+            (test_rename_multi_block_dirs (Fs.Contiguous 65536));
           Alcotest.test_case "16K pages" `Quick test_large_pages;
           Alcotest.test_case "write-shared scratch" `Quick test_wshared_scratch_files;
           Alcotest.test_case "file size limit" `Quick test_file_too_big_per_block;
