@@ -2,9 +2,10 @@
 
    A transaction touching P regions homed on P distinct nodes pays one
    prepare round (parallel, pipelined with the payload) plus one logged
-   decision and its broadcast. Measure client-visible commit latency as P
-   grows, against the non-atomic baseline of P sequential write_bytes —
-   the price of all-or-nothing over best-effort. *)
+   decision, then one decide per participant that also carries its
+   write-through. Measure client-visible commit latency as P grows,
+   against the non-atomic baseline of P sequential write_bytes, each with
+   its own write-through — the price of all-or-nothing over best-effort. *)
 
 open Bench_common
 
@@ -12,8 +13,9 @@ let txns_per_point = 20
 
 let run () =
   header "E12: commit latency vs participant count"
-    "2PC cost grows with the prepare fan-out; the decision round is off the \
-     client path only after the coordinator's log write.";
+    "Each participant gets one prepare and one decide carrying its \
+     write-through; atomicity costs one prepare round plus the logged \
+     decision.";
   let table =
     Stats.table
       ~columns:

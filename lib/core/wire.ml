@@ -61,9 +61,18 @@ type request =
           images under a prepared WAL transaction and vote. Idempotent: a
           participant that already prepared or decided [gtx] re-votes yes
           without re-logging. *)
-  | Tx_decide of { gtx : Kutil.Txid.t; commit : bool }
+  | Tx_decide of {
+      gtx : Kutil.Txid.t;
+      commit : bool;
+      flushed : (Gaddr.t * int) list;
+    }
       (** 2PC phase two, coordinator -> participant: apply or drop the
-          prepared images. Idempotent: a duplicate decision (or one for an
+          prepared images. [flushed] is the write-through riding the
+          decision: the CREW pages whose committed image the participant
+          already holds from the prepare, each with the protocol version
+          the coordinator's lock release gave it. The home absorbs them as
+          {!Page_flush} would, with no second message. A re-sent decision
+          carries [[]]. Idempotent: a duplicate decision (or one for an
           unknown, already-forgotten transaction) acks as a no-op. *)
   | Tx_status of { gtx : Kutil.Txid.t }
       (** In-doubt participant -> coordinator: what became of [gtx]?
@@ -77,7 +86,9 @@ type request =
           image (keeping its manager backup as fresh as every acknowledged
           write) before acking; the writer acks its client only after the
           flush, so an owner crash can no longer swallow an acknowledged
-          write. Idempotent — the home keeps the freshest version. *)
+          write. Sent by [write_sync], and by a 2PC coordinator only when
+          the {!Tx_decide} that carries its write-through failed.
+          Idempotent — the home keeps the freshest version. *)
   | Page_diff of {
       page : Gaddr.t;
       region_base : Gaddr.t;
@@ -199,10 +210,15 @@ let encode_request enc req =
         Codec.u128 enc page;
         Codec.bytes enc img)
       pages
-  | Tx_decide { gtx; commit } ->
+  | Tx_decide { gtx; commit; flushed } ->
     Codec.u8 enc 15;
     Kutil.Txid.encode enc gtx;
-    Codec.bool enc commit
+    Codec.bool enc commit;
+    Codec.list enc
+      (fun (page, version) ->
+        Codec.u128 enc page;
+        Codec.int enc version)
+      flushed
   | Tx_status { gtx } ->
     Codec.u8 enc 16;
     Kutil.Txid.encode enc gtx
@@ -264,7 +280,13 @@ let decode_request dec =
     Tx_prepare { gtx; pages }
   | 15 ->
     let gtx = Kutil.Txid.decode dec in
-    Tx_decide { gtx; commit = Codec.read_bool dec }
+    let commit = Codec.read_bool dec in
+    let flushed =
+      Codec.read_list dec (fun () ->
+          let page = Codec.read_u128 dec in
+          (page, Codec.read_int dec))
+    in
+    Tx_decide { gtx; commit; flushed }
   | 16 -> Tx_status { gtx = Kutil.Txid.decode dec }
   | 17 ->
     let page = Codec.read_u128 dec in
