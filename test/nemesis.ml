@@ -1,36 +1,40 @@
 (* Nemesis: a deterministic chaos harness.
 
-   A seeded schedule of crashes, recoveries and partitions is interleaved
-   with client workloads, then the run is checked against the system's
-   robustness invariants:
+   Seeded schedules of crashes, recoveries, partitions, disk faults and
+   frame-level drop/duplicate/delay are interleaved with client workloads,
+   then each run is checked against the system's robustness invariants:
 
    - no settled acknowledged write is ever lost: once a write is acked and
-     replication has quiesced, every later successful read returns that
+     replication has quiesced, every later settled read returns that
      value or a newer attempted one;
    - every successful read returns a value some client actually wrote
      (no zero pages, no interleaved garbage);
    - after the final heal the replica floor ([min_replicas]) of every
      region is restored within bounded simulated time by the repair loop;
+   - a transaction is all or nothing, and nobody stays in doubt once the
+     system heals;
    - the system quiesces: settles return and a final fault-free round of
-     reads succeeds from every node;
+     reads succeeds;
    - network accounting stays conserved (sent = delivered + dropped +
      in-flight) across every fault;
-   - the whole run is reproducible: same seed, same final state, same
-     simulated clock.
+   - the whole run is reproducible: same seed, same final reads, same
+     simulated clock, same history length.
 
-   On top of the bespoke invariants, every sweep records an operation
-   history (Kcheck.History) through the client layer and hands the
-   verdict to the consistency checkers: per-address linearizability
-   (Wing–Gong) and strict serializability of the transaction set
-   (observed-version conflict graph). The combined sweep goes further
-   and fires partitions, crashes, disk faults and frame-level
-   drop/duplicate/delay in ONE seeded schedule — there the checker
-   verdict *is* the invariant.
+   Every run also records an operation history (Kcheck.History) through
+   the client layer and hands it to the consistency checkers: per-address
+   linearizability (Wing–Gong), strict serializability of the transaction
+   set (observed-version conflict graph), and for versioned regions the
+   MVCC checks. In the combined schedule the checker verdict *is* the
+   invariant.
 
-   Everything — fault times, victims, partitions, workload targets — flows
-   from the seed, so a failing seed replays exactly. Seeds come from
-   NEMESIS_SEEDS (comma-separated) or default to 1..5; a failing sweep
-   case prints the exact environment + command line that replays it. *)
+   Each seeded sweep is one row of [legs]: a protocol mix, a fault
+   schedule and a workload, run by the one scaffold [run_leg]. Everything
+   (fault times, victims, partitions, workload targets) flows from the
+   seed, so a failing seed replays exactly, and every row has a
+   determinism case that checks it. Each row's seeds come from its
+   NEMESIS_*_SEEDS variable (comma-separated) or its defaults; a failing
+   sweep case prints the exact environment + command line that replays
+   it. *)
 
 module System = Khazana.System
 module Client = Khazana.Client
@@ -73,11 +77,12 @@ let instrument sys clients =
    legitimately observe zeroes. *)
 let zero_init _ = String.make 8 '\000'
 
-(* Run both checkers over the recorded history; on failure the summary
-   already contains the minimized counterexample. *)
-let assert_history_ok ~what ring =
+(* Run the checkers over the recorded history ([mvcc] marks versioned
+   addresses); on failure the summary already contains the minimized
+   counterexample. *)
+let assert_history_ok ?mvcc ~what ring =
   let events = History.assemble (History.Ring.entries ring) in
-  let report = Check.analyze ~init:zero_init events in
+  let report = Check.analyze ~init:zero_init ?mvcc events in
   if not (Check.passed report) then
     Alcotest.failf "%s: %s" what (Check.summary report);
   events
@@ -114,27 +119,8 @@ let read_settled ?(len = 5) ?(retries = 8) sys c ~addr =
         (Daemon.error_to_string e)
   in
   go retries
+
 let node_count = 6
-let victims = [ 1; 2; 3; 4; 5 ] (* node 0: bootstrap + manager, never faulted *)
-let region_count = 5
-let rounds = 9
-
-(* One tracked region: every value ever attempted (value -> attempt index)
-   plus the index of the last write known to be both acked and settled. *)
-type reg = {
-  r : Region.t;
-  minr : int;
-  home : int;
-  attempts : (string, int) Hashtbl.t;
-  mutable n_attempts : int;
-  mutable last_settled : int;
-}
-
-type st = {
-  mutable down : int list;
-  mutable partitioned : bool;
-  mutable faulty : int list;  (* nodes with an active disk fault model *)
-}
 
 (* Disk-fault runs shrink RAM so the workload actually reaches the disk
    tier (demotions, promotions, injected crash points inside disk I/O) and
@@ -152,313 +138,6 @@ let mk ?(small_ram = false) ~seed () =
     else None
   in
   System.create ?config ~seed ~nodes_per_cluster:node_count ~clusters:1 ()
-
-(* Which disk pathology a sweep seed exercises is a function of the seed,
-   so the seed list controls coverage: lost unsynced writes, torn images,
-   and crashes fired from inside the disk-latency window. *)
-let fault_profile seed =
-  match seed mod 3 with
-  | 0 ->
-    { Disk_fault.lost_write_prob = 0.5; torn_write_prob = 0.0;
-      crash_during_io_prob = 0.0 }
-  | 1 ->
-    { Disk_fault.lost_write_prob = 0.3; torn_write_prob = 0.6;
-      crash_during_io_prob = 0.0 }
-  | _ ->
-    { Disk_fault.lost_write_prob = 0.3; torn_write_prob = 0.3;
-      crash_during_io_prob = 0.01 }
-
-let fault_profile_name seed =
-  match seed mod 3 with
-  | 0 -> "lost writes"
-  | 1 -> "torn writes"
-  | _ -> "crash mid-flush"
-
-(* Injected I/O crash points take nodes down outside the schedule's view:
-   refresh the down-list from ground truth before acting on it. A node in
-   its recovery phase counts as down (it is not serving yet). *)
-let resync_down sys st =
-  st.down <-
-    List.filter (fun n -> not (Daemon.is_up (System.daemon sys n))) victims
-
-let fresh_value rg =
-  let idx = rg.n_attempts in
-  rg.n_attempts <- idx + 1;
-  let v = Printf.sprintf "%02d%06d" rg.home idx in
-  Hashtbl.replace rg.attempts v idx;
-  (v, idx)
-
-let count_holders sys rg =
-  List.length
-    (List.filter
-       (fun n -> Daemon.holds_page (System.daemon sys n) rg.r.Region.base)
-       (List.init node_count Fun.id))
-
-let up_nodes st = List.filter (fun n -> not (List.mem n st.down)) (0 :: victims)
-
-let pick rng l =
-  match l with
-  | [] -> None
-  | l -> Some (List.nth l (Kutil.Rng.int rng (List.length l)))
-
-(* ----------------------- Fault schedule ----------------------------- *)
-
-let fault_step ?profile rng sys st =
-  (* Disk-fault arm: flip the fault model on and off on random victims.
-     Rng draws happen only when a profile is given, so plain schedules
-     consume exactly the same stream as before. *)
-  (match profile with
-  | None -> ()
-  | Some p ->
-    (match
-       pick rng (List.filter (fun n -> not (List.mem n st.faulty)) victims)
-     with
-    | Some n when Kutil.Rng.bool rng ->
-      System.set_disk_faults sys n p;
-      st.faulty <- n :: st.faulty
-    | Some _ | None -> ());
-    (match pick rng st.faulty with
-    | Some n when Kutil.Rng.float rng 1.0 < 0.3 ->
-      System.set_disk_faults sys n Disk_fault.none;
-      st.faulty <- List.filter (fun m -> m <> n) st.faulty
-    | Some _ | None -> ()));
-  let crash () =
-    match pick rng (List.filter (fun n -> not (List.mem n st.down)) victims) with
-    | Some n ->
-      System.crash sys n;
-      st.down <- n :: st.down
-    | None -> ()
-  in
-  let recover () =
-    match pick rng st.down with
-    | Some n ->
-      System.recover sys n;
-      st.down <- List.filter (fun m -> m <> n) st.down
-    | None -> ()
-  in
-  let partition () =
-    let arr = Array.of_list victims in
-    Kutil.Rng.shuffle rng arr;
-    let k = 1 + Kutil.Rng.int rng 2 in
-    let minority = Array.to_list (Array.sub arr 0 k) in
-    let majority =
-      0 :: Array.to_list (Array.sub arr k (Array.length arr - k))
-    in
-    System.partition sys minority majority;
-    st.partitioned <- true
-  in
-  let heal () =
-    System.heal sys;
-    st.partitioned <- false
-  in
-  if st.partitioned && Kutil.Rng.bool rng then heal ()
-  else if List.length st.down >= 2 then recover ()
-  else
-    match Kutil.Rng.int rng 5 with
-    | 0 -> crash ()
-    | 1 -> if st.partitioned then heal () else partition ()
-    | 2 -> if st.down = [] then crash () else recover ()
-    | 3 when st.down <> [] -> recover ()
-    | _ -> () (* quiet round *)
-
-(* ------------------------- Workload ---------------------------------- *)
-
-(* One write + one read per region, issued from random live nodes. Faulted
-   rounds tolerate failures; a *successful* read must still return a value
-   somebody actually wrote. *)
-let workload_round rng sys st clients regs =
-  List.iter
-    (fun rg ->
-      let writer = Option.get (pick rng (up_nodes st)) in
-      let reader = Option.get (pick rng (up_nodes st)) in
-      System.run_fiber ~name:"nemesis-workload" sys (fun () ->
-          let v, _ = fresh_value rg in
-          (match
-             Client.write_bytes clients.(writer) ~addr:rg.r.Region.base
-               (bytes_s v)
-           with
-          | Ok () | Error _ -> ());
-          match Client.read_bytes clients.(reader) ~addr:rg.r.Region.base 8 with
-          | Error _ -> ()
-          | Ok b ->
-            let got = Bytes.to_string b in
-            if not (Hashtbl.mem rg.attempts got) then
-              Alcotest.failf
-                "read of region %02d returned %S: never written by anyone"
-                rg.home got))
-    regs
-
-(* Recover everything, settle, then land one write per region that must be
-   acked — once replication settles it becomes the durability watermark. *)
-let checkpoint sys st clients regs =
-  (* The watermark write must land on honest disks: stop fault injection
-     and pick up any nodes an injected I/O crash took down behind our
-     back before healing everything. *)
-  List.iter (fun n -> System.set_disk_faults sys n Disk_fault.none) st.faulty;
-  st.faulty <- [];
-  resync_down sys st;
-  List.iter (fun n -> System.recover sys n) st.down;
-  st.down <- [];
-  if st.partitioned then begin
-    System.heal sys;
-    st.partitioned <- false
-  end;
-  System.run_until_quiet ~limit:(Ksim.Time.sec 5) sys;
-  (* A fully healed system must accept a write within a bounded number of
-     lock rounds — fail-over of state stranded on a crashed-and-reborn
-     owner can take a couple of suspicion/repair cycles, but not forever. *)
-  let acked =
-    List.map
-      (fun rg ->
-        let rec attempt k =
-          let r =
-            System.run_fiber ~name:"nemesis-checkpoint" sys (fun () ->
-                let v, idx = fresh_value rg in
-                match
-                  Client.write_bytes clients.(rg.home) ~addr:rg.r.Region.base
-                    (bytes_s v)
-                with
-                | Ok () -> Ok (rg, idx)
-                | Error e -> Error e)
-          in
-          match r with
-          | Ok x -> x
-          | Error e when k > 1 ->
-            System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
-            ignore e;
-            attempt (k - 1)
-          | Error e ->
-            Alcotest.failf
-              "healed system refused checkpoint write for region %02d: %s"
-              rg.home
-              (Daemon.error_to_string e)
-        in
-        attempt 4)
-      regs
-  in
-  System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
-  List.iter (fun (rg, idx) -> rg.last_settled <- idx) acked
-
-(* Repair must bring every region back to its floor within bounded
-   simulated time of the final heal. *)
-let wait_replica_floor sys regs ~cap =
-  let t0 = System.now sys in
-  let deficient () =
-    List.filter (fun rg -> rg.minr > 1 && count_holders sys rg < rg.minr) regs
-  in
-  while deficient () <> [] && System.now sys - t0 < cap do
-    System.run_until_quiet ~limit:(Ksim.Time.ms 500) sys
-  done;
-  match deficient () with
-  | [] -> ()
-  | l ->
-    Alcotest.failf
-      "replica floor not restored within %dms for %d region(s): %s"
-      (cap / 1_000_000) (List.length l)
-      (String.concat ", "
-         (List.map
-            (fun rg ->
-              Printf.sprintf "home %d (%d/%d holders)" rg.home
-                (count_holders sys rg) rg.minr)
-            l))
-
-(* --------------------------- One run --------------------------------- *)
-
-let run_nemesis ?(disk = false) ~seed () =
-  let sys = mk ~small_ram:disk ~seed () in
-  let profile = if disk then Some (fault_profile seed) else None in
-  let rng = Kutil.Rng.create ~seed:(0x6e65 + (seed * 7919)) in
-  let clients =
-    Array.init node_count (fun n -> System.client sys n ())
-  in
-  let ring = instrument sys clients in
-  let st = { down = []; partitioned = false; faulty = [] } in
-  let regs =
-    List.map
-      (fun i ->
-        let home = 1 + (i mod 5) in
-        let minr = if i mod 2 = 0 then 2 else 3 in
-        let r =
-          System.run_fiber ~name:"nemesis-create" sys (fun () ->
-              let attr = Attr.make ~owner:home ~min_replicas:minr () in
-              ok (Client.create_region clients.(home) ~attr 4096))
-        in
-        {
-          r;
-          minr;
-          home;
-          attempts = Hashtbl.create 32;
-          n_attempts = 0;
-          last_settled = -1;
-        })
-      (List.init region_count Fun.id)
-  in
-  (* Round 0: a settled write everywhere before the first fault. *)
-  checkpoint sys st clients regs;
-  for round = 1 to rounds do
-    resync_down sys st;
-    fault_step ?profile rng sys st;
-    workload_round rng sys st clients regs;
-    System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
-    if round mod 3 = 0 then checkpoint sys st clients regs
-  done;
-  (* Final heal + the bounded-time repair guarantee. *)
-  List.iter (fun n -> System.set_disk_faults sys n Disk_fault.none) st.faulty;
-  st.faulty <- [];
-  resync_down sys st;
-  List.iter (fun n -> System.recover sys n) st.down;
-  st.down <- [];
-  if st.partitioned then begin
-    System.heal sys;
-    st.partitioned <- false
-  end;
-  System.run_until_quiet ~limit:(Ksim.Time.sec 5) sys;
-  wait_replica_floor sys regs ~cap:(Ksim.Time.sec 20);
-  (* Durability: from every node, every region reads back a value at least
-     as new as its last settled acknowledged write. *)
-  let finals =
-    List.map
-      (fun rg ->
-        let v =
-          System.run_fiber ~name:"nemesis-final-read" sys (fun () ->
-              Bytes.to_string
-                (ok (Client.read_bytes clients.(0) ~addr:rg.r.Region.base 8)))
-        in
-        (match Hashtbl.find_opt rg.attempts v with
-        | None ->
-          Alcotest.failf "final read of region %02d got unwritten value %S"
-            rg.home v
-        | Some idx ->
-          if idx < rg.last_settled then
-            Alcotest.failf
-              "region %02d lost settled write: read attempt %d, settled %d"
-              rg.home idx rg.last_settled);
-        (* A second vantage must agree with the durability watermark too. *)
-        System.run_fiber ~name:"nemesis-vantage" sys (fun () ->
-            let v' =
-              Bytes.to_string
-                (ok (Client.read_bytes clients.(3) ~addr:rg.r.Region.base 8))
-            in
-            match Hashtbl.find_opt rg.attempts v' with
-            | Some idx' when idx' >= rg.last_settled -> ()
-            | _ ->
-              Alcotest.failf "vantage read of region %02d regressed to %S"
-                rg.home v');
-        v)
-      regs
-  in
-  (* Network accounting survived the whole schedule. *)
-  let s = Khazana.Wire.Transport.stats (System.transport sys) in
-  if s.sent <> s.delivered + s.dropped + s.in_flight then
-    Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
-      s.delivered s.dropped s.in_flight;
-  (* Checker verdict over the full recorded history: every region must be
-     explainable as a linearizable register under the whole schedule. *)
-  ignore
-    (assert_history_ok
-       ~what:(Printf.sprintf "%s sweep seed %d" (if disk then "disk" else "chaos") seed)
-       ring);
-  String.concat ";" finals ^ Printf.sprintf "@%d" (System.now sys)
 
 (* ----------------------- Directed scenarios -------------------------- *)
 
@@ -1037,295 +716,433 @@ let run_kfs_rename_crash ~step () =
       Alcotest.(check string) "content intact" "payload"
         (Bytes.to_string data))
 
-(* ------------------------- 2PC seeded sweep -------------------------- *)
+(* ---------------------------- Seeded sweeps --------------------------- *)
 
-(* Rounds of cross-node transactions (one value fanned out to three
-   regions homed at nodes 1, 2, 3) interleaved with seeded faults: a
-   crash of the coordinator or a participant at a random protocol step,
-   or a partition during voting. After every heal the three regions must
-   agree with each other and be at least as new as the last acknowledged
-   commit. *)
-let run_2pc_nemesis ~seed () =
-  let sys = mk ~seed () in
-  let rng = Kutil.Rng.create ~seed:(0x2bc + (seed * 7919)) in
-  let homes = [ 1; 2; 3 ] in
-  let coord = 4 in
-  let clients = Array.init node_count (fun n -> System.client sys n ()) in
-  let ring = instrument sys clients in
-  let ccoord = clients.(coord) in
-  let regions =
-    List.map
-      (fun home ->
-        let c = clients.(home) in
-        let r =
-          System.run_fiber ~name:"2pc-create" sys (fun () ->
-              let attr = Attr.make ~owner:home () in
-              let r = ok (Client.create_region c ~attr 4096) in
-              ok (Client.write_bytes c ~addr:r.Region.base (bytes_s "%init%00"));
-              r)
-        in
-        r.Region.base)
-      homes
+(* Every seeded sweep is a row of [legs] below: a protocol mix, a fault
+   schedule and a workload. [run_leg] is the scaffold they share. It
+   builds the system, the seeded rng and the instrumented clients, creates
+   the row's regions, then runs its rounds: a fault step, the workload,
+   and the row's quiets, heals and settles. After the last round it heals,
+   reads back, checks the network's accounting and hands the recorded
+   history to the checkers. A row names only what differs between
+   sweeps. *)
+
+let victims = [ 1; 2; 3; 4; 5 ] (* node 0: bootstrap + manager, never faulted *)
+
+(* Which disk pathology a sweep seed exercises is a function of the seed,
+   so the seed list controls coverage: lost unsynced writes, torn images,
+   and crashes fired from inside the disk-latency window. *)
+let fault_profile seed =
+  match seed mod 3 with
+  | 0 ->
+    { Disk_fault.lost_write_prob = 0.5; torn_write_prob = 0.0;
+      crash_during_io_prob = 0.0 }
+  | 1 ->
+    { Disk_fault.lost_write_prob = 0.3; torn_write_prob = 0.6;
+      crash_during_io_prob = 0.0 }
+  | _ ->
+    { Disk_fault.lost_write_prob = 0.3; torn_write_prob = 0.3;
+      crash_during_io_prob = 0.01 }
+
+let fault_profile_name seed =
+  match seed mod 3 with
+  | 0 -> "lost writes"
+  | 1 -> "torn writes"
+  | _ -> "crash mid-flush"
+
+(* One region of a sweep. Every value written to it is recorded in
+   [attempts] with its stamp index; [watermark] is the index of the last
+   acknowledged write (a settled write or a commit) that every later
+   settled read must reach. *)
+type reg = {
+  base : Gaddr.t;
+  len : int;
+  home : int;
+  minr : int;
+  versioned : bool;
+  attempts : (string, int) Hashtbl.t;
+  mutable watermark : int;
+}
+
+(* What a row runs between rounds, in order. *)
+type phase =
+  | Quiet of int  (* run the engine this long *)
+  | Heal  (* every fault off and every node up, then 5 s of quiet *)
+  | Settle  (* an acknowledged write per region, then 3 s of quiet *)
+
+type leg = {
+  group : string;  (* the Alcotest group, named in the repro line *)
+  env : string;  (* the variable that overrides [seeds] *)
+  seeds : int list;
+  replay : string * int;  (* the determinism case: its name and seed *)
+  salt : int;  (* the rng is seeded [salt + seed * 7919] *)
+  disk_faults : bool;  (* small RAM, and the seed's disk fault profile *)
+  frame_faults : bool;  (* armed after [start], off before [finish] *)
+  regions : (int * string * int) list;  (* home, protocol, min_replicas *)
+  init : string option;  (* written to each region as it is created *)
+  stamps : [ `Per_region | `Global ];  (* see [stamp] *)
+  settle_tries : int;  (* attempts at each settled write *)
+  start : phase list;
+  rounds : int;
+  fault : cx -> unit;
+  workload : cx -> unit;
+  between : int -> phase list;  (* after round [r]'s workload *)
+  check : cx -> int -> unit;  (* after those phases *)
+  finish : phase list;
+  finals : cx -> string list;  (* the final reads, in the fingerprint *)
+}
+
+and cx = {
+  leg : leg;
+  seed : int;
+  sys : System.t;
+  rng : Kutil.Rng.t;
+  clients : Client.t array;
+  regs : reg list;
+  mutable stamp : int;  (* the last [`Global] stamp handed out *)
+  mutable down : int list;
+  mutable partitioned : bool;
+  mutable faulty : int list;  (* nodes with an active disk fault model *)
+}
+
+type outcome = { fingerprint : string; events : History.event list }
+
+(* Every written value is an 8-byte stamp: a two-digit tag (the region's
+   home, 00 for a transaction's value) and an index. [`Per_region] numbers
+   each region's values from 0; [`Global] numbers every value from 1, so
+   values are distinct across regions, as the serializability checker's
+   observed-version graph requires. *)
+let stamp cx ~tag regs =
+  let idx =
+    match (cx.leg.stamps, regs) with
+    | `Per_region, [ rg ] -> Hashtbl.length rg.attempts
+    | `Per_region, _ -> invalid_arg "stamp: a per-region value has one region"
+    | `Global, _ ->
+      cx.stamp <- cx.stamp + 1;
+      cx.stamp
   in
-  System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
-  let attempts = Hashtbl.create 32 in
-  Hashtbl.replace attempts "%init%00" 0;
-  let last_acked = ref 0 in
-  let n_attempts = ref 0 in
-  let steps = Array.of_list (List.map fst (coord_steps @ participant_steps)) in
-  let txn_round () =
-    incr n_attempts;
-    let idx = !n_attempts in
-    let v = Printf.sprintf "%08d" idx in
-    Hashtbl.replace attempts v idx;
-    let r =
-      System.run_fiber ~name:"2pc-sweep-txn" sys (fun () ->
-          Client.txn ccoord (fun txn ->
-              List.fold_left
-                (fun acc addr ->
-                  match acc with
-                  | Error _ as e -> e
-                  | Ok () -> Client.txn_write ccoord txn ~addr (bytes_s v))
-                (Ok ()) regions))
+  let v = Printf.sprintf "%02d%06d" tag idx in
+  List.iter (fun rg -> Hashtbl.replace rg.attempts v idx) regs;
+  (v, idx)
+
+let fresh cx rg = fst (stamp cx ~tag:rg.home [ rg ])
+
+(* [v], read back from [rg] once the system settled, is a value some
+   client wrote there, no older than the region's watermark. *)
+let check_acked ~what rg v =
+  match Hashtbl.find_opt rg.attempts v with
+  | None ->
+    Alcotest.failf "%s: region %02d holds unwritten value %S" what rg.home v
+  | Some idx when idx < rg.watermark ->
+    Alcotest.failf
+      "%s: region %02d lost an acknowledged write (read attempt %d, \
+       acknowledged %d)"
+      what rg.home idx rg.watermark
+  | Some _ -> ()
+
+(* Injected I/O crash points and crash hooks take nodes down outside the
+   schedule's view: refresh the down-list from ground truth before acting
+   on it. A node in its recovery phase counts as down (it is not serving
+   yet). *)
+let resync_down cx =
+  cx.down <-
+    List.filter (fun n -> not (Daemon.is_up (System.daemon cx.sys n))) victims
+
+let pick rng l =
+  match l with
+  | [] -> None
+  | l -> Some (List.nth l (Kutil.Rng.int rng (List.length l)))
+
+let up cx n = not (List.mem n cx.down)
+
+(* Node 0 is never faulted, so some node is always up. *)
+let pick_up cx = Option.get (pick cx.rng (List.filter (up cx) (0 :: victims)))
+
+(* ----------------------- Fault schedule ----------------------------- *)
+
+let fault_step cx =
+  let sys = cx.sys and rng = cx.rng in
+  (* Disk-fault arm: flip the fault model on and off on random victims.
+     Only disk-fault rows draw for it. *)
+  if cx.leg.disk_faults then begin
+    (match
+       pick rng (List.filter (fun n -> not (List.mem n cx.faulty)) victims)
+     with
+    | Some n when Kutil.Rng.bool rng ->
+      System.set_disk_faults sys n (fault_profile cx.seed);
+      cx.faulty <- n :: cx.faulty
+    | Some _ | None -> ());
+    match pick rng cx.faulty with
+    | Some n when Kutil.Rng.float rng 1.0 < 0.3 ->
+      System.set_disk_faults sys n Disk_fault.none;
+      cx.faulty <- List.filter (fun m -> m <> n) cx.faulty
+    | Some _ | None -> ()
+  end;
+  let crash () =
+    match pick rng (List.filter (up cx) victims) with
+    | Some n ->
+      System.crash sys n;
+      cx.down <- n :: cx.down
+    | None -> ()
+  in
+  let recover () =
+    match pick rng cx.down with
+    | Some n ->
+      System.recover sys n;
+      cx.down <- List.filter (fun m -> m <> n) cx.down
+    | None -> ()
+  in
+  let partition () =
+    let arr = Array.of_list victims in
+    Kutil.Rng.shuffle rng arr;
+    let k = 1 + Kutil.Rng.int rng 2 in
+    let minority = Array.to_list (Array.sub arr 0 k) in
+    let majority =
+      0 :: Array.to_list (Array.sub arr k (Array.length arr - k))
     in
-    (match r with Ok () -> last_acked := idx | Error _ -> ());
-    r
+    System.partition sys minority majority;
+    cx.partitioned <- true
   in
-  let heal_all () =
-    List.iter
-      (fun n ->
-        if not (Daemon.is_up (System.daemon sys n)) then System.recover sys n)
-      victims;
+  let heal () =
     System.heal sys;
-    System.run_until_quiet ~limit:(Ksim.Time.sec 40) sys
+    cx.partitioned <- false
   in
-  let check_invariant round =
-    let values =
+  if cx.partitioned && Kutil.Rng.bool rng then heal ()
+  else if List.length cx.down >= 2 then recover ()
+  else
+    match Kutil.Rng.int rng 5 with
+    | 0 -> crash ()
+    | 1 -> if cx.partitioned then heal () else partition ()
+    | 2 -> if cx.down = [] then crash () else recover ()
+    | 3 when cx.down <> [] -> recover ()
+    | _ -> () (* quiet round *)
+
+(* -------------------------- Phases ----------------------------------- *)
+
+(* Every fault off: crash hooks disarmed, disk fault models cleared (the
+   settled writes must land on honest disks), every node recovered, the
+   network healed. *)
+let heal cx =
+  List.iter
+    (fun n -> Daemon.set_txn_hook (System.daemon cx.sys n) None)
+    (0 :: victims);
+  List.iter
+    (fun n -> System.set_disk_faults cx.sys n Disk_fault.none)
+    cx.faulty;
+  cx.faulty <- [];
+  resync_down cx;
+  List.iter (fun n -> System.recover cx.sys n) cx.down;
+  cx.down <- [];
+  System.heal cx.sys;
+  cx.partitioned <- false;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 5) cx.sys
+
+(* Run [op] in a fiber until it succeeds, with [wait] of quiet between
+   tries: fail-over of state stranded on a crashed-and-reborn owner can
+   take a couple of suspicion/repair cycles, but not forever. *)
+let retry cx ~tries ~wait ~what op =
+  let rec go k =
+    match System.run_fiber ~name:"nemesis-retry" cx.sys op with
+    | Ok v -> v
+    | Error _ when k > 1 ->
+      System.run_until_quiet ~limit:wait cx.sys;
+      go (k - 1)
+    | Error e -> Alcotest.failf "%s: %s" what (Daemon.error_to_string e)
+  in
+  go tries
+
+(* One acknowledged write per region from its home; once the quiet after
+   them settles replication, each becomes its region's watermark. *)
+let settle cx =
+  let acked =
+    List.map
+      (fun rg ->
+        retry cx ~tries:cx.leg.settle_tries ~wait:(Ksim.Time.sec 3)
+          ~what:
+            (Printf.sprintf "healed system refused a write to region %02d"
+               rg.home)
+          (fun () ->
+            let v, idx = stamp cx ~tag:rg.home [ rg ] in
+            Client.write_bytes cx.clients.(rg.home) ~addr:rg.base (bytes_s v)
+            |> Result.map (fun () -> (rg, idx))))
+      cx.regs
+  in
+  System.run_until_quiet ~limit:(Ksim.Time.sec 3) cx.sys;
+  List.iter (fun (rg, idx) -> rg.watermark <- idx) acked
+
+let run_phase cx = function
+  | Quiet d -> System.run_until_quiet ~limit:d cx.sys
+  | Heal -> heal cx
+  | Settle -> settle cx
+
+(* Every round ends in 2 s of quiet; every third one then runs [phases]. *)
+let every_third phases round =
+  Quiet (Ksim.Time.sec 2) :: (if round mod 3 = 0 then phases else [])
+
+(* ------------------------- Workloads --------------------------------- *)
+
+(* One write and one read of [rg] from random live nodes. Either may fail
+   under fire (the recorder marks that ambiguous), but a successful read
+   returns a value some client wrote there. *)
+let write_read cx rg =
+  let writer = pick_up cx in
+  let reader = pick_up cx in
+  System.run_fiber ~name:"nemesis-workload" cx.sys (fun () ->
+      ignore
+        (Client.write_bytes cx.clients.(writer) ~addr:rg.base
+           (bytes_s (fresh cx rg)));
+      match Client.read_bytes cx.clients.(reader) ~addr:rg.base 8 with
+      | Ok b ->
+        let got = Bytes.to_string b in
+        if not (Hashtbl.mem rg.attempts got) then
+          Alcotest.failf
+            "read of region %02d returned %S: never written by anyone" rg.home
+            got
+      | Error _ -> ())
+
+(* A transaction from [coord], run in a fiber: read each of [reads], then
+   write one fresh value to each of [writes]. Reads take shared locks, so
+   a region both read and written takes the upgrade path. A commit raises
+   the written regions' watermarks. *)
+let txn cx ~coord ~reads ~writes () =
+  let c = cx.clients.(coord) in
+  let v, idx = stamp cx ~tag:0 writes in
+  let ( let* ) = Result.bind in
+  let r =
+    Client.txn c (fun t ->
+        let* () =
+          List.fold_left
+            (fun acc rg ->
+              let* () = acc in
+              Result.map ignore (Client.txn_read c t ~addr:rg.base ~len:8))
+            (Ok ()) reads
+        in
+        List.fold_left
+          (fun acc rg ->
+            let* () = acc in
+            Client.txn_write c t ~addr:rg.base (bytes_s v))
+          (Ok ()) writes)
+  in
+  if Result.is_ok r then List.iter (fun rg -> rg.watermark <- idx) writes;
+  r
+
+let run_txn cx ~coord ~reads ~writes =
+  ignore
+    (System.run_fiber ~name:"nemesis-txn" cx.sys (txn cx ~coord ~reads ~writes))
+
+(* Versioned traffic on [rg]: two writers from random nodes, the second an
+   optimistic CAS half the time ([`Conflict] just means somebody else won
+   the race); then a reader opens a snapshot and reads it twice with a
+   write landing in between, so pin stability has something to bite on. *)
+let versioned_ops cx rg =
+  let w1 = pick_up cx in
+  let w2 = pick_up cx in
+  let reader = pick_up cx in
+  let write n =
+    ignore
+      (Client.write_bytes cx.clients.(n) ~addr:rg.base (bytes_s (fresh cx rg)))
+  in
+  let c2 = cx.clients.(w2) and cr = cx.clients.(reader) in
+  System.run_fiber ~name:"nemesis-workload" cx.sys (fun () ->
+      write w1;
+      (if Kutil.Rng.bool cx.rng then
+         match Client.page_version c2 rg.base with
+         | Ok v ->
+           ignore
+             (Client.write_cas c2 ~addr:rg.base ~expected:v
+                (bytes_s (fresh cx rg)))
+         | Error _ -> ()
+       else write w2);
+      match Client.snapshot cr with
+      | Error _ -> ()
+      | Ok snap ->
+        ignore (Client.snapshot_read cr ~snap ~addr:rg.base 8);
+        write w1;
+        ignore (Client.snapshot_read cr ~snap ~addr:rg.base 8);
+        Client.release_snapshot cr snap)
+
+(* Settled reads of every region from each of [nodes]. *)
+let reads_from nodes cx =
+  List.concat_map
+    (fun rg ->
       List.map
-        (fun addr -> read_settled ~len:8 sys clients.(0) ~addr:(Gaddr.add_int addr 0))
-        regions
-    in
-    (match values with
-     | v :: rest when List.for_all (( = ) v) rest -> (
-       match Hashtbl.find_opt attempts v with
-       | None ->
-         Alcotest.failf "round %d: regions hold unwritten value %S" round v
-       | Some idx ->
-         if idx < !last_acked then
-           Alcotest.failf
-             "round %d: settled commit lost (read attempt %d, acked %d)" round
-             idx !last_acked)
-     | values ->
-       Alcotest.failf "round %d: partial transaction visible: %s" round
-         (String.concat " / " values));
-    List.iter
-      (fun n ->
-        Alcotest.(check int)
-          (Printf.sprintf "round %d: node %d limbo drained" round n)
-          0
-          (Daemon.txn_prepared_count (System.daemon sys n)))
-      (0 :: victims)
+        (fun n -> read_settled ~len:8 cx.sys cx.clients.(n) ~addr:rg.base)
+        nodes)
+    cx.regs
+
+(* --------------------------- One run --------------------------------- *)
+
+let create_region sys clients ~init (home, protocol, min_replicas) =
+  let r =
+    System.run_fiber ~name:"nemesis-create" sys (fun () ->
+        let c = clients.(home) in
+        let attr = Attr.make ~owner:home ~protocol ~min_replicas () in
+        let r = ok (Client.create_region c ~attr 4096) in
+        Option.iter
+          (fun v -> ok (Client.write_bytes c ~addr:r.Region.base (bytes_s v)))
+          init;
+        r)
   in
-  for round = 1 to 8 do
-    (match Kutil.Rng.int rng 4 with
-     | 0 -> ignore (txn_round ()) (* fault-free round *)
-     | 1 | 2 ->
-       (* Crash the coordinator or a participant at a random step. *)
-       let victim, step =
-         if Kutil.Rng.bool rng then
-           (coord, fst (List.nth coord_steps (Kutil.Rng.int rng 5)))
-         else
-           ( List.nth homes (Kutil.Rng.int rng 3),
-             steps.(5 + Kutil.Rng.int rng 4) )
-       in
-       let d = System.daemon sys victim in
-       Daemon.set_txn_hook d
-         (Some (fun s -> if s = step then System.crash sys victim));
-       ignore (txn_round ());
-       Daemon.set_txn_hook d None
-     | _ ->
-       (* Partition a participant away during voting. *)
-       let cut = List.nth homes (Kutil.Rng.int rng 3) in
-       let d = System.daemon sys coord in
-       Daemon.set_txn_hook d
-         (Some
-            (fun s ->
-              if s = "coord.before_prepare" then
-                System.partition sys [ cut ]
-                  (List.filter (fun n -> n <> cut) (0 :: victims))));
-       ignore (txn_round ());
-       Daemon.set_txn_hook d None);
-    heal_all ();
-    check_invariant round
-  done;
-  (* A final fault-free transaction must land. *)
-  let rec final k =
-    match txn_round () with
-    | Ok () -> ()
-    | Error _ when k > 0 ->
-      System.run_until_quiet ~limit:(Ksim.Time.sec 5) sys;
-      final (k - 1)
-    | Error e ->
-      Alcotest.failf "healed system refused final txn: %s"
-        (Daemon.error_to_string e)
-  in
-  final 5;
-  System.run_until_quiet ~limit:(Ksim.Time.sec 10) sys;
-  check_invariant 99;
-  (* Accounting survived the fault schedule. *)
-  let s = Khazana.Wire.Transport.stats (System.transport sys) in
-  if s.sent <> s.delivered + s.dropped + s.in_flight then
-    Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
-      s.delivered s.dropped s.in_flight;
-  (* The recorded transaction history must be strictly serializable and
-     every region linearizable — replaces eyeballing the ad-hoc asserts. *)
-  ignore (assert_history_ok ~what:(Printf.sprintf "2pc sweep seed %d" seed) ring)
+  let attempts = Hashtbl.create 32 in
+  Option.iter (fun v -> Hashtbl.replace attempts v 0) init;
+  {
+    base = r.Region.base;
+    len = r.Region.len;
+    home;
+    minr = min_replicas;
+    versioned = protocol = "versioned";
+    attempts;
+    watermark = -1;
+  }
 
-(* ---------------- Combined multi-fault schedule ----------------------- *)
-
-(* The tentpole schedule: partitions, crashes, disk faults AND frame-level
-   drop/duplicate/delay armed in ONE seeded run, over a mixed workload of
-   plain reads/writes and multi-region read-modify-write transactions (the
-   latter exercising the shared-read-lock upgrade path under fire). There
-   is deliberately no bespoke "which value may this read return"
-   bookkeeping here: the recorded history goes to the Kcheck checkers and
-   their verdict is the invariant. *)
-
-type combined = { fingerprint : string; events : History.event list }
-
-let combined_regions = 4
-
-let run_combined ~seed () =
-  let sys = mk ~small_ram:true ~seed () in
-  let profile = fault_profile seed in
-  let rng = Kutil.Rng.create ~seed:(0x636d62 + (seed * 7919)) in
+let run_leg leg ~seed =
+  let sys = mk ~small_ram:leg.disk_faults ~seed () in
+  let rng = Kutil.Rng.create ~seed:(leg.salt + (seed * 7919)) in
   let clients = Array.init node_count (fun n -> System.client sys n ()) in
   let ring = instrument sys clients in
-  let st = { down = []; partitioned = false; faulty = [] } in
-  (* One global stamp: every value ever attempted — plain or
-     transactional — is distinct, as the serializability checker's
-     observed-version graph requires. *)
-  let stamp = ref 0 in
-  let fresh tag =
-    incr stamp;
-    Printf.sprintf "%02d%06d" tag !stamp
+  let regs = List.map (create_region sys clients ~init:leg.init) leg.regions in
+  let cx =
+    { leg; seed; sys; rng; clients; regs; stamp = 0; down = [];
+      partitioned = false; faulty = [] }
   in
-  let regs =
-    List.map
-      (fun i ->
-        let home = 1 + i in
-        let r =
-          System.run_fiber ~name:"combined-create" sys (fun () ->
-              let attr = Attr.make ~owner:home ~min_replicas:2 () in
-              ok (Client.create_region clients.(home) ~attr 4096))
-        in
-        (home, r.Region.base))
-      (List.init combined_regions Fun.id)
-  in
-  let settle_all what =
-    List.iter
-      (fun (home, addr) ->
-        let rec attempt k =
-          let r =
-            System.run_fiber ~name:"combined-settle" sys (fun () ->
-                Client.write_bytes clients.(home) ~addr (bytes_s (fresh home)))
-          in
-          match r with
-          | Ok () -> ()
-          | Error _ when k > 0 ->
-            System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
-            attempt (k - 1)
-          | Error e ->
-            Alcotest.failf "%s: settled write refused for home %d: %s" what
-              home (Daemon.error_to_string e)
-        in
-        attempt 4)
-      regs;
-    System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys
-  in
-  settle_all "initial checkpoint";
+  let phases = List.iter (run_phase cx) in
+  phases leg.start;
   (* Frame faults arm only after setup: region creation needs the address
      map, and a dropped map-mutation frame is a test-harness timeout, not
      an interesting fault. *)
-  System.set_frame_faults sys ~seed:(0xff00 + seed) ~drop:0.03 ~duplicate:0.03
-    ~delay:0.001 ();
-  let heal_everything () =
-    List.iter (fun n -> System.set_disk_faults sys n Disk_fault.none) st.faulty;
-    st.faulty <- [];
-    resync_down sys st;
-    List.iter (fun n -> System.recover sys n) st.down;
-    st.down <- [];
-    if st.partitioned then begin
-      System.heal sys;
-      st.partitioned <- false
-    end;
-    System.run_until_quiet ~limit:(Ksim.Time.sec 5) sys
-  in
-  for round = 1 to 7 do
-    resync_down sys st;
-    fault_step ~profile rng sys st;
-    (* Plain ops: one write + one read per region from random live nodes;
-       failures under fire are fine — the recorder marks them ambiguous
-       and the checkers honour the ambiguity. *)
-    List.iter
-      (fun (home, addr) ->
-        let writer = Option.get (pick rng (up_nodes st)) in
-        let reader = Option.get (pick rng (up_nodes st)) in
-        System.run_fiber ~name:"combined-workload" sys (fun () ->
-            (match
-               Client.write_bytes clients.(writer) ~addr (bytes_s (fresh home))
-             with
-            | Ok () | Error _ -> ());
-            match Client.read_bytes clients.(reader) ~addr 8 with
-            | Ok _ | Error _ -> ()))
-      regs;
-    (* One read-modify-write transaction across two random regions: the
-       reads take shared locks, the writes force the upgrade path. *)
-    let (_, a1), (_, a2) =
-      let arr = Array.of_list regs in
-      Kutil.Rng.shuffle rng arr;
-      (arr.(0), arr.(1))
-    in
-    let coord = Option.get (pick rng (up_nodes st)) in
-    let v = fresh 0 in
-    System.run_fiber ~name:"combined-txn" sys (fun () ->
-        match
-          Client.txn clients.(coord) (fun txn ->
-              match Client.txn_read clients.(coord) txn ~addr:a1 ~len:8 with
-              | Error _ as e -> e
-              | Ok _ -> (
-                match Client.txn_read clients.(coord) txn ~addr:a2 ~len:8 with
-                | Error _ as e -> e
-                | Ok _ -> (
-                  match
-                    Client.txn_write clients.(coord) txn ~addr:a1 (bytes_s v)
-                  with
-                  | Error _ as e -> e
-                  | Ok () ->
-                    Client.txn_write clients.(coord) txn ~addr:a2 (bytes_s v))))
-        with
-        | Ok () | Error _ -> ());
-    System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
-    if round mod 3 = 0 then heal_everything ()
+  if leg.frame_faults then
+    System.set_frame_faults sys ~seed:(0xff00 + seed) ~drop:0.03
+      ~duplicate:0.03 ~delay:0.001 ();
+  for round = 1 to leg.rounds do
+    resync_down cx;
+    leg.fault cx;
+    leg.workload cx;
+    phases (leg.between round);
+    leg.check cx round
   done;
-  (* Final heal: every fault class off, a settled write per region, then
-     two-vantage validation reads. *)
-  System.clear_frame_faults sys;
-  heal_everything ();
-  settle_all "final checkpoint";
-  let finals =
-    List.concat_map
-      (fun (_, addr) ->
-        [ read_settled ~len:8 sys clients.(0) ~addr;
-          read_settled ~len:8 sys clients.(5) ~addr ])
-      regs
-  in
+  if leg.frame_faults then System.clear_frame_faults sys;
+  phases leg.finish;
+  let finals = leg.finals cx in
+  (* Network accounting survived the whole schedule. *)
   let s = Khazana.Wire.Transport.stats (System.transport sys) in
   if s.sent <> s.delivered + s.dropped + s.in_flight then
     Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
       s.delivered s.dropped s.in_flight;
+  (* The checkers' verdict over the whole recorded history. Versioned
+     addresses are judged by the MVCC checks instead: concurrent LWW
+     publishes are not linearizable by design. *)
+  let mvcc addr =
+    List.exists
+      (fun rg ->
+        rg.versioned
+        && Gaddr.compare rg.base addr <= 0
+        && Gaddr.compare addr (Gaddr.add_int rg.base rg.len) < 0)
+      regs
+  in
   let events =
-    assert_history_ok ~what:(Printf.sprintf "combined sweep seed %d" seed) ring
+    assert_history_ok ~mvcc
+      ~what:(Printf.sprintf "%s seed %d" leg.group seed)
+      ring
   in
   {
     fingerprint =
@@ -1334,182 +1151,237 @@ let run_combined ~seed () =
     events;
   }
 
-(* ---------------- Versioned (MVCC) chaos sweep ----------------------- *)
+(* ---------------------------- The rows -------------------------------- *)
 
-(* Crashes and partitions over a mixed fleet: transactional traffic stays
-   on CREW regions (strict, linearizable, serializable — judged by the
-   usual checkers), while versioned regions take concurrent plain writes
-   plus snapshot reads and occasional CAS writes. The MVCC addresses are
-   excluded from the linearizability projection — concurrent LWW publishes
-   are not linearizable by design — and instead gated on the MVCC checks:
-   no out-of-thin-air reads, and every snapshot pin observes one value. *)
-let run_versioned_nemesis ~seed () =
-  let sys = mk ~seed () in
-  let rng = Kutil.Rng.create ~seed:(0x766572 + (seed * 7919)) in
-  let clients = Array.init node_count (fun n -> System.client sys n ()) in
-  let ring = instrument sys clients in
-  let st = { down = []; partitioned = false; faulty = [] } in
-  let stamp = ref 0 in
-  let fresh tag =
-    incr stamp;
-    Printf.sprintf "%02d%06d" tag !stamp
+(* A row's defaults: CREW traffic under crashes and partitions, one write
+   and one read per region a round, a checkpoint (heal, then settle)
+   before the first round, after every third and after the last, then a
+   settled read of every region from node 0. *)
+let leg ~group ~env ~seeds ~replay ~salt ~regions =
+  {
+    group; env; seeds; replay; salt; regions;
+    disk_faults = false;
+    frame_faults = false;
+    init = None;
+    stamps = `Global;
+    settle_tries = 5;
+    start = [ Heal; Settle ];
+    rounds = 7;
+    fault = fault_step;
+    workload = (fun cx -> List.iter (write_read cx) cx.regs);
+    between = every_third [ Heal; Settle ];
+    check = (fun _ _ -> ());
+    finish = [ Heal; Settle ];
+    finals = reads_from [ 0 ];
+  }
+
+(* Repair must bring every region back to its floor within bounded
+   simulated time of the final heal. *)
+let wait_replica_floor cx ~cap =
+  let holders rg =
+    List.length
+      (List.filter
+         (fun n -> Daemon.holds_page (System.daemon cx.sys n) rg.base)
+         (List.init node_count Fun.id))
   in
-  let mk_region ~home ~protocol =
-    System.run_fiber ~name:"versioned-create" sys (fun () ->
-        let attr = Attr.make ~owner:home ~protocol ~min_replicas:2 () in
-        ok (Client.create_region clients.(home) ~attr 4096))
+  let t0 = System.now cx.sys in
+  let deficient () =
+    List.filter (fun rg -> rg.minr > 1 && holders rg < rg.minr) cx.regs
   in
-  let crew_regs =
-    List.map (fun home -> (home, (mk_region ~home ~protocol:"crew").Region.base))
-      [ 1; 2 ]
-  in
-  let ver_regs =
-    List.map
-      (fun home ->
-        let r = mk_region ~home ~protocol:"versioned" in
-        (home, r.Region.base, r.Region.len))
-      [ 3; 4; 5 ]
-  in
-  let mvcc addr =
-    List.exists
-      (fun (_, base, len) ->
-        Gaddr.compare base addr <= 0
-        && Gaddr.compare addr (Gaddr.add_int base len) < 0)
-      ver_regs
-  in
-  let heal_everything () =
-    resync_down sys st;
-    List.iter (fun n -> System.recover sys n) st.down;
-    st.down <- [];
-    if st.partitioned then begin
-      System.heal sys;
-      st.partitioned <- false
-    end;
-    System.run_until_quiet ~limit:(Ksim.Time.sec 5) sys
-  in
-  let settle_all what =
-    heal_everything ();
-    List.iter
-      (fun (home, addr) ->
-        let rec attempt k =
-          let r =
-            System.run_fiber ~name:"versioned-settle" sys (fun () ->
-                Client.write_bytes clients.(home) ~addr (bytes_s (fresh home)))
-          in
-          match r with
-          | Ok () -> ()
-          | Error _ when k > 0 ->
-            System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
-            attempt (k - 1)
-          | Error e ->
-            Alcotest.failf "%s: settled write refused for home %d: %s" what
-              home (Daemon.error_to_string e)
-        in
-        attempt 4)
-      (crew_regs @ List.map (fun (h, b, _) -> (h, b)) ver_regs);
-    System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys
-  in
-  settle_all "initial checkpoint";
-  for round = 1 to 7 do
-    resync_down sys st;
-    fault_step rng sys st;
-    (* Versioned traffic: concurrent writers from two random nodes, then a
-       reader that either reads plain or opens a snapshot and reads it
-       twice — with a write landing in between, so pin stability has
-       something to bite on. *)
-    List.iter
-      (fun (home, addr, _) ->
-        let w1 = Option.get (pick rng (up_nodes st)) in
-        let w2 = Option.get (pick rng (up_nodes st)) in
-        let reader = Option.get (pick rng (up_nodes st)) in
-        System.run_fiber ~name:"versioned-workload" sys (fun () ->
-            (match
-               Client.write_bytes clients.(w1) ~addr (bytes_s (fresh home))
-             with
-            | Ok () | Error _ -> ());
-            if Kutil.Rng.bool rng then (
-              (* Optimistic CAS: read the home version, publish against it.
-                 A [`Conflict] just means somebody else won the race. *)
-              match Client.page_version clients.(w2) addr with
-              | Error _ -> ()
-              | Ok v -> (
-                match
-                  Client.write_cas clients.(w2) ~addr ~expected:v
-                    (bytes_s (fresh home))
-                with
-                | Ok () | Error _ -> ()))
-            else (
-              match
-                Client.write_bytes clients.(w2) ~addr (bytes_s (fresh home))
-              with
-              | Ok () | Error _ -> ());
-            match Client.snapshot clients.(reader) with
-            | Error _ -> ()
-            | Ok snap ->
-              (match Client.snapshot_read clients.(reader) ~snap ~addr 8 with
-              | Ok _ | Error _ -> ());
-              (match
-                 Client.write_bytes clients.(w1) ~addr (bytes_s (fresh home))
-               with
-              | Ok () | Error _ -> ());
-              (match Client.snapshot_read clients.(reader) ~snap ~addr 8 with
-              | Ok _ | Error _ -> ());
-              Client.release_snapshot clients.(reader) snap))
-      ver_regs;
-    (* CREW traffic, including a cross-region transaction: the strict side
-       of the fleet keeps its full linearizability + serializability
-       obligations while MVCC churns next door. *)
-    List.iter
-      (fun (home, addr) ->
-        let writer = Option.get (pick rng (up_nodes st)) in
-        let reader = Option.get (pick rng (up_nodes st)) in
-        System.run_fiber ~name:"versioned-crew-workload" sys (fun () ->
-            (match
-               Client.write_bytes clients.(writer) ~addr (bytes_s (fresh home))
-             with
-            | Ok () | Error _ -> ());
-            match Client.read_bytes clients.(reader) ~addr 8 with
-            | Ok _ | Error _ -> ()))
-      crew_regs;
-    let (_, a1), (_, a2) =
-      match crew_regs with
-      | [ x; y ] -> if Kutil.Rng.bool rng then (x, y) else (y, x)
-      | _ -> assert false
-    in
-    let coord = Option.get (pick rng (up_nodes st)) in
-    let v = fresh 0 in
-    System.run_fiber ~name:"versioned-txn" sys (fun () ->
-        match
-          Client.txn clients.(coord) (fun txn ->
-              match Client.txn_read clients.(coord) txn ~addr:a1 ~len:8 with
-              | Error _ as e -> e
-              | Ok _ -> (
-                match
-                  Client.txn_write clients.(coord) txn ~addr:a1 (bytes_s v)
-                with
-                | Error _ as e -> e
-                | Ok () ->
-                  Client.txn_write clients.(coord) txn ~addr:a2 (bytes_s v)))
-        with
-        | Ok () | Error _ -> ());
-    System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
-    if round mod 3 = 0 then settle_all "mid-run checkpoint"
+  while deficient () <> [] && System.now cx.sys - t0 < cap do
+    System.run_until_quiet ~limit:(Ksim.Time.ms 500) cx.sys
   done;
-  settle_all "final checkpoint";
-  (* Final reads from two vantages land in the history; the MVCC checks
-     cover the versioned ones (any attempted value is legal under LWW —
-     a backgrounded republish is a late write — but thin air is not). *)
+  match deficient () with
+  | [] -> ()
+  | l ->
+    Alcotest.failf
+      "replica floor not restored within %dms for %d region(s): %s"
+      (cap / 1_000_000) (List.length l)
+      (String.concat ", "
+         (List.map
+            (fun rg ->
+              Printf.sprintf "home %d (%d/%d holders)" rg.home (holders rg)
+                rg.minr)
+            l))
+
+(* Plain sweep: five CREW regions with replica floors of 2 and 3. After
+   the final heal the floor is restored, and every region reads back from
+   node 0 and node 3 at least its last settled write (no read retries). *)
+let plain =
+  {
+    (leg ~group:"sweep" ~env:"NEMESIS_SEEDS" ~seeds:[ 1; 2; 3; 4; 5 ]
+       ~replay:("deterministic replay", 1) ~salt:0x6e65
+       ~regions:
+         (List.init 5 (fun i -> (1 + i, "crew", if i mod 2 = 0 then 2 else 3))))
+    with
+    stamps = `Per_region;
+    settle_tries = 4;
+    rounds = 9;
+    finish = [ Heal ];
+    finals =
+      (fun cx ->
+        wait_replica_floor cx ~cap:(Ksim.Time.sec 20);
+        List.map
+          (fun rg ->
+            let read n =
+              read_settled ~retries:0 ~len:8 cx.sys cx.clients.(n)
+                ~addr:rg.base
+            in
+            let v = read 0 in
+            check_acked ~what:"final read" rg v;
+            check_acked ~what:"vantage read" rg (read 3);
+            v)
+          cx.regs);
+  }
+
+(* The plain sweep with disk fault models flipped on and off; seed mod 3
+   picks the pathology. Its replay seed, 8, picks crash-mid-flush:
+   determinism must hold even when crashes fire from inside disk I/O. *)
+let disk =
+  {
+    plain with
+    group = "disk sweep";
+    env = "NEMESIS_DISK_SEEDS";
+    seeds = List.init 10 (fun i -> 6 + i);
+    replay = ("deterministic replay under disk faults", 8);
+    disk_faults = true;
+  }
+
+(* Combined: partitions, crashes, disk faults AND frame-level
+   drop/duplicate/delay in ONE seeded schedule, over plain reads and writes
+   plus one read-modify-write transaction a round across two random
+   regions. There is no bespoke "which value may this read return"
+   bookkeeping: the checkers' verdict is the invariant. *)
+let combined =
+  {
+    (leg ~group:"combined sweep" ~env:"NEMESIS_COMBINED_SEEDS" ~seeds:[ 36; 37 ]
+       ~replay:("deterministic replay of combined faults", 2) ~salt:0x636d62
+       ~regions:(List.init 4 (fun i -> (1 + i, "crew", 2))))
+    with
+    disk_faults = true;
+    frame_faults = true;
+    start = [ Settle ];
+    workload =
+      (fun cx ->
+        List.iter (write_read cx) cx.regs;
+        let arr = Array.of_list cx.regs in
+        Kutil.Rng.shuffle cx.rng arr;
+        let two = [ arr.(0); arr.(1) ] in
+        run_txn cx ~coord:(pick_up cx) ~reads:two ~writes:two);
+    between = every_third [ Heal ];
+    finals = reads_from [ 5; 0 ];
+  }
+
+(* 2PC: one value fanned out to three regions homed at nodes 1, 2 and 3 by
+   a transaction from node 4, a round, under a crash of the coordinator or
+   a participant at a random protocol step, or a partition during voting.
+   After every heal the three regions agree, hold a committed value at
+   least as new as the last acknowledged commit, and nobody is left in
+   doubt. *)
+let twopc_coord = 4
+
+let twopc_fault cx =
+  let rng = cx.rng in
+  let arm victim hook =
+    Daemon.set_txn_hook (System.daemon cx.sys victim) (Some hook)
+  in
+  match Kutil.Rng.int rng 4 with
+  | 0 -> () (* fault-free round *)
+  | 1 | 2 ->
+    let victim, step =
+      if Kutil.Rng.bool rng then
+        (twopc_coord, fst (List.nth coord_steps (Kutil.Rng.int rng 5)))
+      else
+        let step = fst (List.nth participant_steps (Kutil.Rng.int rng 4)) in
+        (1 + Kutil.Rng.int rng 3, step)
+    in
+    arm victim (fun s -> if s = step then System.crash cx.sys victim)
+  | _ ->
+    let cut = 1 + Kutil.Rng.int rng 3 in
+    arm twopc_coord (fun s ->
+        if s = "coord.before_prepare" then
+          System.partition cx.sys [ cut ]
+            (List.filter (fun n -> n <> cut) (0 :: victims)))
+
+let twopc_agree cx ~round =
+  let what = Printf.sprintf "round %d" round in
+  let values =
+    List.map
+      (fun rg -> read_settled ~len:8 cx.sys cx.clients.(0) ~addr:rg.base)
+      cx.regs
+  in
+  (match values with
+  | v :: rest when List.for_all (( = ) v) rest ->
+    check_acked ~what (List.hd cx.regs) v
+  | _ ->
+    Alcotest.failf "%s: partial transaction visible: %s" what
+      (String.concat " / " values));
   List.iter
-    (fun (_, addr) -> ignore (read_settled ~len:8 sys clients.(0) ~addr))
-    (crew_regs @ List.map (fun (h, b, _) -> (h, b)) ver_regs);
-  let s = Khazana.Wire.Transport.stats (System.transport sys) in
-  if s.sent <> s.delivered + s.dropped + s.in_flight then
-    Alcotest.failf "network accounting leak: sent %d <> %d + %d + %d" s.sent
-      s.delivered s.dropped s.in_flight;
-  let events = History.assemble (History.Ring.entries ring) in
-  let report = Check.analyze ~init:zero_init ~mvcc events in
-  if not (Check.passed report) then
-    Alcotest.failf "versioned sweep seed %d: %s" seed (Check.summary report)
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: node %d limbo drained" what n)
+        0
+        (Daemon.txn_prepared_count (System.daemon cx.sys n)))
+    (0 :: victims);
+  values
+
+let twopc =
+  {
+    (leg ~group:"2pc sweep" ~env:"NEMESIS_2PC_SEEDS" ~seeds:[ 26; 27 ]
+       ~replay:("deterministic replay of 2pc faults", 26) ~salt:0x2bc
+       ~regions:[ (1, "crew", 1); (2, "crew", 1); (3, "crew", 1) ])
+    with
+    init = Some "%init%00";
+    start = [ Quiet (Ksim.Time.sec 2) ];
+    rounds = 8;
+    fault = twopc_fault;
+    workload =
+      (fun cx -> run_txn cx ~coord:twopc_coord ~reads:[] ~writes:cx.regs);
+    (* 40 s in all: the in-doubt resolver nags after txn_resolve_after
+       (3 s) of quiet. *)
+    between = (fun _ -> [ Heal; Quiet (Ksim.Time.sec 35) ]);
+    check = (fun cx round -> ignore (twopc_agree cx ~round));
+    finish = [];
+    finals =
+      (fun cx ->
+        (* A final fault-free transaction must land. *)
+        retry cx ~tries:6 ~wait:(Ksim.Time.sec 5)
+          ~what:"healed system refused final txn"
+          (txn cx ~coord:twopc_coord ~reads:[] ~writes:cx.regs);
+        System.run_until_quiet ~limit:(Ksim.Time.sec 10) cx.sys;
+        twopc_agree cx ~round:99);
+  }
+
+(* Versioned (MVCC): transactional traffic stays on two CREW regions while
+   three versioned regions take concurrent plain writes, CAS writes and
+   snapshot reads. The versioned addresses are judged by the MVCC checks:
+   no out-of-thin-air reads, and every snapshot pin observes one value
+   (any attempted value is a legal final read under LWW: a backgrounded
+   republish is a late write). *)
+let versioned =
+  {
+    (leg ~group:"versioned sweep" ~env:"NEMESIS_VERSIONED_SEEDS"
+       ~seeds:[ 51; 52 ]
+       ~replay:("deterministic replay of versioned faults", 51)
+       ~salt:0x766572
+       ~regions:
+         [ (1, "crew", 2); (2, "crew", 2); (3, "versioned", 2);
+           (4, "versioned", 2); (5, "versioned", 2) ])
+    with
+    workload =
+      (fun cx ->
+        let mvcc, crew = List.partition (fun rg -> rg.versioned) cx.regs in
+        List.iter (versioned_ops cx) mvcc;
+        List.iter (write_read cx) crew;
+        let a1, a2 =
+          match crew with
+          | [ x; y ] -> if Kutil.Rng.bool cx.rng then (x, y) else (y, x)
+          | _ -> assert false
+        in
+        run_txn cx ~coord:(pick_up cx) ~reads:[ a1 ] ~writes:[ a1; a2 ]);
+  }
+
+let legs = [ plain; disk; combined; twopc; versioned ]
 
 (* The oracle has teeth on real histories, not just the unit fixtures:
    take a passing combined run, append a fabricated stale read — an old
@@ -1517,7 +1389,7 @@ let run_versioned_nemesis ~seed () =
    write — and the checker must reject it with a minimized
    counterexample. *)
 let test_combined_catches_injected_stale_read () =
-  let { events; _ } = run_combined ~seed:1 () in
+  let { events; _ } = run_leg combined ~seed:1 in
   let writes : (Gaddr.t, (string * int * int) list) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -1763,26 +1635,14 @@ let test_2pc_unreachable_participant () =
   Alcotest.(check string) "follow-up committed (b)" "fin-b"
     (read_settled sys c4 ~addr:b)
 
-let test_determinism () =
-  let seed = 1 in
-  let a = run_nemesis ~seed () in
-  let b = run_nemesis ~seed () in
+(* Same seed, same run: the repro lines the sweeps print are only useful
+   if every schedule, the full multi-fault one included, replays bit for
+   bit from its seed. *)
+let test_replay leg () =
+  let seed = snd leg.replay in
+  let a = (run_leg leg ~seed).fingerprint in
+  let b = (run_leg leg ~seed).fingerprint in
   Alcotest.(check string) "same seed, same run" a b
-
-let test_disk_fault_determinism () =
-  (* seed 8 selects the crash-mid-flush profile: determinism must hold
-     even when crashes fire from inside disk I/O. *)
-  let a = run_nemesis ~disk:true ~seed:8 () in
-  let b = run_nemesis ~disk:true ~seed:8 () in
-  Alcotest.(check string) "same seed, same run under disk faults" a b
-
-let test_combined_determinism () =
-  (* The full multi-fault schedule — partitions + crashes + disk faults +
-     frame faults — must still replay bit-for-bit from its seed, or the
-     repro lines the sweeps print would be useless. *)
-  let a = (run_combined ~seed:2 ()).fingerprint in
-  let b = (run_combined ~seed:2 ()).fingerprint in
-  Alcotest.(check string) "same seed, same combined run" a b
 
 (* --------------------------- Harness --------------------------------- *)
 
@@ -1793,27 +1653,25 @@ let seeds_from_env var default =
     if l = [] then default else l
   | None -> default
 
-let seeds = seeds_from_env "NEMESIS_SEEDS" [ 1; 2; 3; 4; 5 ]
-
-(* Ten disk-fault seeds; seed mod 3 selects the pathology, so this range
-   covers lost writes, torn writes and crash-mid-flush several times
-   each. *)
-let disk_seeds =
-  seeds_from_env "NEMESIS_DISK_SEEDS" [ 6; 7; 8; 9; 10; 11; 12; 13; 14; 15 ]
-
-(* 2PC sweep seeds: CI runs 26..45; the default keeps plain [dune runtest]
-   bounded. *)
-let twopc_seeds = seeds_from_env "NEMESIS_2PC_SEEDS" [ 26; 27 ]
-
-(* Combined multi-fault sweep seeds: CI runs 41..50. *)
-let combined_seeds = seeds_from_env "NEMESIS_COMBINED_SEEDS" [ 36; 37 ]
-
-(* Versioned (MVCC) sweep seeds: CI runs 51..58. *)
-let versioned_seeds = seeds_from_env "NEMESIS_VERSIONED_SEEDS" [ 51; 52 ]
+(* A row's default seeds keep plain [dune runtest] bounded; CI widens each
+   through the row's variable. *)
+let sweep_group leg =
+  ( leg.group,
+    List.map
+      (fun seed ->
+        let name =
+          if leg.disk_faults then
+            Printf.sprintf "seed %d (%s)" seed (fault_profile_name seed)
+          else Printf.sprintf "seed %d" seed
+        in
+        Alcotest.test_case name `Slow
+          (with_repro ~group:leg.group ~env:leg.env ~seed (fun () ->
+               ignore (run_leg leg ~seed))))
+      (seeds_from_env leg.env leg.seeds) )
 
 let () =
   Alcotest.run "nemesis"
-    [
+    ([
       ( "directed",
         [
           Alcotest.test_case "replica floor after holder crash" `Quick
@@ -1832,14 +1690,15 @@ let () =
             test_txn_readers_share_locks;
           Alcotest.test_case "txn read-to-write upgrade validates" `Quick
             test_txn_upgrade_validates;
-          Alcotest.test_case "deterministic replay" `Slow test_determinism;
-          Alcotest.test_case "deterministic replay under disk faults" `Slow
-            test_disk_fault_determinism;
-          Alcotest.test_case "deterministic replay of combined faults" `Slow
-            test_combined_determinism;
-          Alcotest.test_case "checker catches injected stale read" `Slow
-            test_combined_catches_injected_stale_read;
-        ] );
+        ]
+        @ List.map
+            (fun leg ->
+              Alcotest.test_case (fst leg.replay) `Slow (test_replay leg))
+            legs
+        @ [
+            Alcotest.test_case "checker catches injected stale read" `Slow
+              test_combined_catches_injected_stale_read;
+          ] );
       ( "2pc directed",
         List.map
           (fun (step, nth) ->
@@ -1871,51 +1730,5 @@ let () =
                 (run_kfs_rename_crash ~step))
             [ "coord.before_prepare"; "coord.all_acked";
               "coord.decision_logged"; "coord.decide_send" ] );
-      ( "2pc sweep",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (with_repro ~group:"2pc sweep" ~env:"NEMESIS_2PC_SEEDS" ~seed
-                 (fun () -> run_2pc_nemesis ~seed ())))
-          twopc_seeds );
-      ( "sweep",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (with_repro ~group:"sweep" ~env:"NEMESIS_SEEDS" ~seed (fun () ->
-                   ignore (run_nemesis ~seed ()))))
-          seeds );
-      ( "disk sweep",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d (%s)" seed (fault_profile_name seed))
-              `Slow
-              (with_repro ~group:"disk sweep" ~env:"NEMESIS_DISK_SEEDS" ~seed
-                 (fun () -> ignore (run_nemesis ~disk:true ~seed ()))))
-          disk_seeds );
-      ( "combined sweep",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d (%s)" seed (fault_profile_name seed))
-              `Slow
-              (with_repro ~group:"combined sweep"
-                 ~env:"NEMESIS_COMBINED_SEEDS" ~seed (fun () ->
-                   ignore (run_combined ~seed ()))))
-          combined_seeds );
-      ( "versioned sweep",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Slow
-              (with_repro ~group:"versioned sweep"
-                 ~env:"NEMESIS_VERSIONED_SEEDS" ~seed (fun () ->
-                   run_versioned_nemesis ~seed ())))
-          versioned_seeds );
     ]
+    @ List.map sweep_group legs)

@@ -27,8 +27,26 @@ let print_step = function
   | Deliver -> "D"
   | Client (n, m) -> Printf.sprintf "C(%d,%s)" n (Ctypes.mode_to_string m)
 
+(* Shrinking keeps the harness seed. It drops one step at a time, the last
+   first (the steps after a violation go before any it may need), then
+   turns one write into a read. *)
+let shrink_steps steps yield =
+  for i = List.length steps - 1 downto 0 do
+    yield (List.filteri (fun j _ -> j <> i) steps)
+  done;
+  List.iteri
+    (fun i -> function
+      | Client (node, Ctypes.Write) ->
+        yield
+          (List.mapi
+             (fun j s -> if j = i then Client (node, Ctypes.Read) else s)
+             steps)
+      | Client (_, Ctypes.Read) | Deliver -> ())
+    steps
+
 let arb_script =
   QCheck.make
+    ~shrink:QCheck.Shrink.(pair nil shrink_steps)
     ~print:(fun (seed, steps) ->
       Printf.sprintf "seed=%d [%s]" seed
         (String.concat ";" (List.map print_step steps)))
