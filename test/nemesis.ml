@@ -89,13 +89,15 @@ let assert_history_ok ?mvcc ~what ring =
 
 (* A sweep failure must be reproducible from the terminal without reading
    harness code: print the env var + command line that replays exactly
-   this seed of exactly this schedule, then re-raise. *)
+   this seed of exactly this schedule, then re-raise. The group filter is
+   anchored because Alcotest matches it as a regex anywhere in a group
+   name ("sweep" would also run every other sweep group). *)
 let with_repro ~group ~env ~seed f () =
   try f ()
   with e ->
     Printf.eprintf
       "\nnemesis: schedule %S seed %d FAILED — repro:\n  %s=%d dune exec \
-       test/nemesis.exe -- test %S\n\n%!"
+       test/nemesis.exe -- test '^%s$'\n\n%!"
       group seed env seed group;
     raise e
 
