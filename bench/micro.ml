@@ -97,8 +97,10 @@ let storage_tests =
   ]
 
 (* The durable-page write path: one intent-log append of a page record, one
-   sub-page patch of a resident page, and the checksum both tiers take of
-   every image. *)
+   sub-page patch of a resident page (one page copy: the patched image is a
+   fresh one), the home's install of a whole image and its write-through to
+   the disk tier (no copy: the store keeps the buffer, and both tiers share
+   it), and the checksum the disk tier takes of every image. *)
 let durable_write_tests =
   let page = Kutil.Gaddr.of_int (7 * 4096) in
   let image = Bytes.make 4096 'w' in
@@ -129,10 +131,18 @@ let durable_write_tests =
              appended := 0;
              cur := fresh_log ()
            end));
-    store_patch "page_store write_from 512 B (fiber)" (fun store src ->
+    store_patch "page_store write_from 512 B (cached page)" (fun store src ->
         ignore
           (Kstorage.Page_store.write_from store page ~off:1024 src ~src_off:0
              ~len:512));
+    Test.make ~name:"page_store write_immediate+flush_immediate 4 KiB"
+      (let eng = Ksim.Engine.create () in
+       let store =
+         Kstorage.Page_store.create eng (Kstorage.Page_store.config ())
+       in
+       Staged.stage (fun () ->
+           Kstorage.Page_store.write_immediate store page image ~dirty:false;
+           Kstorage.Page_store.flush_immediate store page));
     Test.make ~name:"disk_fault checksum 4 KiB"
       (Staged.stage (fun () -> Kstorage.Disk_fault.checksum image));
   ]

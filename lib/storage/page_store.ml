@@ -235,9 +235,9 @@ let verify_disk t addr frame =
     false
   end
 
-(* The data-plane read shared by [read] and [read_into]: charge the tier's
-   latency, promote disk hits into RAM, and return the frame's own bytes,
-   which the caller copies out and must neither keep nor mutate. *)
+(* The data-plane read shared by [read], [read_into] and [write_from]:
+   charge the tier's latency, promote disk hits into RAM, and return the
+   frame's own (immutable) bytes. *)
 let read_frame t addr =
   match Gaddr.Table.find_opt t.ram addr with
   | Some frame ->
@@ -259,14 +259,15 @@ let read_frame t addr =
         (* Inclusive promotion: the disk frame stays put — after a WAL
            checkpoint truncates a page's log records it can be the only
            durable copy of a committed image, and a read must not turn
-           durable data into RAM-only data. A copy fronts it in RAM;
-           pins move to the RAM copy (pin/unpin resolve RAM first). *)
+           durable data into RAM-only data. A RAM frame sharing its bytes
+           fronts it; pins move to the RAM frame (pin/unpin resolve RAM
+           first). *)
         let data = frame.data in
         (match Gaddr.Table.find_opt t.disk addr with
          | Some f when f == frame && not (Gaddr.Table.mem t.ram addr) ->
            let ram_frame =
              {
-               data = Bytes.copy frame.data;
+               data;
                dirty = frame.dirty;
                pins = frame.pins;
                last_use = frame.last_use;
@@ -293,14 +294,16 @@ let read_into t addr ~off dst ~dst_off ~len =
     true
   | None -> false
 
-(* [write] with [data] already owned by the store: no caller keeps it. *)
-let write_owned t addr data ~dirty =
+(* Install [data] as the page's image; the store owns it from here on and
+   never mutates it. [charge] is the data plane's RAM-write sleep (and the
+   demotions it may force); control-plane installs skip it. *)
+let install t addr data ~dirty ~charge =
   match Gaddr.Table.find_opt t.ram addr with
   | Some frame ->
     frame.data <- data;
     frame.dirty <- frame.dirty || dirty;
     touch t frame;
-    Ksim.Fiber.sleep ram_latency
+    if charge then Ksim.Fiber.sleep ram_latency
   | None ->
     (* Overwriting a disk-resident page installs the new content in RAM in
        front of it; the disk frame keeps the prior durable bytes until a
@@ -320,35 +323,25 @@ let write_owned t addr data ~dirty =
     in
     touch t frame;
     let epoch = t.epoch in
-    install_ram t addr frame;
-    if t.epoch = epoch then Ksim.Fiber.sleep ram_latency
+    install_ram ~charge t addr frame;
+    if charge && t.epoch = epoch then Ksim.Fiber.sleep ram_latency
 
-let write t addr data ~dirty = write_owned t addr (Bytes.copy data) ~dirty
+let write t addr data ~dirty =
+  install t addr (Bytes.copy data) ~dirty ~charge:true
 
-(* A read followed by a write of the patched image, without the two page
-   copies: the same latencies, promotion and crash fencing, then the patch
-   lands in the resident RAM frame itself. That is safe because no RAM
-   frame's bytes are ever aliased outside the store: [read]/[read_immediate]
-   hand out copies, [read_into] blits, [write]/[write_immediate] copy in,
-   promotion and [flush_immediate] copy between tiers, and a demoted frame
-   leaves the RAM table before it joins the disk tier. *)
+let write_immediate t addr data ~dirty = install t addr data ~dirty ~charge:false
+
+(* A read followed by a write of the patched image, with the same
+   latencies, promotion and crash fencing. Installed images are never
+   mutated, so the patch lands in a fresh copy of the page: one copy where
+   [read] then [write] would make two. *)
 let write_from t addr ~off src ~src_off ~len =
   match read_frame t addr with
   | None -> false
   | Some data ->
-    (match Gaddr.Table.find_opt t.ram addr with
-     | Some frame when frame.data == data ->
-       Bytes.blit src src_off data off len;
-       frame.dirty <- true;
-       touch t frame;
-       Ksim.Fiber.sleep ram_latency
-     | Some _ | None ->
-       (* A disk hit (the read returned the disk frame's bytes, fronted by
-          a fresh RAM copy) or a page that moved while the read slept:
-          write a patched copy, exactly as [read] then [write] would. *)
-       let image = Bytes.copy data in
-       Bytes.blit src src_off image off len;
-       write_owned t addr image ~dirty:true);
+    let image = Bytes.copy data in
+    Bytes.blit src src_off image off len;
+    install t addr image ~dirty:true ~charge:true;
     true
 
 let find_frame t addr =
@@ -358,35 +351,11 @@ let find_frame t addr =
 
 let read_immediate t addr =
   match Gaddr.Table.find_opt t.ram addr with
-  | Some frame -> Some (Bytes.copy frame.data)
+  | Some frame -> Some frame.data
   | None -> (
     match Gaddr.Table.find_opt t.disk addr with
-    | Some frame when verify_disk t addr frame -> Some (Bytes.copy frame.data)
+    | Some frame when verify_disk t addr frame -> Some frame.data
     | Some _ | None -> None)
-
-let write_immediate t addr data ~dirty =
-  let data = Bytes.copy data in
-  match Gaddr.Table.find_opt t.ram addr with
-  | Some frame ->
-    frame.data <- data;
-    frame.dirty <- frame.dirty || dirty;
-    touch t frame
-  | None ->
-    (* A disk-resident page keeps its durable frame; the new content goes
-       into a RAM frame in front of it (the data plane sees a RAM hit
-       next), reaching disk only through an explicit flush or demotion. *)
-    let was_dirty =
-      match Gaddr.Table.find_opt t.disk addr with
-      | Some old ->
-        old.pins <- 0;
-        old.dirty
-      | None -> false
-    in
-    let frame =
-      { data; dirty = dirty || was_dirty; pins = 0; last_use = 0; sum = 0 }
-    in
-    touch t frame;
-    install_ram ~charge:false t addr frame
 
 (* Past this many runs the bookkeeping collapses to the bounding hull:
    a pathological scatter of tiny writes degrades to one wide run (still
@@ -461,7 +430,7 @@ let flush_immediate t addr =
     if not (Gaddr.Table.mem t.disk addr) then make_disk_room t;
     install_disk t addr
       {
-        data = Bytes.copy frame.data;
+        data = frame.data;
         dirty = false;
         pins = 0;
         last_use = frame.last_use;

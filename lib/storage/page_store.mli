@@ -7,6 +7,16 @@
     handed to the eviction hook so the consistency protocol can push dirty
     data and update sharer lists before the copy disappears.
 
+    Page images are immutable once installed: every write installs a fresh
+    buffer and no frame's bytes are ever changed in place. The store
+    therefore shares bytes instead of copying them. {!read_immediate}
+    returns the frame's own buffer, {!write_immediate} takes ownership of
+    its argument, and {!flush_immediate} and disk promotion let both tiers
+    share one buffer. Whoever holds such a buffer, the eviction hook
+    included, must treat it as read-only, and a buffer handed to the store
+    must not be changed afterwards. {!read} and {!write} still copy, so
+    their callers may mutate freely.
+
     The disk tier has a volatile write cache: a write becomes durable only
     at the next {!sync} barrier. A crash wipes RAM and — under an active
     {!Disk_fault.config} — rolls unsynced disk writes back to their prior
@@ -61,7 +71,8 @@ val where : t -> Kutil.Gaddr.t -> tier option
 val read : t -> Kutil.Gaddr.t -> bytes option
 (** Fetch a copy of the page, promoting disk hits into RAM. Promotion is
     inclusive: the disk frame is retained (it may be the only durable copy
-    of a checkpointed page), with a RAM copy installed in front of it.
+    of a checkpointed page), with a RAM frame sharing its bytes installed
+    in front of it.
     Returns a fresh buffer; mutating it does not affect the store. Torn
     disk images are dropped, not served. [None] also when the store
     crashed while the read slept. *)
@@ -84,29 +95,31 @@ val write_from :
 (** [write_from t addr ~off src ~src_off ~len] overwrites [len] bytes of
     the page at [off] with [src] from [src_off] and marks it dirty: {!read}
     then [write ~dirty:true] of the patched image, with the same
-    latencies, disk promotion and crash fencing, but the bytes are patched
-    into the resident RAM frame instead of copied out and back. [false]
-    (and nothing written) wherever {!read} would return [None].
-
-    In-place patching rests on one rule of this module: no RAM frame's
-    bytes are ever aliased outside the store. Every read hands out a copy
-    or blits, every write copies in, and frames never share bytes across
-    tiers. *)
+    latencies, disk promotion and crash fencing, but with one page copy
+    instead of two. The patch lands in a fresh image that replaces the
+    old one, so a buffer {!read_immediate} returned earlier and a disk
+    frame that shares the old bytes both keep them. [false] (and nothing
+    written) wherever {!read} would return [None]. *)
 
 val read_immediate : t -> Kutil.Gaddr.t -> bytes option
 (** Control-plane read: no simulated latency, no tier promotion. Safe to
-    call outside a fiber. Torn disk images are dropped, not served. *)
+    call outside a fiber. Torn disk images are dropped, not served.
+    Returns the frame's own bytes, not a copy: the caller must not mutate
+    them. Later writes install new images and leave them as they are. *)
 
 val write_immediate : t -> Kutil.Gaddr.t -> bytes -> dirty:bool -> unit
 (** Control-plane install: no simulated latency. Evictions it forces still
-    invoke the eviction hook synchronously. *)
+    invoke the eviction hook synchronously. The store takes ownership of
+    the buffer without copying it: the caller must not mutate it
+    afterwards. *)
 
 val flush_immediate : t -> Kutil.Gaddr.t -> unit
-(** Copy the RAM-resident frame of [addr] through to the disk tier and
-    clear the RAM frame's dirty bit (the bytes are now backed; leaving it
-    set would write them back a second time on demotion). The write is
-    unsynced until the next {!sync}. Control-plane: no simulated latency.
-    No-op when the page is not RAM-resident. *)
+(** Write the RAM-resident image of [addr] through to the disk tier (the
+    two frames share its bytes) and clear the RAM frame's dirty bit (the
+    bytes are now backed; leaving it set would write them back a second
+    time on demotion). The write is unsynced until the next {!sync}.
+    Control-plane: no simulated latency. No-op when the page is not
+    RAM-resident. *)
 
 val sync : t -> unit
 (** Durability barrier: every disk write so far survives any later crash.

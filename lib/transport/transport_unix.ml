@@ -98,9 +98,11 @@ module Make (W : Transport.WIRE) = struct
   (* ---------------- dialing ---------------- *)
 
   (* How long a send will politely block waiting for a peer that has
-     never yet answered (process start is not synchronised). After first
-     contact the wait drops to zero: a dead socket fails fast and re-dial
-     attempts are paced by exponential backoff instead. *)
+     never yet answered and has not bound its socket yet (process start is
+     not synchronised). A bound socket that refuses the connection belongs
+     to a dead peer, and after first contact the wait drops to zero: both
+     fail fast, and re-dial attempts are paced by exponential backoff
+     instead. *)
   let connect_grace = 10.0 (* seconds *)
   let dial_backoff_base = Ksim.Time.ms 50
   let dial_backoff_cap = Ksim.Time.ms 1000
@@ -145,14 +147,11 @@ module Make (W : Transport.WIRE) = struct
             d.d_next <- 0.0;
             Kutil.Backoff.reset d.d_backoff;
             Some fd
-          | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) ->
+          | exception Unix.Unix_error (ENOENT, _, _)
+            when (not d.d_ever) && Unix.gettimeofday () <= deadline ->
             close_quietly fd;
-            if d.d_ever then fail ()
-            else if Unix.gettimeofday () > deadline then fail ()
-            else begin
-              Unix.sleepf 0.02;
-              go ()
-            end
+            Unix.sleepf 0.02;
+            go ()
           | exception Unix.Unix_error _ ->
             close_quietly fd;
             fail ()
@@ -345,12 +344,10 @@ module Make (W : Transport.WIRE) = struct
     if not alive then close_quietly c.in_fd;
     alive
 
-  (* One scheduler-and-sockets turn: run every engine event due by the wall
-     clock, sleep in select until the sockets speak or the next timer is
-     due, ingest frames, run the engine again. *)
-  let pump ?(max_wait = 0.05) t =
+  (* Sleep in select until the sockets speak or the next timer is due
+     (at most [max_wait]), then ingest frames. *)
+  let await_input ~max_wait t =
     if t.closed then invalid_arg "Transport_unix.pump: endpoint closed";
-    Ksim.Engine.run ~until:(elapsed t) t.engine;
     let timeout =
       match Ksim.Engine.next_at t.engine with
       | Some at ->
@@ -368,7 +365,13 @@ module Make (W : Transport.WIRE) = struct
            List.filter
              (fun c -> if List.memq c.in_fd ready then read_into t c else true)
              t.incoming
-     | exception Unix.Unix_error (EINTR, _, _) -> ());
+     | exception Unix.Unix_error (EINTR, _, _) -> ())
+
+  (* One scheduler-and-sockets turn: run every engine event due by the wall
+     clock, wait for input, run the engine again. *)
+  let pump ?(max_wait = 0.05) t =
+    Ksim.Engine.run ~until:(elapsed t) t.engine;
+    await_input ~max_wait t;
     Ksim.Engine.run ~until:(elapsed t) t.engine
 
   (* ---------------- the link ---------------- *)
@@ -435,11 +438,13 @@ module Make (W : Transport.WIRE) = struct
     let p = Ksim.Fiber.async t.engine ~name f in
     while not (Ksim.Promise.is_resolved p) do
       (* Work that needs no socket (a purely local operation) completes
-         right here; only re-enter the blocking select while the fiber is
-         genuinely waiting on the wire or a timer. *)
+         right here; only enter the blocking select while the fiber is
+         genuinely waiting on the wire or a timer. No engine run comes
+         between the check and the select ([pump] would start with one),
+         so a fiber that completes is never followed by a wait. *)
       Ksim.Engine.run ~until:(elapsed t) t.engine;
       if not (Ksim.Promise.is_resolved p) then begin
-        pump ~max_wait:0.01 t;
+        await_input ~max_wait:0.01 t;
         List.iter (fun o -> pump ~max_wait:0.0 o) others
       end
     done;

@@ -36,9 +36,10 @@ module Make (W : Transport.WIRE) : sig
       engine (rng seeded [seed + id], default seed 42). Ignores SIGPIPE
       process-wide: a peer that died mid-write must surface as an error on
       the write, not kill us. Connections to peers open lazily on first
-      send; a never-yet-answering peer is awaited for a start-up grace
-      period, while a peer that vanished after first contact fails fast
-      and is re-dialed under exponential backoff. *)
+      send; a never-yet-answering peer whose socket does not exist yet is
+      awaited for a start-up grace period, while a socket that refuses the
+      connection (its process died) and a peer that vanished after first
+      contact fail fast and are re-dialed under exponential backoff. *)
 
   val pack : t -> Transport.Make(W).t
   (** The RPC core over this endpoint: what the local daemon holds. It
@@ -56,8 +57,9 @@ module Make (W : Transport.WIRE) : sig
       again. A daemon process's main loop is [while running do pump t done]. *)
 
   val run_fiber : ?others:t list -> ?name:string -> t -> (unit -> 'a) -> 'a
-  (** Spawn a fiber on the endpoint's engine and pump until it completes.
-      [others] are sibling endpoints in the same process (single-process
+  (** Spawn a fiber on the endpoint's engine and pump until it completes,
+      returning as soon as it does (it never waits in select once the
+      fiber is done). [others] are sibling endpoints in the same process (single-process
       harnesses, e.g. the conformance suite) that must be pumped too or the
       conversation deadlocks. Liveness comes from call policies' timeouts:
       real time keeps flowing, there is no quiescence detection. *)

@@ -377,14 +377,18 @@ let test_write_from_latency () =
         (cost ~on_disk old_way) (cost ~on_disk new_way))
     [ false; true ]
 
-(* No RAM frame's bytes are aliased outside the store, so patching one in
-   place cannot reach a buffer a reader already holds, nor the disk frame
+(* Installed images are never mutated: [write_immediate] keeps the very
+   buffer it is given, and a later [write_from] installs a fresh image
+   instead of reaching a buffer a reader already holds, or the disk frame
    a flush wrote. *)
 let test_write_from_no_aliasing () =
   let eng, s = mk () in
   let src = data "aaaaaaaa" in
   Store.write_immediate s (page 1) src ~dirty:true;
-  Bytes.fill src 0 8 'S';
+  Alcotest.(check bool) "write_immediate takes the buffer itself" true
+    (match Store.read_immediate s (page 1) with
+     | Some b -> b == src
+     | None -> false);
   Store.flush_immediate s (page 1);
   let immediate = Store.read_immediate s (page 1) in
   let into = Bytes.make 8 '-' in
@@ -410,6 +414,73 @@ let test_write_from_no_aliasing () =
   Store.crash s;
   Alcotest.(check string) "flushed disk frame untouched" "aaaaaaaa"
     (read_string s (page 1))
+
+(* [flush_immediate] shares one buffer between the tiers; a RAM
+   [write_from] afterwards must leave the disk frame's bytes alone. *)
+let test_flushed_disk_frame_survives_write_from () =
+  let eng, s = mk () in
+  Store.write_immediate s (page 1) (data "aaaaaaaa") ~dirty:true;
+  Store.flush_immediate s (page 1);
+  Store.sync s;
+  let flushed = Option.get (Store.read_immediate s (page 1)) in
+  in_fiber eng (fun () ->
+      Alcotest.(check bool) "first patch" true
+        (Store.write_from s (page 1) ~off:0 (data "XX") ~src_off:0 ~len:2);
+      Alcotest.(check bool) "second patch" true
+        (Store.write_from s (page 1) ~off:6 (data "YY") ~src_off:0 ~len:2));
+  Alcotest.(check string) "RAM has both patches" "XXaaaaYY"
+    (read_string s (page 1));
+  Alcotest.(check string) "shared buffer untouched" "aaaaaaaa"
+    (Bytes.to_string flushed);
+  Store.crash s;
+  Alcotest.(check string) "disk frame keeps the flushed image" "aaaaaaaa"
+    (read_string s (page 1))
+
+(* Promotion fronts a disk frame with a RAM frame sharing its bytes, so the
+   RAM-hit [write_from] that follows must not patch them where they lie. *)
+let test_promoted_disk_frame_survives_write_from () =
+  let eng, s = mk () in
+  Store.write_immediate s (page 1) (data "v1v1") ~dirty:true;
+  Store.flush_immediate s (page 1);
+  Store.sync s;
+  Store.crash s;
+  in_fiber eng (fun () ->
+      ignore (Store.read s (page 1));
+      Alcotest.(check bool) "promoted" true
+        (Store.where s (page 1) = Some Store.Ram);
+      Alcotest.(check bool) "patched on a RAM hit" true
+        (Store.write_from s (page 1) ~off:0 (data "v2") ~src_off:0 ~len:2));
+  Alcotest.(check int) "one disk hit, then RAM hits" 1 (Store.stats s).disk_hits;
+  Alcotest.(check string) "RAM fronts disk" "v2v1" (read_string s (page 1));
+  Store.crash s;
+  Alcotest.(check string) "disk frame survived the patch" "v1v1"
+    (read_string s (page 1))
+
+(* A crash under [Disk_fault] rolls an unsynced flush back to the prior
+   durable image, or tears it. Either way it replaces the disk frame's
+   bytes and never writes into the buffer the RAM frame shared with it. *)
+let test_crash_rolls_back_shared_page () =
+  List.iter
+    (fun (faults, what) ->
+      let _eng, s = mk () in
+      Store.set_faults s faults;
+      Store.write_immediate s (page 1) (data "v1v1v1v1") ~dirty:true;
+      Store.flush_immediate s (page 1);
+      Store.sync s;
+      let v2 = data "v2v2v2v2" in
+      Store.write_immediate s (page 1) v2 ~dirty:true;
+      Store.flush_immediate s (page 1);
+      Store.crash s;
+      Alcotest.(check string) (what ^ ": held buffer untouched") "v2v2v2v2"
+        (Bytes.to_string v2);
+      match Store.read_immediate s (page 1) with
+      | Some b ->
+        Alcotest.(check string) (what ^ ": prior durable image") "v1v1v1v1"
+          (Bytes.to_string b)
+      | None ->
+        Alcotest.(check bool) (what ^ ": torn image dropped") true
+          (faults == torn_faults && (Store.stats s).torn_detected = 1))
+    [ (all_faults, "lost write"); (torn_faults, "torn write") ]
 
 let test_write_from_promotes_disk_page () =
   let eng, s = mk () in
@@ -907,6 +978,12 @@ let () =
             test_write_from_promotes_disk_page;
           Alcotest.test_case "crash mid-sleep" `Quick
             test_write_from_crash_mid_sleep;
+          Alcotest.test_case "flushed disk frame keeps its bytes" `Quick
+            test_flushed_disk_frame_survives_write_from;
+          Alcotest.test_case "promoted disk frame survives" `Quick
+            test_promoted_disk_frame_survives_write_from;
+          Alcotest.test_case "crash rolls a shared page back" `Quick
+            test_crash_rolls_back_shared_page;
         ] );
       ( "wal",
         [

@@ -917,6 +917,55 @@ let test_lock_unlock_words () =
     Alcotest.failf "a one-page Read lock + unlock allocates %.1f words, bound 218"
       words
 
+(* Node 2 writes 512 B records into a page of a CREW region homed at node
+   1, once to take the page, then measured. Every node runs in this one
+   process, so the words count the writer and the home together. While the
+   page store copied a whole page in and out at every boundary, a write
+   took 3,862 words and a two-home commit 10,626; with immutable page
+   images, 1,806 and 7,028. *)
+let test_remote_write_words () =
+  let sys = mk () in
+  let writer = System.client sys 2 () in
+  let record = Bytes.make 512 'w' in
+  let words =
+    System.run_fiber sys (fun () ->
+        let r = ok (Client.create_region (System.client sys 1 ()) 4096) in
+        let addr = r.Region.base in
+        ok (Client.write_bytes writer ~addr record);
+        words_per_call 500 (fun () ->
+            ok (Client.write_bytes writer ~addr record)))
+  in
+  if words > 1990.0 then
+    Alcotest.failf "a remote 512 B write_bytes allocates %.1f words, bound 1990"
+      words
+
+(* A transaction on node 2 that reads a 512 B slot of a region homed at
+   node 1 and writes it there and in a region node 2 homes: two homes, one
+   of them the coordinator, as in kbench's txn-2pc. *)
+let test_two_home_txn_words () =
+  let sys = mk () in
+  let coord = System.client sys 2 () in
+  let record = Bytes.make 512 't' in
+  let words =
+    System.run_fiber sys (fun () ->
+        let a = (ok (Client.create_region (System.client sys 1 ()) 4096)).Region.base in
+        let b = (ok (Client.create_region coord 4096)).Region.base in
+        let commit () =
+          ok
+            (Client.txn coord (fun txn ->
+                 match Client.txn_read coord txn ~addr:a ~len:512 with
+                 | Error _ as e -> e
+                 | Ok _ -> (
+                   match Client.txn_write coord txn ~addr:a record with
+                   | Error _ as e -> e
+                   | Ok () -> Client.txn_write coord txn ~addr:b record)))
+        in
+        commit ();
+        words_per_call 200 commit)
+  in
+  if words > 7730.0 then
+    Alcotest.failf "a two-home txn commit allocates %.1f words, bound 7730" words
+
 let () =
   Alcotest.run "system"
     [
@@ -985,6 +1034,10 @@ let () =
           Alcotest.test_case "cached read_bytes" `Quick test_cached_read_words;
           Alcotest.test_case "one-page lock + unlock" `Quick
             test_lock_unlock_words;
+          Alcotest.test_case "remote CREW write_bytes" `Quick
+            test_remote_write_words;
+          Alcotest.test_case "two-home txn commit" `Quick
+            test_two_home_txn_words;
         ] );
       ( "tracing",
         [

@@ -896,6 +896,52 @@ module Unix_only = struct
     Alcotest.(check (list string)) "peer's frame" [ "theirs" ] (await h peer 1);
     Alcotest.(check (list string)) "self-send intact" [ mine ] (await h self 1)
 
+  (* A peer that bound its socket and died leaves the socket file behind,
+     and dialing it is refused. Unlike a socket file that does not exist
+     yet, that is no reason to wait: the send fails at once (a wait would
+     block the whole process), and only the re-dial backoff paces the next
+     attempt. A real peer at the path is then reached. *)
+  let test_refused_dial_fails_fast h =
+    let path = Filename.concat h.H.dir "node-1.sock" in
+    Sockets.close h.H.eps.(1);
+    let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind stale (Unix.ADDR_UNIX path);
+    Unix.close stale;
+    let t0 = H.transport h ~node:0 in
+    let d0 = (T.stats t0).dropped in
+    let start = Unix.gettimeofday () in
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "void");
+    let took = Unix.gettimeofday () -. start in
+    let dropped = (T.stats t0).dropped in
+    (* Binding the real peer replaces the stale file, so the directory
+       cleans up even when a check below fails. *)
+    h.H.eps.(1) <-
+      Sockets.create ~dir:h.H.dir ~id:1
+        (Topology.symmetric ~nodes_per_cluster:2 ~clusters:1);
+    if took > 0.5 then
+      Alcotest.failf "a refused dial blocked the sender for %.2f s" took;
+    Alcotest.(check int) "the refused send counted dropped" (d0 + 1) dropped;
+    let got = recorder h.H.eps.(1) in
+    (* The first re-dial delay is at most the 50 ms backoff base. *)
+    Unix.sleepf 0.06;
+    T.notify t0 ~src:0 ~dst:1 (Proto.Echo "after");
+    Alcotest.(check (list string)) "the real peer is reached" [ "after" ]
+      (await h got 1)
+
+  (* A fiber that finishes inside one of [run_fiber]'s engine turns must
+     not be followed by a select that waits out its full timeout (10 ms)
+     with nothing left to do. Whether a fiber finishes there is a race
+     with the wall clock, so run many: 200 fibers that each sleep 1 us take
+     a few milliseconds, and about 300 ms when one in seven waits. *)
+  let test_run_fiber_returns_when_done h =
+    let start = Unix.gettimeofday () in
+    for _ = 1 to 200 do
+      Sockets.run_fiber h.H.eps.(0) (fun () -> Ksim.Fiber.sleep (Time.us 1))
+    done;
+    let took = Unix.gettimeofday () -. start in
+    if took > 0.1 then
+      Alcotest.failf "200 fibers of a 1 us sleep took %.3f s to run" took
+
   let cases =
     [
       Alcotest.test_case "peer vanished, then rebind" `Quick
@@ -919,6 +965,10 @@ module Unix_only = struct
         (with_h test_frame_over_64k);
       Alcotest.test_case "recv: self-send, then another" `Quick
         (with_h test_self_send_then_other);
+      Alcotest.test_case "refused dial fails fast" `Quick
+        (with_h test_refused_dial_fails_fast);
+      Alcotest.test_case "run_fiber returns when its fiber is done" `Quick
+        (with_h test_run_fiber_returns_when_done);
     ]
 end
 
