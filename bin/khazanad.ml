@@ -11,7 +11,9 @@
    expected exit through one bounded [reap], and, however it leaves —
    success, a failed check, a timeout, an uncaught exception — SIGKILLs
    and reaps every child still alive and removes the directory. Every
-   wait, in the supervisor and in the nodes, is the one [poll] loop.
+   wait, in the supervisor and in the nodes, is the one [poll] loop; a
+   wait of the supervisor's also fails the run as soon as a child exits
+   that was not expected to.
 
    - default (smoke): an E1-shaped workload — node 0 (the supervisor
      itself) creates and writes a region, every forked worker cold-reads
@@ -105,11 +107,6 @@ let poll ?ep ?(every = 0.01) ~deadline f =
   in
   go ()
 
-let await ?ep ?every ~deadline ~what f =
-  match poll ?ep ?every ~deadline f with
-  | Some v -> v
-  | None -> fail "timed out waiting for %s" what
-
 let files_exist paths () =
   if List.for_all Sys.file_exists paths then Some () else None
 
@@ -157,16 +154,43 @@ let reap fleet pid =
   if st <> None then Hashtbl.remove fleet.live pid;
   st
 
+let show = function
+  | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "signal %d" s
+
 let expect_exit fleet pid want =
-  let show = function
-    | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "signal %d" s
-  in
   let label = Hashtbl.find fleet.live pid in
   match reap fleet pid with
   | Some st when st = want -> ()
   | Some st -> fail "%s exited unexpectedly: %s, wanted %s" label (show st) (show want)
   | None -> fail "%s did not exit within 15s" label
+
+(* Wait for [f] as [poll] does, failing once [deadline] has passed. The
+   supervisor passes its [fleet]: a child that exits while it waits for
+   something else has failed, and so has the run, at once rather than
+   when the budget runs out. *)
+let await ?fleet ?ep ?every ~deadline ~what f =
+  let check fleet =
+    let exited =
+      Hashtbl.fold
+        (fun pid label acc ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> acc
+          | _, st -> (pid, label, st) :: acc)
+        fleet.live []
+    in
+    List.iter (fun (pid, _, _) -> Hashtbl.remove fleet.live pid) exited;
+    match exited with
+    | (_, label, st) :: _ -> fail "%s exited unexpectedly: %s" label (show st)
+    | [] -> ()
+  in
+  match
+    poll ?ep ?every ~deadline (fun () ->
+        Option.iter check fleet;
+        f ())
+  with
+  | Some v -> v
+  | None -> fail "timed out waiting for %s" what
 
 let cleanup fleet =
   List.iter
@@ -294,7 +318,7 @@ let run_bootstrap fleet ~nodes =
      the atomic-commit phase now. Worker 1 published a region homed on
      itself; each transaction spans that region and ours — a real
      two-participant 2PC over the sockets. *)
-  await ~ep ~deadline ~what:"worker results"
+  await ~fleet ~ep ~deadline ~what:"worker results"
     (files_exist ((dir / "region1.addr") :: results));
   let r1base = read_addr (dir / "region1.addr") in
   let txns = 10 in
@@ -601,9 +625,11 @@ let run_chaos ~nodes ~seed ~rounds ~budget =
   with_fleet ~name:"khazanad-chaos" ~nodes ~budget @@ fun fleet ->
   let dir = fleet.dir and deadline = fleet.deadline in
   let rng = Kutil.Rng.create ~seed in
-  let await_file what path = await ~deadline ~what (files_exist [ path ]) in
+  let await_file what path =
+    await ~fleet ~deadline ~what (files_exist [ path ])
+  in
   let await_suspected what ~suspected =
-    await ~every:0.05 ~deadline ~what (fun () ->
+    await ~fleet ~every:0.05 ~deadline ~what (fun () ->
         let suspects =
           if Sys.file_exists (dir / "suspects-0") then
             read_file (dir / "suspects-0")

@@ -494,8 +494,16 @@ let handle_cache_msg t src msg acc =
   | Own_grant { data; version; fence } ->
     if t.cstate = Owned_excl then begin
       (* Duplicate grant (the manager re-sent after a lost ack): keep our
-         possibly-newer data, just re-ack. *)
+         data unless the grant's is newer, just re-ack. *)
       if t.locks.cache_req = Some Write then t.locks.cache_req <- None;
+      let acc =
+        if version > t.ver then begin
+          t.data <- Some data;
+          t.ver <- version;
+          Install { data; dirty = false } :: acc
+        end
+        else acc
+      in
       pump_local t (Send (t.cfg.home, Done { mode = Write }) :: acc)
     end
     else if fence < t.floor then
@@ -626,11 +634,35 @@ let handle_home_msg t src msg acc =
     end
     else acc
   | Update { data; version } ->
-    (* Foreign to CREW; keep the freshest data as backup rather than drop
-       it. *)
-    if version >= (match t.backup with Some (_, v) -> v | None -> 0) then
-      t.backup <- Some (data, version);
-    acc
+    (* A write-through (a remote writer's flush or a 2PC commit) at the
+       version its release gave it. The backup keeps the freshest, and a
+       grant still being re-sent carries nothing older: its grantee may be
+       a reincarnation of the writer, which lost the write with its cache.
+       The daemon installs the image in the store. *)
+    if version >= backup_version t then t.backup <- Some (data, version);
+    (match t.txn with
+     | Await_done ({ regrant = Some (Own_grant g); _ } as r)
+       when version > g.version ->
+       t.txn <-
+         Await_done
+           { r with regrant = Some (Own_grant { g with data; version }) }
+     | Idle | Read_flight _ | Inval_phase _ | Own_flight _ | Await_done _ -> ());
+    if t.cstate = Invalid || version <= t.ver then acc
+    else begin
+      (* The home holds a copy older than a write made elsewhere: its
+         books missed that writer (a home rebuilt after a crash believes
+         it owns the page), so every copy they list may be as old. The
+         copy takes the image, and an owning home revokes every copy, the
+         writer's included, with a write transaction of its own. *)
+      t.data <- Some data;
+      t.ver <- version;
+      if t.owner <> t.cfg.self then acc
+      else begin
+        if src <> t.cfg.self then t.copyset <- NSet.add src t.copyset;
+        Queue.push (t.cfg.self, Write) t.hqueue;
+        pump_home t acc
+      end
+    end
   | Fence_bump { floor } ->
     (* A survivor of a previous incarnation of this manager refuses fences
        below [floor]: our counter restarted from zero after a crash and

@@ -60,7 +60,6 @@ let set_txn_hook t hook = t.txn.Txn.hook <- hook
 let last_txid t = t.txn.Txn.last
 let txn_prepared_count t = Kutil.Txid.Table.length t.txn.Txn.prepared
 let txn_undelivered_decisions t = Kutil.Txid.Table.length t.txn.Txn.decisions
-let txn_pinned t page = Gaddr.Table.mem t.txn.Txn.pins page
 let checkpoint t = Recovery.checkpoint t.c t.txn
 
 (* -- client operations -- *)
@@ -125,7 +124,7 @@ let handle t ctx ~src (req : Wire.request) =
     Data_path.serve_cm_msg t.dp ctx ~src ~page ~region_base body;
     None
   | Wire.Page_flush { page; region_base; data; version } ->
-    Some (Data_path.serve_flush t.dp ctx ~src ~page ~region_base ~data ~version)
+    Some (Data_path.serve_flush c ctx ~src ~page ~region_base ~data ~version)
   | Wire.Page_diff { page; region_base; parent; expected; payload } ->
     Some
       (Data_path.serve_publish c ctx ~src ~page ~region_base ~parent ~expected
@@ -146,7 +145,7 @@ let handle t ctx ~src (req : Wire.request) =
   | Wire.Tx_prepare { gtx; pages } -> Txn.serve_prepare t.txn ctx gtx pages
   | Wire.Tx_decide { gtx; commit; flushed } ->
     Txn.serve_decide t.txn ctx gtx commit flushed
-  | Wire.Tx_status { gtx } -> Some (Wire.R_tx_status (Txn.status t.txn gtx))
+  | Wire.Tx_status { gtx } -> Some (Wire.R_tx_status (Txn.status t.txn ~src gtx))
   | Wire.Page_pull { page } -> Some (Repair.serve_pull c page)
   | Wire.Page_probe { page } -> Some (Wire.R_held (Daemon_core.holds_page c page))
   | Wire.Cluster_report { node_regions; free_bytes } ->
@@ -220,7 +219,6 @@ let start_repair t =
       Repair.pass c;
       let now = Ksim.Engine.now c.engine in
       Txn.maintain t.txn epoch ~now;
-      Repair.repair_pins t.dp epoch ~now;
       if alive c epoch && Wal.needs_checkpoint c.wal then
         Recovery.checkpoint c t.txn;
       loop ()

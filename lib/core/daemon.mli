@@ -308,10 +308,6 @@ val txn_prepared_count : t -> int
 val txn_undelivered_decisions : t -> int
 (** Commit decisions this coordinator still owes some participant. *)
 
-val txn_pinned : t -> Kutil.Gaddr.t -> bool
-(** Does this home hold a committed 2PC image of [page] that its
-    consistency machine has not caught up with yet? *)
-
 val checkpoint : t -> unit
 (** Write a truncating WAL checkpoint now, as the repair loop does once
     the log outgrows [wal_checkpoint_every]. *)

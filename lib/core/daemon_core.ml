@@ -50,8 +50,6 @@ type t = {
   fd : Detector.t;
   metrics : Metrics.t;
   mutable handler : handler;  (* installed once, at create *)
-  mutable on_install : Gaddr.t -> bytes -> unit;
-      (* observer of every image a machine installs (2PC pins) *)
 }
 
 let create ~cfg ?wal_file ~id ~bootstrap ~cluster_manager ~peer_managers
@@ -97,7 +95,6 @@ let create ~cfg ?wal_file ~id ~bootstrap ~cluster_manager ~peer_managers
     fd = Detector.create ~self:id metrics;
     metrics;
     handler = (fun _ ~src:_ _ -> None);
-    on_install = (fun _ _ -> ());
   }
 
 let alive t epoch = t.up && t.epoch = epoch
@@ -106,6 +103,10 @@ let alive t epoch = t.up && t.epoch = epoch
    instead of the data-carrying Release / CREW write-through. *)
 let versioned_region (region : Region.t) =
   region.Region.attr.Attr.protocol = Kconsistency.Versioned.name
+
+(* Regions under CREW, whose writes owe the home a write-through. *)
+let crew_region (region : Region.t) =
+  region.Region.attr.Attr.protocol = Kconsistency.Crew.name
 
 (* Walk [addr, addr+len) page by page: [f page ~off ~pos ~n] covers the
    [n] bytes at [off] within [page], [pos] bytes into the range. The first
@@ -344,7 +345,6 @@ and apply_actions t ~span slot page actions =
       | Ctypes.Reject (req, Ctypes.Unavailable why) ->
         resolve t req (Error (`Unavailable why))
       | Ctypes.Install { data; dirty } ->
-        t.on_install page data;
         if Trace.enabled () then
           Trace.event ~engine:t.engine ~node:t.id ~span "store.install"
             ~attrs:
@@ -415,18 +415,23 @@ let at_home t ~region_base page f =
   | Some _ | None -> Wire.R_error "not my region"
 
 (* The home side of a write-through, whether it came as a [Page_flush] or
-   rode a 2PC decide. [None]: the image is obsolete, some newer write has
-   already overtaken it. Otherwise the machine absorbs it (CREW keeps the
-   freshest version as its manager backup, so read fail-over around a
-   crashed owner serves nothing older), and the answer says whether the
-   home held a valid copy of its own before. *)
+   with a 2PC decision. [false]: the image is obsolete, some newer write
+   has already overtaken it. Otherwise the machine absorbs it at
+   [version] (CREW keeps it as its manager backup, so read fail-over
+   around a crashed owner serves nothing older), and the store takes it,
+   written through to disk, unless the home keeps a copy of its own at
+   another version. *)
 let absorb_write_through t ~span slot page ~src ~data ~version =
-  if version < Machine.packed_backup_version slot.packed then None
-  else begin
-    let has_copy = Machine.packed_has_valid_copy slot.packed in
+  version >= Machine.packed_backup_version slot.packed
+  && begin
+    let had_copy = Machine.packed_has_valid_copy slot.packed in
     feed t ~span slot page
       (Ctypes.Peer { src; msg = Ctypes.Update { data; version } });
-    Some has_copy
+    if (not had_copy) || Machine.packed_version slot.packed = version then begin
+      Store.write_immediate t.store page data ~dirty:false;
+      Store.flush_immediate t.store page
+    end;
+    true
   end
 
 (* Local storage victimised a page: tell its machine. *)
@@ -469,6 +474,25 @@ let acquire_page t ctx (region : Region.t) page mode ~timeout =
 
 let release_page t ctx page mode ~data =
   feed_existing t ~span:(Op_ctx.span ctx) page (Ctypes.Release { mode; data })
+
+(* Write [data] over [page] as a local writer would: a write intent,
+   then its release, which the protocol propagates like any local write.
+   The intent may have to wait (for a token, or behind a local holder);
+   once granted it writes only if the machine is still at version [at],
+   and otherwise releases untouched: a newer write is there. *)
+let write_as_local t ~span slot page data ~at =
+  let epoch = t.epoch in
+  let req = t.next_req in
+  t.next_req <- t.next_req + 1;
+  let granted = Ksim.Promise.create () in
+  Hashtbl.replace t.pending req granted;
+  feed t ~span slot page (Ctypes.Acquire { req; mode = Ctypes.Write });
+  Ksim.Promise.on_resolve granted (fun result ->
+      if alive t epoch && Result.is_ok result then
+        let data =
+          if Machine.packed_version slot.packed = at then Some data else None
+        in
+        feed t ~span slot page (Ctypes.Release { mode = Ctypes.Write; data }))
 
 (* -- requests: one door for local and remote -- *)
 

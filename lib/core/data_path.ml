@@ -29,7 +29,7 @@ type lock_ctx = {
 type t = {
   c : Daemon_core.t;
   loc : Locate.t;
-  txn : Txn.t;  (* the in-doubt fence and the pins a flush discharges *)
+  txn : Txn.t;  (* the in-doubt fence *)
 }
 
 let create loc txn = { c = loc.Locate.c; loc; txn }
@@ -431,22 +431,16 @@ let write c ctx ~addr data =
            else Error (`Unavailable "page missing from local store"))
   end
 
-(* Does an acknowledged write to this region owe the home a synchronous
-   write-through? Only strict (CREW) regions homed elsewhere: the home's
-   own writes already pass through its WAL and backup. *)
-let needs_flush c (region : Region.t) =
-  region.Region.home <> c.id
-  && region.Region.attr.Attr.protocol = Kconsistency.Crew.name
-
 (* The written [pages] of [region] that owe its home a write-through,
    each with the protocol version the home absorbs it at: the one the
-   write-lock release gave it. A page already evicted owes nothing (the
-   eviction shipped its bytes home as [Own_return]). [held]: the write
-   lock is still held, so the version is the one its release will give —
-   a CREW write release bumps it by exactly one. A 2PC decide carries
-   these versions for the write-through riding it. *)
+   write-lock release gave it. Only CREW regions homed elsewhere owe one:
+   the home's own writes already pass through its WAL and backup. A page
+   already evicted owes nothing (the eviction shipped its bytes home as
+   [Own_return]). [held]: the write lock is still held, so the version is
+   the one its release will give — a CREW write release bumps it by
+   exactly one. A 2PC decision carries these versions. *)
 let write_through c ?(held = false) (region : Region.t) pages =
-  if not (needs_flush c region) then []
+  if region.Region.home = c.id || not (crew_region region) then []
   else
     List.filter_map
       (fun page ->
@@ -565,33 +559,23 @@ let serve_cm_msg t ctx ~src ~page ~region_base body =
           feed c ~span:(Op_ctx.span ctx) slot page (Ctypes.Peer { src; msg = body })
         | Some _ | None -> ())
 
-let serve_flush t ctx ~src ~page ~region_base ~data ~version =
-  let c = t.c in
+let serve_flush c ctx ~src ~page ~region_base ~data ~version =
   at_home c ~region_base page @@ fun slot ->
-    match
+    (* An obsolete image is a background retry finally delivering a flush
+       some newer write has already overtaken. Applying it would plant
+       stale bytes in the WAL (replayed last on recovery) and the store.
+       Ack it — the writer's obligation was discharged by whatever
+       superseded it. Anything else is logged before the ack, which
+       promises the image survives a home crash. *)
+    if
       absorb_write_through c ~span:(Op_ctx.span ctx) slot page ~src ~data
         ~version
-    with
-    | None ->
-      (* An obsolete image: a background retry finally delivering a flush
-         some newer write has already overtaken. Applying it would plant
-         stale bytes in the WAL (replayed last on recovery) and the store.
-         Ack it — the writer's obligation was discharged by whatever
-         superseded it. *)
-      Wire.R_unit
-    | Some has_copy ->
-      (* Logged before the ack, which promises the image survives a home
-         crash. The store copy stays machine-governed: only write it when
-         the machine holds no valid copy of its own. *)
+    then begin
       let tx = Wal.begin_tx c.wal in
       Wal.log_page c.wal tx page data;
-      Wal.commit c.wal tx;
-      Txn.discharge_on_flush t.txn page data ~has_copy;
-      if not has_copy then begin
-        Store.write_immediate c.store page data ~dirty:false;
-        Store.flush_immediate c.store page
-      end;
-      Wire.R_unit
+      Wal.commit c.wal tx
+    end;
+    Wire.R_unit
 
 (* Versioned publish at the home: let the machine mint (or refuse) a new
    version and ship the outcome back. The minted image reaches the store

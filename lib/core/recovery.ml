@@ -31,16 +31,17 @@ let checkpoint c (txn : Txn.t) =
   in
   Codec.list e (fun r -> Region.encode e r) regions;
   Page_directory.encode_persistent c.pdir e;
-  (* Undelivered commit decisions must survive the truncation of their
-     [Decide] records: the snapshot is the coordinator's durable copy. *)
+  (* Undelivered commit decisions, with their write-through versions, must
+     survive the truncation of their [Decide] records: the snapshot is the
+     coordinator's durable copy. *)
   let decisions =
     Txid.Table.fold (fun g parts acc -> (g, parts) :: acc) txn.Txn.decisions []
     |> List.sort (fun (a, _) (b, _) -> Txid.compare a b)
   in
   Codec.list e
-    (fun (g, parts) ->
+    (fun (g, owed) ->
       Txid.encode e g;
-      Codec.list e (fun n -> Codec.u32 e n) parts)
+      Wal.encode_owed e owed)
     decisions;
   (* Simulated runs keep the disk tier in process memory, so the snapshot
      needs no page data — replayed state rebuilds against the surviving
@@ -85,8 +86,7 @@ let restore_snapshot c loc (txn : Txn.t) snap =
   let decisions =
     Codec.read_list d (fun () ->
         let g = Txid.decode d in
-        let parts = Codec.read_list d (fun () -> Codec.read_u32 d) in
-        (g, parts))
+        (g, Wal.decode_owed d))
   in
   List.iter
     (fun (g, parts) ->
@@ -169,7 +169,7 @@ let replay c loc (txn : Txn.t) =
           payloads
       in
       Txid.Table.replace txn.Txn.prepared gtx
-        { Txn.p_pages = pages; p_since = Ksim.Engine.now c.engine;
+        { Txn.p_pages = pages; p_at = []; p_since = Ksim.Engine.now c.engine;
           p_querying = false })
     r.Wal.in_doubt;
   checkpoint c txn;

@@ -1,7 +1,6 @@
 (* Anti-entropy repair, run by the home-side repair loop: rebuild home
-   machines for pages that survived a crash, keep every page's replica
-   floor, and re-write overdue committed 2PC images. Also a sharer's side
-   of the questions a repairing home asks. *)
+   machines for pages that survived a crash and keep every page's replica
+   floor. Also a sharer's side of the questions a repairing home asks. *)
 
 open Daemon_core
 
@@ -134,58 +133,3 @@ let pass c =
         end
       end)
     slots
-
-(* Overdue pins: the coordinator never released its write locks (it died
-   holding them), so the consistency machine still serves the
-   pre-transaction image. Re-write the committed image through a local
-   write lock — the acquisition itself runs the CM's dead-owner fail-over,
-   and the release propagates the image and revokes every stale survivor
-   copy. The pin identity check after the (blocking) acquisition guards
-   the race where the coordinator's own release cleared the pin while we
-   waited. *)
-let repair_pins (dp : Data_path.t) epoch ~now =
-  let c = dp.c in
-  let pins = dp.txn.Txn.pins in
-  let overdue =
-    Gaddr.Table.fold
-      (fun page (pin : Txn.pin) acc ->
-        if (not pin.pin_busy) && now - pin.pin_since >= c.cfg.txn_resolve_after
-        then (page, pin) :: acc
-        else acc)
-      pins []
-  in
-  List.iter
-    (fun (page, (pin : Txn.pin)) ->
-      pin.pin_busy <- true;
-      Ksim.Fiber.spawn c.engine ~name:"txn-pin-repair" (fun () ->
-          let pin_current () =
-            match Gaddr.Table.find_opt pins page with
-            | Some p -> p == pin
-            | None -> false
-          in
-          match homed_containing c page with
-          | None ->
-            (* Region freed out from under the pin: nothing left to sync. *)
-            if alive c epoch && pin_current () then Gaddr.Table.remove pins page
-          | Some region -> (
-            let len = region.Region.attr.Attr.page_size in
-            match
-              Data_path.lock dp ~ctx:Op_ctx.background ~addr:page ~len
-                Ctypes.Write
-            with
-            | Ok lc ->
-              if alive c epoch then begin
-                if pin_current () then begin
-                  ignore (Data_path.write c lc ~addr:page pin.pin_img);
-                  Gaddr.Table.remove pins page;
-                  Metrics.incr c.metrics "txn.pin.repair"
-                end;
-                Data_path.unlock c lc
-              end
-            | Error _ ->
-              (* Back off: the next maintenance tick retries. *)
-              if alive c epoch && pin_current () then begin
-                pin.pin_busy <- false;
-                pin.pin_since <- Ksim.Engine.now c.engine
-              end)))
-    overdue

@@ -10,16 +10,19 @@
    before releasing its locks. That message also carries the
    write-through of the participant's CREW pages, each with its
    post-release version, so the home absorbs the image it already logged
-   at prepare without a separate flush. A decision that did not arrive
-   leaves its pages unlocked at the coordinator while the participant
-   still holds the prepared image, so a participant votes no on a page
-   another undecided transaction still holds. Presumed abort: aborts are
-   never logged at the coordinator, so a participant stuck with a
-   prepared-undecided transaction (after any crash) asks the coordinator
-   and treats "no record of it" as abort. The decision record carries the
-   participant list; it is kept (across checkpoints and crashes, via the
-   snapshot) until every participant has acked, then forgotten with a
-   [txn.forget] control note. Stale actors are fenced by the epoch
+   at prepare without a separate flush. The [Decide] record logs those
+   versions, so every delivery of the decision (a re-send, a status
+   answer, one after a coordinator crash) carries them, and the home
+   drops an image some newer write has overtaken. A decision that did not
+   arrive leaves its pages unlocked at the coordinator while the
+   participant still holds the prepared image, so a participant votes no
+   on a page another undecided transaction still holds. Presumed abort:
+   aborts are never logged at the coordinator, so a participant stuck
+   with a prepared-undecided transaction (after any crash) asks the
+   coordinator and treats "no record of it" as abort. The decision record
+   carries the participant list; it is kept (across checkpoints and
+   crashes, via the snapshot) until every participant has acked, then
+   forgotten with a [txn.forget] control note. Stale actors are fenced by the epoch
    machinery: a coordinator that crashed mid-vote can never log a
    decision afterwards, which is what makes "no record = abort" safe.
 
@@ -34,25 +37,11 @@ module Txid = Kutil.Txid
    presumed-abort resolver. *)
 type prepared = {
   p_pages : (Gaddr.t * bytes) list;
+  p_at : (Gaddr.t * int) list;
+      (* the machine version of each non-CREW page at prepare (empty after
+         a replay): see [install] *)
   mutable p_since : Ksim.Time.t;    (* when prepared / last status attempt *)
   mutable p_querying : bool;        (* a status query fiber is in flight *)
-}
-
-(* A committed 2PC page image the home has installed in its store but not
-   yet reconciled with the consistency machine. A decide that carried the
-   page's write-through reconciles it on arrival, so a pin arises only
-   where no version came (a re-sent decision, a resolved one, a protocol
-   without write-through) or where the home caches a copy of its own.
-   When the coordinator is alive its write-lock release or fallback flush
-   propagates the very same image (the matching [Install] or flush clears
-   the pin); when the coordinator died holding the locks, the pin goes
-   overdue and the repair loop re-writes the image through a local write
-   lock — riding the CM's own dead-owner fail-over — so reads stop serving
-   the machine's stale pre-transaction copy. *)
-type pin = {
-  pin_img : bytes;
-  mutable pin_since : Ksim.Time.t;
-  mutable pin_busy : bool;          (* a repair fiber is in flight *)
 }
 
 type t = {
@@ -60,59 +49,36 @@ type t = {
   mutable next_seq : int;  (* per-epoch coordinator sequence numbers *)
   prepared : prepared Txid.Table.t;  (* participant: voted, undecided *)
   decided : bool Txid.Table.t;  (* decisions seen (duplicate = no-op) *)
-  decisions : Topology.node_id list Txid.Table.t;
+  decisions : Wal.owed Txid.Table.t;
       (* coordinator: committed decisions with participants still owed the
-         decision message; forgotten once every ack is in *)
-  delivering : unit Txid.Table.t;
-      (* coordinator: decisions the commit fiber is still sending itself,
-         with their write-through; the repair loop leaves them alone *)
+         decision message, each with its write-through versions; forgotten
+         once every ack is in *)
   active : unit Txid.Table.t;
       (* coordinator: transactions inside their voting window. In-memory
          only, deliberately: after a crash nothing here survives, so a
          status query for a pre-crash transaction answers "aborted" —
          which is sound, because the epoch fence keeps the dead commit
          fiber from ever logging its decision. *)
-  pins : pin Gaddr.Table.t;  (* home: committed images awaiting CM sync *)
   mutable last : Txid.t option;  (* last id minted here (tests) *)
   mutable hook : (string -> unit) option;  (* nemesis crash points *)
 }
 
 let create c =
-  let t =
-    { c; next_seq = 0; prepared = Txid.Table.create 8;
-      decided = Txid.Table.create 16; decisions = Txid.Table.create 8;
-      delivering = Txid.Table.create 4; active = Txid.Table.create 4;
-      pins = Gaddr.Table.create 8; last = None; hook = None }
-  in
-  (* The machine just synced this exact image with the store — if it is a
-     pinned committed 2PC image, the CM has caught up (the coordinator's
-     write-lock release propagated it) and the pin's repair pass is no
-     longer needed. An install of *different* bytes keeps the pin: that is
-     the stale pre-transaction copy resurfacing through dead-owner
-     fail-over, exactly what the pin exists to overwrite. *)
-  c.on_install <-
-    (fun page data ->
-      match Gaddr.Table.find_opt t.pins page with
-      | Some pin when Bytes.equal pin.pin_img data ->
-        Gaddr.Table.remove t.pins page
-      | Some _ | None -> ());
-  t
+  { c; next_seq = 0; prepared = Txid.Table.create 8;
+    decided = Txid.Table.create 16; decisions = Txid.Table.create 8;
+    active = Txid.Table.create 4; last = None; hook = None }
 
 (* 2PC state dies too and comes back through replay: prepared entries from
    surviving [Prepare] records, decisions from the snapshot and surviving
    [Decide] records. The voting-window table stays empty on purpose — the
    epoch fence guarantees the pre-crash commit fiber can never log a
    decision now, so answering "aborted" for its id is sound (presumed
-   abort). Pins protect live machines from serving pre-transaction images;
-   after a crash the machines are gone and replay rebuilds the store with
-   the committed images, so materialisation reads the right bytes anyway. *)
+   abort). *)
 let crash t =
   Txid.Table.reset t.prepared;
   Txid.Table.reset t.decided;
   Txid.Table.reset t.decisions;
-  Txid.Table.reset t.delivering;
-  Txid.Table.reset t.active;
-  Gaddr.Table.reset t.pins
+  Txid.Table.reset t.active
 
 let step t name = match t.hook with Some f -> f name | None -> ()
 
@@ -135,19 +101,6 @@ let in_doubt t page =
          acc || List.exists (fun (p, _) -> p = page) entry.p_pages)
        t.prepared false
 
-(* A flush carrying exactly a pinned committed image discharges the pin —
-   but only when the home machine holds no copy of its own ([has_copy]),
-   so the store write that follows leaves store = pinned image and readers
-   fetch from the (fresh) owner. While the home still caches bytes of its
-   own they may be the stale pre-transaction copy the pin exists to
-   overwrite: keep it and let the repair pass force the committed image
-   through the CM. *)
-let discharge_on_flush t page data ~has_copy =
-  match Gaddr.Table.find_opt t.pins page with
-  | Some pin when (not has_copy) && Bytes.equal pin.pin_img data ->
-    Gaddr.Table.remove t.pins page
-  | Some _ | None -> ()
-
 (* Participant phase one: force the images and the prepare record, answer
    the vote. Idempotent — a retried prepare for a transaction already
    prepared (or even decided) re-votes yes without re-logging. A page
@@ -167,8 +120,17 @@ let prepare t ~span gtx pages =
     let tx = Wal.begin_tx c.wal in
     List.iter (fun (page, img) -> Wal.log_page c.wal tx page img) pages;
     Wal.prepare c.wal tx gtx;
+    let p_at =
+      List.filter_map
+        (fun (page, _) ->
+          match Gaddr.Table.find_opt c.machines page with
+          | Some slot when not (crew_region slot.region) ->
+            Some (page, Machine.packed_version slot.packed)
+          | Some _ | None -> None)
+        pages
+    in
     Txid.Table.replace t.prepared gtx
-      { p_pages = pages; p_since = Ksim.Engine.now c.engine;
+      { p_pages = pages; p_at; p_since = Ksim.Engine.now c.engine;
         p_querying = false };
     Metrics.incr c.metrics "txn.prepare";
     event t ~span gtx "txn.prepare"
@@ -176,36 +138,32 @@ let prepare t ~span gtx pages =
     true
   end
 
-(* Install one committed image in the home's store. [version] is the
-   write-through that rode the decide, absorbed as a [Page_flush] would be
-   but without a second log record: the prepare already logged the image.
-   An obsolete one is dropped, store write included. Otherwise, and
-   without a version, the store takes the image; the pin covers a machine
-   that may still serve the pre-transaction bytes — see [pin]. A pin left
-   by an older commit of the page goes either way: this newer image
-   replaces it, or supersedes it when the machine absorbed the version.
-   The prepared entry owned [img]; the pin takes it over without a
-   copy. *)
-let install t ~span ~src region page img version =
+(* Install one committed image at the home. [version] is the CREW
+   write-through the decision carries, absorbed as a [Page_flush] would be
+   but without a second log record (the prepare logged the image). A page
+   of a remote coordinator under another protocol commits as a write of
+   the home's own, unless its machine moved past the version [at] it
+   prepared at: the coordinator's release, or a later write, is there. A
+   page homed at the coordinator goes to the store: the coordinator's own
+   held-lock release installs the same image. *)
+let install t ~span ~src ~at region page img version =
   let c = t.c in
-  let absorbed =
-    match (region, version) with
-    | Some region, Some version ->
-      absorb_write_through c ~span (machine_for c region page) page ~src
-        ~data:img ~version
-    | _ -> Some true
-  in
-  match absorbed with
-  | None -> ()
-  | Some pin ->
+  match (region, version) with
+  | Some region, Some version ->
+    ignore
+      (absorb_write_through c ~span (machine_for c region page) page ~src
+         ~data:img ~version)
+  | Some region, None when src <> c.id && not (crew_region region) ->
+    let slot = machine_for c region page in
+    let at =
+      match List.assoc_opt page at with
+      | Some v -> v
+      | None -> Machine.packed_version slot.packed
+    in
+    write_as_local c ~span slot page img ~at
+  | Some _, None | None, _ ->
     Store.write_immediate c.store page img ~dirty:false;
-    Store.flush_immediate c.store page;
-    if pin then
-      Gaddr.Table.replace t.pins page
-        { pin_img = img;
-          pin_since = Ksim.Engine.now c.engine;
-          pin_busy = false }
-    else Gaddr.Table.remove t.pins page
+    Store.flush_immediate c.store page
 
 (* Participant phase two: log the decision and, on commit, install the
    prepared images, absorbing the write-through of the [flushed] pages.
@@ -231,7 +189,7 @@ let decide ?(flushed = []) t ~span gtx commit =
                 (pdir_ensure_logged c ~page ~region_base:region.base
                    ~homed_here:true))
             region;
-          install t ~span ~src:gtx.Txid.coord region page img
+          install t ~span ~src:gtx.Txid.coord ~at:entry.p_at region page img
             (List.assoc_opt page flushed))
         entry.p_pages;
     Txid.Table.remove t.prepared gtx;
@@ -240,16 +198,19 @@ let decide ?(flushed = []) t ~span gtx commit =
       (if commit then "txn.decide.commit" else "txn.decide.abort");
     event t ~span gtx "txn.decide" [ ("commit", string_of_bool commit) ]
 
-(* Coordinator's answer to an in-doubt participant. Order matters: a
+(* Coordinator's answer to in-doubt participant [src]: a commit carries
+   [src]'s write-through versions, as the decide would. Order matters: a
    committed transaction must never read as aborted, and one still inside
-   its voting window must stall the asker rather than resolve it. *)
-let status t gtx =
-  if
-    Txid.Table.find_opt t.decided gtx = Some true
-    || Txid.Table.mem t.decisions gtx
-  then Wire.Tx_committed
-  else if Txid.Table.mem t.active gtx then Wire.Tx_in_progress
-  else Wire.Tx_aborted
+   its voting window must stall the asker rather than resolve it. A
+   decision every participant acked owes nobody a version. *)
+let status t ~src gtx =
+  match Txid.Table.find_opt t.decisions gtx with
+  | Some owed ->
+    Wire.Tx_committed (Option.value (List.assoc_opt src owed) ~default:[])
+  | None ->
+    if Txid.Table.find_opt t.decided gtx = Some true then Wire.Tx_committed []
+    else if Txid.Table.mem t.active gtx then Wire.Tx_in_progress
+    else Wire.Tx_aborted
 
 (* A participant acked the commit decision: once the last ack is in, the
    decision is garbage — forget it (logged, so replay forgets too). *)
@@ -257,7 +218,7 @@ let ack_decide t gtx dst =
   match Txid.Table.find_opt t.decisions gtx with
   | None -> ()
   | Some parts ->
-    let rest = List.filter (fun n -> n <> dst) parts in
+    let rest = List.filter (fun (n, _) -> n <> dst) parts in
     if rest = [] then begin
       Txid.Table.remove t.decisions gtx;
       let e = Codec.encoder () in
@@ -292,30 +253,28 @@ let serve_decide t ctx gtx commit flushed =
 (* Periodic 2PC maintenance, run from the repair loop.
 
    Coordinator half: re-push committed decisions that some participant has
-   not acked (it was down or partitioned during the broadcast), once the
-   commit fiber is done sending them itself.
+   not acked (it was down or partitioned during the broadcast), each with
+   the participant's logged write-through versions: the very message the
+   commit fiber sends, so either may arrive first.
 
    Participant half: prepared-but-undecided transactions older than
-   [txn_resolve_after] query the coordinator. "Committed" applies,
-   "aborted" (including "never heard of it" — presumed abort) drops, "in
-   progress" waits for the next pass. *)
+   [txn_resolve_after] query the coordinator. "Committed" applies at the
+   versions the answer carries, "aborted" (including "never heard of it"
+   — presumed abort) drops, "in progress" waits for the next pass. *)
 let maintain t epoch ~now =
   let c = t.c in
   let pending =
-    Txid.Table.fold
-      (fun g parts acc ->
-        if Txid.Table.mem t.delivering g then acc else (g, parts) :: acc)
-      t.decisions []
+    Txid.Table.fold (fun g parts acc -> (g, parts) :: acc) t.decisions []
   in
   List.iter
     (fun (gtx, parts) ->
       List.iter
-        (fun dst ->
+        (fun (dst, flushed) ->
           Ksim.Fiber.spawn c.engine ~name:"txn-rebroadcast" (fun () ->
               if alive c epoch then
                 match
                   ask c Op_ctx.background ~policy:Wire.Policy.idempotent ~dst
-                    (Wire.Tx_decide { gtx; commit = true; flushed = [] })
+                    (Wire.Tx_decide { gtx; commit = true; flushed })
                 with
                 | Ok Wire.R_unit -> if alive c epoch then ack_decide t gtx dst
                 | Ok _ | Error (`Timeout | `Unreachable) -> ()))
@@ -346,14 +305,14 @@ let maintain t epoch ~now =
             | Some e when e == entry -> (
               entry.p_querying <- false;
               entry.p_since <- Ksim.Engine.now c.engine;
-              let resolve commit =
+              let resolve ?flushed commit =
                 Metrics.incr c.metrics "txn.resolve";
                 event t ~span:Trace.null gtx "txn.resolve"
                   [ ("commit", string_of_bool commit) ];
-                decide t ~span:Trace.null gtx commit
+                decide ?flushed t ~span:Trace.null gtx commit
               in
               match answer with
-              | Some Wire.Tx_committed -> resolve true
+              | Some (Wire.Tx_committed flushed) -> resolve ~flushed true
               | Some Wire.Tx_aborted -> resolve false
               | Some Wire.Tx_in_progress | None -> ())
             | Some _ | None -> ()))

@@ -388,15 +388,32 @@ let commit t h =
              if not (alive c epoch) then crashed ()
              else begin
                (* The commit point: the decision record is forced into the
-                  coordinator's own WAL, with the participant list so a
-                  recovered coordinator resumes the broadcast. *)
-               Wal.decide c.wal gtx ~commit:true ~participants:remote;
+                  coordinator's own WAL, listing every remote participant
+                  with the write-through its decide carries: each of its
+                  CREW pages at the version the release below gives it (a
+                  CREW write release bumps it by exactly one). Every
+                  delivery of the decision carries these versions. *)
+               let homed_at dst =
+                 List.filter
+                   (fun (_, (region : Region.t), _) -> region.home = dst)
+                   images
+               in
+               let owed =
+                 List.map
+                   (fun dst ->
+                     ( dst,
+                       List.concat_map
+                         (fun (page, region, _) ->
+                           Data_path.write_through c ~held:true region
+                             [ page ])
+                         (homed_at dst) ))
+                   remote
+               in
+               Wal.decide c.wal gtx ~commit:true ~participants:owed;
                Txid.Table.replace txn.Txn.decided gtx true;
                Txid.Table.remove txn.Txn.active gtx;
-               if remote <> [] then begin
-                 Txid.Table.replace txn.Txn.decisions gtx remote;
-                 Txid.Table.replace txn.Txn.delivering gtx ()
-               end;
+               if remote <> [] then
+                 Txid.Table.replace txn.Txn.decisions gtx owed;
                Metrics.incr c.metrics "txn.commit";
                Txn.event txn ~span:sp gtx "txn.decide" [ ("commit", "true") ];
                Txn.step txn "coord.decision_logged";
@@ -415,30 +432,15 @@ let commit t h =
                      | None -> ())
                    (List.rev h.txn_writes);
                  (* Phase two, one message per remote participant, every
-                    lock still held. The decide carries the write-through
-                    of the participant's CREW pages, each at the version
-                    the release below gives it, so the home absorbs the
-                    image it logged at prepare exactly as a [Page_flush]
-                    would. A failed decide falls back to that flush once
-                    the locks are released, and the repair loop re-sends
-                    the decision itself — but only after this delivery:
-                    a re-send racing ahead of the decide would land
-                    without the write-through. *)
-                 let homed_at dst =
-                   List.filter
-                     (fun (_, (region : Region.t), _) -> region.home = dst)
-                     images
-                 in
+                    lock still held. The decide carries the participant's
+                    logged write-through, so the home absorbs the image it
+                    logged at prepare exactly as a [Page_flush] would. A
+                    failed decide falls back to that flush once the locks
+                    are released, and the repair loop re-sends the same
+                    message until the participant acks it. *)
                  let failed =
                    List.filter
-                     (fun dst ->
-                       let flushed =
-                         List.concat_map
-                           (fun (page, region, _) ->
-                             Data_path.write_through c ~held:true region
-                               [ page ])
-                           (homed_at dst)
-                       in
+                     (fun (dst, flushed) ->
                        Txn.step txn "coord.decide_send";
                        alive c epoch
                        &&
@@ -450,12 +452,11 @@ let commit t h =
                          Txn.ack_decide txn gtx dst;
                          false
                        | Ok _ | Error (`Timeout | `Unreachable) -> true)
-                     remote
+                     owed
                  in
-                 Txid.Table.remove txn.Txn.delivering gtx;
                  release_locks t h;
                  List.iter
-                   (fun dst ->
+                   (fun (dst, _) ->
                      List.iter
                        (fun (page, region, _) ->
                          ignore

@@ -71,11 +71,15 @@ type request =
           decision: the CREW pages whose committed image the participant
           already holds from the prepare, each with the protocol version
           the coordinator's lock release gave it. The home absorbs them as
-          {!Page_flush} would, with no second message. A re-sent decision
-          carries [[]]. Idempotent: a duplicate decision (or one for an
+          {!Page_flush} would, with no second message, and drops an image
+          a newer write has overtaken. The coordinator logs these versions
+          with its decision, so a re-sent decision carries the same list
+          as the first. Idempotent: a duplicate decision (or one for an
           unknown, already-forgotten transaction) acks as a no-op. *)
   | Tx_status of { gtx : Kutil.Txid.t }
       (** In-doubt participant -> coordinator: what became of [gtx]?
+          A commit answers {!Tx_committed} with the asking participant's
+          write-through versions, the [flushed] list its decide carries.
           Presumed abort — a coordinator with no record of the decision
           answers aborted, unless the transaction is still in its voting
           window. *)
@@ -109,7 +113,12 @@ type request =
           {!R_page}: [None] means the version fell past the GC watermark
           (the snapshot expired) or the page is unknown. *)
 
-type tx_state = Tx_committed | Tx_aborted | Tx_in_progress
+type tx_state =
+  | Tx_committed of (Gaddr.t * int) list
+      (** The asker's [(page, version)] write-through, as in
+          {!request.Tx_decide}. *)
+  | Tx_aborted
+  | Tx_in_progress
 
 type response =
   | R_unit
@@ -152,6 +161,19 @@ let request_kind = function
 (* ---------------- byte codecs ---------------- *)
 
 (* Tags are wire format; renumbering breaks cross-version interop. *)
+
+(* A decision's write-through, in a decide and in a status answer. *)
+let encode_flushed enc flushed =
+  Codec.list enc
+    (fun (page, version) ->
+      Codec.u128 enc page;
+      Codec.int enc version)
+    flushed
+
+let decode_flushed dec =
+  Codec.read_list dec (fun () ->
+      let page = Codec.read_u128 dec in
+      (page, Codec.read_int dec))
 
 let encode_request enc req =
   match req with
@@ -214,11 +236,7 @@ let encode_request enc req =
     Codec.u8 enc 15;
     Kutil.Txid.encode enc gtx;
     Codec.bool enc commit;
-    Codec.list enc
-      (fun (page, version) ->
-        Codec.u128 enc page;
-        Codec.int enc version)
-      flushed
+    encode_flushed enc flushed
   | Tx_status { gtx } ->
     Codec.u8 enc 16;
     Kutil.Txid.encode enc gtx
@@ -281,12 +299,7 @@ let decode_request dec =
   | 15 ->
     let gtx = Kutil.Txid.decode dec in
     let commit = Codec.read_bool dec in
-    let flushed =
-      Codec.read_list dec (fun () ->
-          let page = Codec.read_u128 dec in
-          (page, Codec.read_int dec))
-    in
-    Tx_decide { gtx; commit; flushed }
+    Tx_decide { gtx; commit; flushed = decode_flushed dec }
   | 16 -> Tx_status { gtx = Kutil.Txid.decode dec }
   | 17 ->
     let page = Codec.read_u128 dec in
@@ -339,10 +352,14 @@ let encode_response enc resp =
   | R_tx_vote ok ->
     Codec.u8 enc 7;
     Codec.bool enc ok
-  | R_tx_status st ->
+  | R_tx_status st -> (
     Codec.u8 enc 8;
-    Codec.u8 enc
-      (match st with Tx_committed -> 0 | Tx_aborted -> 1 | Tx_in_progress -> 2)
+    match st with
+    | Tx_committed flushed ->
+      Codec.u8 enc 0;
+      encode_flushed enc flushed
+    | Tx_aborted -> Codec.u8 enc 1
+    | Tx_in_progress -> Codec.u8 enc 2)
   | R_publish r ->
     Codec.u8 enc 9;
     Ctypes.encode_publish_result enc r
@@ -368,7 +385,7 @@ let decode_response dec =
   | 8 ->
     R_tx_status
       (match Codec.read_u8 dec with
-      | 0 -> Tx_committed
+      | 0 -> Tx_committed (decode_flushed dec)
       | 1 -> Tx_aborted
       | 2 -> Tx_in_progress
       | n -> raise (Codec.Decode_error (Printf.sprintf "Wire.tx_state: %d" n)))

@@ -10,6 +10,7 @@ let replay_open_cost = Ksim.Time.ms 6
 let replay_record_cost = Ksim.Time.us 40
 
 type payload = Page of Gaddr.t * bytes | Note of string * bytes
+type owed = (int * (Gaddr.t * int) list) list
 
 (* What the log itself reads of a record: transaction ids and 2PC
    bookkeeping. [Data] and [Control] records carry a payload and a
@@ -22,7 +23,7 @@ type head =
   | Control
   | Checkpoint
   | Prepare of int * Kutil.Txid.t
-  | Decide of Kutil.Txid.t * bool * int list
+  | Decide of Kutil.Txid.t * bool * owed
 
 (* A record is encoded once: [image] is its exact-size encoding, the bytes
    the file framing writes, and [check] the checksum of that encoding,
@@ -106,6 +107,24 @@ let encode_payload e = function
       Codec.string e tag;
       Codec.bytes e data
 
+let encode_owed e owed =
+  Codec.list e
+    (fun (node, pages) ->
+      Codec.u32 e node;
+      Codec.list e
+        (fun (page, version) ->
+          Codec.u128 e page;
+          Codec.int e version)
+        pages)
+    owed
+
+let decode_owed d =
+  Codec.read_list d (fun () ->
+      let node = Codec.read_u32 d in
+      (node, Codec.read_list d (fun () ->
+           let page = Codec.read_u128 d in
+           (page, Codec.read_int d))))
+
 (* A record's image is its head's encoding followed by its payload's (or,
    for a checkpoint, the snapshot's). *)
 let encode_head e = function
@@ -128,7 +147,7 @@ let encode_head e = function
       Codec.u8 e 6;
       Kutil.Txid.encode e gtx;
       Codec.bool e commit;
-      Codec.list e (Codec.u32 e) participants
+      encode_owed e participants
 
 let decode_payload d =
   match Codec.read_u8 d with
@@ -155,8 +174,7 @@ let decode_head d =
   | 6 ->
       let gtx = Kutil.Txid.decode d in
       let commit = Codec.read_bool d in
-      let participants = Codec.read_list d (fun () -> Codec.read_u32 d) in
-      Decide (gtx, commit, participants)
+      Decide (gtx, commit, decode_owed d)
   | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.record: tag %d" n))
 
 (* A decoder positioned at the record's payload or snapshot. Decoded bytes
@@ -301,34 +319,71 @@ let readable_records t =
     oldest_first;
   (List.rev !readable, List.length oldest_first - List.length !readable)
 
-(* Local tx ids that are prepared under a global transaction whose decision
-   has not been logged yet. Their page images exist nowhere but here — the
-   disk tier only gets them once the decision arrives — so truncation must
-   carry their records over. *)
-let in_doubt_ids readable =
+(* How a log's local transactions replay. [apply_tx]: it committed, or
+   prepared under a global transaction whose commit decision is on record.
+   [doubt_tx]: it prepared and no decision is on record (its global id);
+   it is held until the coordinator answers (presumed abort), and its
+   images exist nowhere but here, so truncation carries it over.
+   [superseded]: a [Data] record of an in-doubt transaction whose page a
+   later applied transaction wrote again. Log order is the page's version
+   order: a commit decision no longer installs that older image. *)
+let classify readable =
+  let committed = Hashtbl.create 8 in
   let prepared : (int, Kutil.Txid.t) Hashtbl.t = Hashtbl.create 4 in
-  let decided : (Kutil.Txid.t, unit) Hashtbl.t = Hashtbl.create 4 in
+  let decided : (Kutil.Txid.t, bool) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun r ->
       match r.head with
+      | Commit id -> Hashtbl.replace committed id ()
       | Prepare (id, gtx) -> Hashtbl.replace prepared id gtx
-      | Decide (gtx, _, _) -> Hashtbl.replace decided gtx ()
+      | Decide (gtx, c, _) -> Hashtbl.replace decided gtx c
       | _ -> ())
     readable;
-  let keep = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun id gtx -> if not (Hashtbl.mem decided gtx) then Hashtbl.replace keep id ())
-    prepared;
-  keep
+  let apply_tx id =
+    Hashtbl.mem committed id
+    ||
+    match Hashtbl.find_opt prepared id with
+    | Some gtx -> Hashtbl.find_opt decided gtx = Some true
+    | None -> false
+  in
+  let doubt_tx id =
+    match Hashtbl.find_opt prepared id with
+    | Some gtx -> if Hashtbl.mem decided gtx then None else Some gtx
+    | None -> None
+  in
+  (* Oldest first: an in-doubt image is [held] until a later applied write
+     of its page supersedes it. Only page addresses are decoded, and only
+     once something is held. *)
+  let held = Gaddr.Table.create 4 in
+  let superseded = ref [] in
+  let page r =
+    let d = past_head r in
+    if Codec.read_u8 d = 0 then Some (Codec.read_u128 d) else None
+  in
+  List.iter
+    (fun r ->
+      match r.head with
+      | Data id when doubt_tx id <> None ->
+        Option.iter (fun p -> Gaddr.Table.replace held p r) (page r)
+      | Data id when Gaddr.Table.length held > 0 && apply_tx id ->
+        Option.iter
+          (fun p ->
+            Option.iter (fun h -> superseded := h :: !superseded)
+              (Gaddr.Table.find_opt held p))
+          (page r)
+      | _ -> ())
+    readable;
+  (apply_tx, doubt_tx, fun r -> List.memq r !superseded)
 
 let checkpoint t snapshot =
   let readable, _ = readable_records t in
-  let keep = in_doubt_ids readable in
+  let _, doubt_tx, superseded = classify readable in
   let carried =
     List.filter
       (fun r ->
         match r.head with
-        | Begin id | Data id | Prepare (id, _) -> Hashtbl.mem keep id
+        | Begin id | Prepare (id, _) -> doubt_tx id <> None
+        | Data id -> doubt_tx id <> None && not (superseded r)
         | _ -> false)
       readable
   in
@@ -405,43 +460,15 @@ type replay = {
   snapshot : bytes option;
   ops : payload list;
   in_doubt : (Kutil.Txid.t * payload list) list;
-  decisions : (Kutil.Txid.t * bool * int list) list;
+  decisions : (Kutil.Txid.t * bool * owed) list;
   replayed : int;
   discarded : int;
 }
 
 let replay t =
-  (* Pass 1: stop at the first torn record; collect committed tx ids,
-     prepared-tx -> global-txid, and logged 2PC decisions. *)
+  (* Pass 1: stop at the first torn record; classify the transactions. *)
   let readable, lost = readable_records t in
-  let committed = Hashtbl.create 8 in
-  let prepared : (int, Kutil.Txid.t) Hashtbl.t = Hashtbl.create 4 in
-  let decided : (Kutil.Txid.t, bool) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun r ->
-      match r.head with
-      | Commit id -> Hashtbl.replace committed id ()
-      | Prepare (id, gtx) -> Hashtbl.replace prepared id gtx
-      | Decide (gtx, c, _) -> Hashtbl.replace decided gtx c
-      | _ -> ())
-    readable;
-  (* Apply a tx if it locally committed, or if it prepared under a global
-     transaction whose commit decision is on record. A prepared tx with no
-     decision is in doubt: its payloads are surfaced separately for the
-     owner to hold until the coordinator answers (presumed abort: a
-     decision that is nowhere on record will resolve to abort). *)
-  let apply_tx id =
-    Hashtbl.mem committed id
-    ||
-    match Hashtbl.find_opt prepared id with
-    | Some gtx -> Hashtbl.find_opt decided gtx = Some true
-    | None -> false
-  in
-  let doubt_tx id =
-    match Hashtbl.find_opt prepared id with
-    | Some gtx -> if Hashtbl.mem decided gtx then None else Some gtx
-    | None -> None
-  in
+  let apply_tx, doubt_tx, superseded = classify readable in
   (* Pass 2: emit in log order — control records inline, tx payloads
      buffered and emitted at their commit/prepare record, so ordering
      between a transaction and later control records is the commit
@@ -481,7 +508,8 @@ let replay t =
           end
           else incr discarded
       | Data id ->
-          if apply_tx id || doubt_tx id <> None then begin
+          if apply_tx id || (doubt_tx id <> None && not (superseded r))
+          then begin
             buffer id (record_payload r);
             incr replayed
           end

@@ -97,10 +97,18 @@ val prepare : t -> tx -> Kutil.Txid.t -> unit
 (** Append the prepare record and {!sync} — the participant's vote is
     durable before it is sent. No-op on a dead (pre-crash) handle. *)
 
-val decide : t -> ?sync:bool -> Kutil.Txid.t -> commit:bool -> participants:int list -> unit
+type owed = (int * (Kutil.Gaddr.t * int) list) list
+(** Participants still owed a commit decision, each with the [(page,
+    version)] write-through its decision message carries. *)
+
+val encode_owed : Kutil.Codec.encoder -> owed -> unit
+val decode_owed : Kutil.Codec.decoder -> owed
+
+val decide : t -> ?sync:bool -> Kutil.Txid.t -> commit:bool -> participants:owed -> unit
 (** Append the decision for a global transaction. At a coordinator,
-    [participants] lists the nodes still owed the decision (so a recovered
-    coordinator can resume the broadcast); at a participant it is [[]].
+    [participants] lists the nodes still owed the decision with their
+    write-through versions, so a recovered coordinator resumes the
+    broadcast with the same versions; at a participant it is [[]].
     [sync] defaults to [true] and must be [true] for a commit decision a
     caller acts on; abort decisions may ride unsynced — losing one merely
     re-runs presumed-abort resolution. *)
@@ -153,7 +161,7 @@ type replay = {
                             (** prepared transactions with no logged
                                 decision, oldest first: held, not applied,
                                 until the coordinator answers *)
-  decisions : (Kutil.Txid.t * bool * int list) list;
+  decisions : (Kutil.Txid.t * bool * owed) list;
                             (** surviving [Decide] records in log order:
                                 (global id, committed, participants still
                                 owed the decision) *)

@@ -578,16 +578,13 @@ let test_2pc_partition_during_prepare () =
     [ 1; 2; 3 ]
 
 (* The coordinator frees its locks once its decides are out, delivered
-   or not, so a lost decide leaves the participant holding a prepared
-   image while the coordinator, still the pages' owner, can lock them
-   again at once. A
-   second transaction on those pages must then be refused at prepare:
-   prepared beside the first, its image would be overwritten when the
-   first decision finally installs (the late decide pins the older image,
-   and the pin-repair pass writes it back over the acknowledged second
-   commit). *)
-let test_2pc_lost_decide_votes_no () =
-  let sys = mk ~seed:171 () in
+   or not, so a lost decide leaves participant 1 holding a prepared image
+   of [a] while the coordinator, node 3, still the pages' owner, can lock
+   them again at once. [lost_decide] runs that first transaction, writing
+   "first-a0" and "first-b0" over "old-a000" and "old-b000", with
+   participant 1 cut off by a partition at its decide. *)
+let lost_decide ~seed =
+  let sys = mk ~seed () in
   let clients = Array.init node_count (fun n -> System.client sys n ()) in
   let ring = instrument sys clients in
   let a, b =
@@ -623,20 +620,12 @@ let test_2pc_lost_decide_votes_no () =
      Alcotest.failf "first txn: %s" (Daemon.error_to_string e));
   Alcotest.(check int) "participant 1 still in doubt" 1
     (Daemon.txn_prepared_count (System.daemon sys 1));
-  System.heal sys;
-  let second =
-    System.run_fiber ~name:"2pc-second" sys (fun () ->
-        Client.txn c3 (fun txn ->
-            txn_write_both c3 txn a b "second-a" "second-b"))
-  in
-  (* Settle past txn_resolve_after (3 s): the first decision is re-sent and
-     any overdue pin has been repaired. *)
+  (sys, clients, ring, a, b)
+
+(* Settle past txn_resolve_after (3 s), so the first decision has reached
+   participant 1 by now, then read [a] and [b] back on every node. *)
+let settle_and_read sys clients ~a ~b va vb =
   System.run_until_quiet ~limit:(Ksim.Time.sec 40) sys;
-  let va, vb =
-    match second with
-    | Ok () -> ("second-a", "second-b")
-    | Error _ -> ("first-a0", "first-b0")
-  in
   List.iter
     (fun n ->
       Alcotest.(check string)
@@ -646,20 +635,95 @@ let test_2pc_lost_decide_votes_no () =
         (Printf.sprintf "node %d reads the last acknowledged b" n)
         vb (read_settled ~len:8 sys clients.(n) ~addr:b))
     (List.init node_count Fun.id);
-  (match second with
-   | Error (`Conflict _) -> ()
-   | Ok () -> Alcotest.fail "second txn prepared beside an undecided one"
-   | Error e ->
-     Alcotest.failf "second txn: expected a no vote, got %s"
-       (Daemon.error_to_string e));
   List.iter
     (fun n ->
       Alcotest.(check int)
         (Printf.sprintf "node %d limbo drained" n)
         0
         (Daemon.txn_prepared_count (System.daemon sys n)))
-    [ 1; 2; 3 ];
+    [ 1; 2; 3 ]
+
+(* A second transaction on the pages of a lost decide must be refused at
+   prepare: prepared beside the first, its image would be overwritten
+   when the first decision finally installs. *)
+let test_2pc_lost_decide_votes_no () =
+  let sys, clients, ring, a, b = lost_decide ~seed:171 in
+  System.heal sys;
+  let c3 = clients.(3) in
+  let second =
+    System.run_fiber ~name:"2pc-second" sys (fun () ->
+        Client.txn c3 (fun txn ->
+            txn_write_both c3 txn a b "second-a" "second-b"))
+  in
+  (match second with
+   | Ok () -> settle_and_read sys clients ~a ~b "second-a" "second-b"
+   | Error _ -> settle_and_read sys clients ~a ~b "first-a0" "first-b0");
+  (match second with
+   | Error (`Conflict _) -> ()
+   | Ok () -> Alcotest.fail "second txn prepared beside an undecided one"
+   | Error e ->
+     Alcotest.failf "second txn: expected a no vote, got %s"
+       (Daemon.error_to_string e));
   ignore (assert_history_ok ~what:"lost decide" ring)
+
+(* A plain write of [a] from the coordinator after a lost decide is
+   acknowledged at once: the coordinator still owns the page, and the
+   home absorbs the write-through while in doubt. The late decision
+   carries the version the commit had, older than the plain write's, so
+   the home drops its image and the plain write stands. *)
+let test_2pc_lost_decide_then_plain_write () =
+  let sys, clients, ring, a, b = lost_decide ~seed:171 in
+  System.heal sys;
+  ok
+    (System.run_fiber ~name:"2pc-plain" sys (fun () ->
+         Client.write_bytes clients.(3) ~addr:a (bytes_s "second-a")));
+  settle_and_read sys clients ~a ~b "second-a" "first-b0";
+  ignore (assert_history_ok ~what:"lost decide, plain write" ring)
+
+(* The same plain write, then participant 1 crashes, after its vote and
+   still in doubt, and the coordinator with it. The coordinator comes
+   back just after participant 1 sent a status query: the query's retry
+   reaches it before its repair loop could re-send the decision, so the
+   commit arrives by the status answer. That answer carries the version
+   the decide would, and the plain write still stands. A query retries
+   on a ladder whose gaps reach 2 s (the idempotent policy), so the
+   first send after a longer silence starts a fresh one, whose retry
+   follows 300 ms later. *)
+let test_2pc_lost_decide_resolved_by_status () =
+  let sys, clients, ring, a, b = lost_decide ~seed:171 in
+  System.heal sys;
+  ok
+    (System.run_fiber ~name:"2pc-plain" sys (fun () ->
+         Client.write_bytes clients.(3) ~addr:a (bytes_s "second-a")));
+  let d1 = System.daemon sys 1 in
+  Alcotest.(check int) "participant 1 still in doubt after the write" 1
+    (Daemon.txn_prepared_count d1);
+  System.crash sys 1;
+  System.crash sys 3;
+  System.recover sys 1;
+  let asked () =
+    Option.value ~default:0
+      (List.assoc_opt "tx_status"
+         (Khazana.Wire.Transport.stats (System.transport sys)).by_kind)
+  in
+  let t0 = System.now sys in
+  let rec fresh_query count last =
+    System.run_until_quiet ~limit:(Ksim.Time.ms 10) sys;
+    let now = System.now sys in
+    if now - t0 > Ksim.Time.sec 60 then Alcotest.fail "participant 1 never asked"
+    else if asked () = count then fresh_query count last
+    else if now - last > Ksim.Time.ms 2500 then ()
+    else fresh_query (asked ()) now
+  in
+  fresh_query (asked ()) t0;
+  System.recover sys 3;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
+  Alcotest.(check int) "participant 1 resolved by a status answer" 1
+    (List.assoc_opt "txn.resolve"
+       (Ktrace.Metrics.counters (Daemon.metrics d1))
+    |> Option.value ~default:0);
+  settle_and_read sys clients ~a ~b "second-a" "first-b0";
+  ignore (assert_history_ok ~what:"lost decide, resolved by status" ring)
 
 (* kfs rename rides Client.txn: crash the renaming node at each
    coordinator step; afterwards exactly one of the two names exists. *)
@@ -1354,6 +1418,115 @@ let twopc =
         twopc_agree cx ~round:99);
   }
 
+(* 2PC shared: transactions and plain writes on the same Zipf-hot CREW
+   pages. Each round a transaction from a random live node writes two
+   regions drawn by Zipf weight (region [i] weighs 1/(i+1)); its
+   coordinator then writes a third draw plainly, and another node reads
+   one. The faults are a lost decide (the first decide any coordinator
+   sends cuts a random node off), a crash of whichever node first reaches
+   a random 2PC step, or a partition during voting, so late decisions
+   meet plain writes made after them. After every heal nobody is left in
+   doubt, and the checkers judge the whole history. *)
+let zipf_region cx =
+  let regs = Array.of_list cx.regs in
+  let weight i = 1.0 /. float_of_int (i + 1) in
+  let total = ref 0.0 in
+  Array.iteri (fun i _ -> total := !total +. weight i) regs;
+  let x = Kutil.Rng.float cx.rng !total in
+  let rec go i acc =
+    let acc = acc +. weight i in
+    if x < acc || i = Array.length regs - 1 then regs.(i) else go (i + 1) acc
+  in
+  go 0 0.0
+
+let shared_fault cx =
+  let rng = cx.rng in
+  let victim = Option.get (pick rng victims) in
+  let others = List.filter (fun n -> n <> victim) (0 :: victims) in
+  let fired = ref false in
+  let arm hook =
+    List.iter
+      (fun n -> Daemon.set_txn_hook (System.daemon cx.sys n) (Some (hook n)))
+      (0 :: victims)
+  in
+  let once step f _ s =
+    if s = step && not !fired then begin
+      fired := true;
+      f ()
+    end
+  in
+  match Kutil.Rng.int rng 4 with
+  | 0 -> ()
+  | 1 ->
+    arm (once "coord.decide_send" (fun () ->
+             System.partition cx.sys [ victim ] others))
+  | 2 ->
+    let steps = List.map fst (coord_steps @ participant_steps) in
+    let step = Option.get (pick rng steps) in
+    arm (fun n s ->
+        if n <> 0 then once step (fun () -> System.crash cx.sys n) n s)
+  | _ ->
+    arm (once "coord.before_prepare" (fun () ->
+             System.partition cx.sys [ victim ] others))
+
+let shared_workload cx =
+  let coord = pick_up cx in
+  let first = zipf_region cx in
+  let rec other () =
+    let rg = zipf_region cx in
+    if rg == first then other () else rg
+  in
+  let second = other () in
+  run_txn cx ~coord ~reads:[] ~writes:[ first; second ];
+  let rg = if Kutil.Rng.bool cx.rng then first else zipf_region cx in
+  let v, idx = stamp cx ~tag:rg.home [ rg ] in
+  if
+    Result.is_ok
+      (System.run_fiber ~name:"nemesis-workload" cx.sys (fun () ->
+           Client.write_bytes cx.clients.(coord) ~addr:rg.base (bytes_s v)))
+  then rg.watermark <- idx;
+  let reader = pick_up cx in
+  ignore
+    (System.run_fiber ~name:"nemesis-workload" cx.sys (fun () ->
+         Client.read_bytes cx.clients.(reader) ~addr:(zipf_region cx).base 8))
+
+let shared =
+  {
+    (leg ~group:"2pc shared" ~env:"NEMESIS_2PC_SHARED_SEEDS" ~seeds:[ 71; 72 ]
+       ~replay:("deterministic replay of shared 2pc faults", 71) ~salt:0x2bc5
+       ~regions:(List.init 4 (fun i -> (1 + i, "crew", 1))))
+    with
+    start = [ Settle ];
+    rounds = 8;
+    fault = shared_fault;
+    workload = shared_workload;
+    (* The in-doubt resolver nags after txn_resolve_after (3 s) of quiet. *)
+    between = (fun _ -> [ Heal; Quiet (Ksim.Time.sec 35) ]);
+    check =
+      (fun cx round ->
+        List.iter
+          (fun n ->
+            Alcotest.(check int)
+              (Printf.sprintf "round %d: node %d limbo drained" round n)
+              0
+              (Daemon.txn_prepared_count (System.daemon cx.sys n)))
+          (0 :: victims));
+    finish = [];
+    finals =
+      (fun cx ->
+        List.concat_map
+          (fun rg ->
+            List.map
+              (fun n ->
+                let v =
+                  read_settled ~len:8 cx.sys cx.clients.(n) ~addr:rg.base
+                in
+                check_acked ~what:"final read" rg v;
+                v)
+              [ 0; 5 ])
+          cx.regs);
+  }
+
 (* Versioned (MVCC): transactional traffic stays on two CREW regions while
    three versioned regions take concurrent plain writes, CAS writes and
    snapshot reads. The versioned addresses are judged by the MVCC checks:
@@ -1383,7 +1556,7 @@ let versioned =
         run_txn cx ~coord:(pick_up cx) ~reads:[ a1 ] ~writes:[ a1; a2 ]);
   }
 
-let legs = [ plain; disk; combined; twopc; versioned ]
+let legs = [ plain; disk; combined; twopc; versioned; shared ]
 
 (* The oracle has teeth on real histories, not just the unit fixtures:
    take a passing combined run, append a fabricated stale read — an old
@@ -1723,6 +1896,10 @@ let () =
               test_2pc_unreachable_participant;
             Alcotest.test_case "lost decide makes a later prepare vote no"
               `Quick test_2pc_lost_decide_votes_no;
+            Alcotest.test_case "lost decide, then a plain write" `Quick
+              test_2pc_lost_decide_then_plain_write;
+            Alcotest.test_case "lost decide, resolved by status" `Quick
+              test_2pc_lost_decide_resolved_by_status;
           ]
         @ List.map
             (fun step ->

@@ -928,6 +928,52 @@ let test_wal_file_in_doubt_survives path =
   Alcotest.(check int) "its image held, not applied" 1 (List.length payloads);
   Alcotest.(check (list string)) "nothing applied" [] (payload_strings r)
 
+(* A coordinator's [Decide] record lists each participant still owed the
+   decision with the write-through its decide carries; a restarted process
+   reads the same versions back. *)
+let test_wal_file_decide_keeps_versions path =
+  Sys.remove path;
+  let w = mk_wal () in
+  Wal.attach_file w path;
+  let gtx = Kutil.Txid.make ~coord:3 ~epoch:1 ~seq:7 in
+  let owed = [ (1, [ (page 5, 7); (page 6, 12) ]); (2, []) ] in
+  Wal.decide w gtx ~commit:true ~participants:owed;
+  match (Wal.replay (reload path)).Wal.decisions with
+  | [ (g, true, owed') ] ->
+    Alcotest.(check bool) "same global id" true (Kutil.Txid.equal gtx g);
+    let show = List.map (fun (n, l) -> (n, List.map (fun (p, v) -> (Gaddr.to_string p, v)) l)) in
+    Alcotest.(check (list (pair int (list (pair string int)))))
+      "same participants and versions" (show owed) (show owed')
+  | _ -> Alcotest.fail "expected the one commit decision"
+
+(* A write of a page logged after an in-doubt prepare of it supersedes the
+   prepared image: log order is the page's version order. Replay holds
+   only the other pages for the decision, and a checkpoint carries only
+   those. *)
+let test_wal_later_write_supersedes_in_doubt () =
+  let w = mk_wal () in
+  let gtx = Kutil.Txid.make ~coord:3 ~epoch:1 ~seq:9 in
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 3) (data "prepared-3");
+  Wal.log_page w tx (page 4) (data "prepared-4");
+  Wal.prepare w tx gtx;
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 3) (data "later-3");
+  Wal.commit w tx;
+  let held () =
+    match (Wal.replay w).Wal.in_doubt with
+    | [ (_, payloads) ] -> List.map payload_string payloads
+    | _ -> Alcotest.fail "expected the one in-doubt transaction"
+  in
+  Alcotest.(check (list string)) "superseded image dropped"
+    [ "page:16384:prepared-4" ] (held ());
+  Wal.checkpoint w (data "snap");
+  Alcotest.(check (list string)) "checkpoint carries the rest"
+    [ "page:16384:prepared-4" ] (held ());
+  Wal.decide w gtx ~commit:true ~participants:[];
+  Alcotest.(check (list string)) "commit applies the rest"
+    [ "page:16384:prepared-4" ] (payload_strings (Wal.replay w))
+
 let () =
   Alcotest.run "kstorage"
     [
@@ -1006,6 +1052,8 @@ let () =
             test_wal_caller_buffers_not_kept;
           Alcotest.test_case "in-doubt across two checkpoints" `Quick
             test_wal_in_doubt_across_two_checkpoints;
+          Alcotest.test_case "later write supersedes in-doubt" `Quick
+            test_wal_later_write_supersedes_in_doubt;
         ] );
       ( "wal_file",
         [
@@ -1017,5 +1065,7 @@ let () =
             (with_wal_file test_wal_file_torn_tail_dropped);
           Alcotest.test_case "in-doubt survives reload" `Quick
             (with_wal_file test_wal_file_in_doubt_survives);
+          Alcotest.test_case "decide keeps its versions" `Quick
+            (with_wal_file test_wal_file_decide_keeps_versions);
         ] );
     ]

@@ -280,10 +280,9 @@ let test_duplicate_decide_is_noop () =
   Alcotest.(check string) "data unchanged by duplicates" "new-b" vb
 
 (* A remote CREW participant gets one message per phase: its decide
-   carries the write-through, so no separate flush follows it and the
-   home needs no pin. The home's manager backup then holds the committed
-   image, which a read serves once the coordinator (the page's owner) is
-   gone. *)
+   carries the write-through, so no separate flush follows it. The home's
+   manager backup then holds the committed image, which a read serves
+   once the coordinator (the page's owner) is gone. *)
 let test_write_through_rides_decide () =
   let sys = mk () in
   let a, _ = two_regions sys in
@@ -303,8 +302,6 @@ let test_write_through_rides_decide () =
   Alcotest.(check int) "one prepare" 1 (sent "tx_prepare");
   Alcotest.(check int) "one decide" 1 (sent "tx_decide");
   Alcotest.(check int) "no separate flush" 0 (sent "page_flush");
-  Alcotest.(check bool) "no pin at the home" false
-    (Daemon.txn_pinned (System.daemon sys 1) a);
   System.crash sys 3;
   System.run_until_quiet ~limit:(Ksim.Time.sec 5) sys;
   let c4 = System.client sys 4 () in
@@ -312,13 +309,11 @@ let test_write_through_rides_decide () =
       Alcotest.(check string) "home backup serves the commit" "new-a"
         (Bytes.to_string (ok (Client.read_bytes c4 ~addr:a 5))))
 
-(* A decide that reaches the home without a version (here the repair
-   loop's re-send after the first decide was lost) pins the committed
-   image. A later commit of the same page whose decide carries its
-   write-through supersedes that pin: left in place, the older image
-   would be written back over the newer commit once the pin went
-   overdue. *)
-let test_later_commit_supersedes_pin () =
+(* The repair loop's re-send of a lost decide carries the write-through
+   the first decide did, so the home absorbs the commit at its version and
+   readers see it. A later commit of the same page stands past
+   [txn_resolve_after]: nothing writes the older image back over it. *)
+let test_later_commit_after_resent_decide () =
   let sys = mk () in
   let a, _ = two_regions sys in
   System.run_until_quiet sys;
@@ -341,22 +336,27 @@ let test_later_commit_supersedes_pin () =
   System.run_until_quiet ~limit:(Ksim.Time.sec 1) sys;
   Alcotest.(check int) "decision re-sent" 0
     (Daemon.txn_undelivered_decisions d3);
-  Alcotest.(check bool) "re-sent decision pinned its image" true
-    (Daemon.txn_pinned d1 a);
+  Alcotest.(check int) "home applied the re-sent decision" 1
+    (counter d1 "txn.decide.commit");
+  let read_a n =
+    let c = System.client sys n () in
+    System.run_fiber sys (fun () ->
+        Bytes.to_string (ok (Client.read_bytes c ~addr:a 5)))
+  in
+  Alcotest.(check string) "home reads the first commit" "one-a" (read_a 1);
   commit "two-a";
-  Alcotest.(check bool) "later commit superseded the pin" false
-    (Daemon.txn_pinned d1 a);
   System.run_until_quiet ~limit:(Ksim.Time.sec 10) sys;
-  let c4 = System.client sys 4 () in
-  System.run_fiber sys (fun () ->
-      Alcotest.(check string) "later commit stands" "two-a"
-        (Bytes.to_string (ok (Client.read_bytes c4 ~addr:a 5))))
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "later commit stands at node %d" n)
+        "two-a" (read_a n))
+    [ 1; 4 ]
 
-(* Every lock is held until the decides are out. A versioned region
-   propagates at release, by publishing at its home: released before the
-   decide, that publish would install there before the decide pinned the
-   image, leaving a pin nothing clears, and its repair would write the
-   commit back over a plain write made after it. *)
+(* Every lock is held until the decides are out. A versioned region has
+   no write-through: it propagates at release, by publishing at its home,
+   after the decide installed the same image there. The commit reads back
+   from another node, and a plain write made after it stands. *)
 let test_versioned_write_then_plain_write () =
   let sys = mk () in
   let c1 = System.client sys 1 () and c3 = System.client sys 3 () in
@@ -375,10 +375,10 @@ let test_versioned_write_then_plain_write () =
              let* () = Client.txn_write c3 txn ~addr:a (bytes_s "txn-a") in
              Client.txn_write c3 txn ~addr:b (bytes_s "txn-b"))));
   System.run_until_quiet ~limit:(Ksim.Time.ms 300) sys;
-  Alcotest.(check bool) "no pin at the versioned home" false
-    (Daemon.txn_pinned (System.daemon sys 1) a);
   let c4 = System.client sys 4 () in
   System.run_fiber sys (fun () ->
+      Alcotest.(check string) "the commit reads back" "txn-a"
+        (Bytes.to_string (ok (Client.read_bytes c4 ~addr:a 5)));
       ok (Client.write_bytes c4 ~addr:a (bytes_s "later")));
   System.run_until_quiet ~limit:(Ksim.Time.sec 10) sys;
   System.run_fiber sys (fun () ->
@@ -496,6 +496,103 @@ let test_plain_write_after_commit_survives_checkpoint () =
   System.run_fiber sys (fun () ->
       Alcotest.(check string) "home replays the plain write" "plain"
         (Bytes.to_string (ok (Client.read_bytes c4 ~addr:b 5))))
+
+(* A region under another protocol has no write-through: its home commits
+   the decided image as a write of its own, which its protocol propagates.
+   The coordinator here dies after the decide to that home and before its
+   own release, which would have propagated the same image, yet every
+   node reads the commit once the system settles. A [release] home waits
+   for the token the dead coordinator held. *)
+let test_commit_without_write_through protocol () =
+  let sys = mk () in
+  let c1 = System.client sys 1 () and c3 = System.client sys 3 () in
+  let a, b =
+    System.run_fiber sys (fun () ->
+        let attr = Khazana.Attr.make ~protocol ~owner:1 () in
+        let ra = ok (Client.create_region c1 ~attr 4096) in
+        let rb = ok (Client.create_region (System.client sys 2 ()) 4096) in
+        (ra.Region.base, rb.Region.base))
+  in
+  System.run_until_quiet sys;
+  let d3 = System.daemon sys 3 in
+  let sends = ref 0 in
+  Daemon.set_txn_hook d3
+    (Some
+       (fun s ->
+         if s = "coord.decide_send" then begin
+           incr sends;
+           if !sends = 2 then System.crash sys 3
+         end));
+  ignore
+    (System.run_fiber sys (fun () ->
+         Client.txn c3 (fun txn -> write_both c3 txn a b "txn-a" "txn-b")));
+  Daemon.set_txn_hook d3 None;
+  System.recover sys 3;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 30) sys;
+  List.iter
+    (fun n ->
+      let va, vb = read_pair sys n a b in
+      Alcotest.(check string)
+        (Printf.sprintf "node %d reads the %s commit" n protocol) "txn-a" va;
+      Alcotest.(check string)
+        (Printf.sprintf "node %d reads the crew commit" n) "txn-b" vb)
+    [ 1; 4; 5 ]
+
+(* A coordinator that crashes right after logging its decision sends no
+   decide and loses its staged images; the homes only hold their prepared
+   ones. Recovered, it re-sends the decision with the versions the record
+   logged, so each home's manager backup takes the commit, and a read
+   served around the dead owner's lost copy sees it at once. *)
+let test_resend_after_crash_carries_versions () =
+  let sys = mk () in
+  let a, b = two_regions sys in
+  System.run_until_quiet sys;
+  let c3 = System.client sys 3 () and d3 = System.daemon sys 3 in
+  Daemon.set_txn_hook d3
+    (Some (fun s -> if s = "coord.decision_logged" then System.crash sys 3));
+  ok
+    (System.run_fiber sys (fun () ->
+         Client.txn c3 (fun txn -> write_both c3 txn a b "new-a" "new-b")));
+  Daemon.set_txn_hook d3 None;
+  System.recover sys 3;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 1) sys;
+  let d1 = System.daemon sys 1 in
+  Alcotest.(check int) "participant 1 got the re-sent decision" 1
+    (counter d1 "txn.decide.commit");
+  Alcotest.(check int) "not by a status query" 0 (counter d1 "txn.resolve");
+  let va, vb = read_pair sys 4 a b in
+  Alcotest.(check string) "region a committed" "new-a" va;
+  Alcotest.(check string) "region b committed" "new-b" vb
+
+(* The same through a checkpoint: a decision still owed to participant 1
+   (cut off at its decide) is in the coordinator's checkpoint snapshot
+   with its versions, and a coordinator that crashes after the
+   checkpoint re-sends them once it recovers. *)
+let test_checkpointed_decision_carries_versions () =
+  let sys = mk () in
+  let a, b = two_regions sys in
+  System.run_until_quiet sys;
+  let c3 = System.client sys 3 () and d3 = System.daemon sys 3 in
+  Daemon.set_txn_hook d3
+    (Some
+       (fun s ->
+         if s = "coord.decide_send" then
+           System.partition sys [ 1 ] [ 0; 2; 3; 4; 5 ]));
+  ok
+    (System.run_fiber sys (fun () ->
+         Client.txn c3 (fun txn -> write_both c3 txn a b "new-a" "new-b")));
+  Daemon.set_txn_hook d3 None;
+  Daemon.checkpoint d3;
+  System.crash sys 3;
+  System.heal sys;
+  System.recover sys 3;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 1) sys;
+  let d1 = System.daemon sys 1 in
+  Alcotest.(check int) "participant 1 got the re-sent decision" 1
+    (counter d1 "txn.decide.commit");
+  let va, vb = read_pair sys 4 a b in
+  Alcotest.(check string) "region a committed" "new-a" va;
+  Alcotest.(check string) "region b committed" "new-b" vb
 
 let test_status_presumed_abort () =
   let sys = mk () in
@@ -661,8 +758,8 @@ let () =
             test_duplicate_decide_is_noop;
           Alcotest.test_case "write-through rides the decide" `Quick
             test_write_through_rides_decide;
-          Alcotest.test_case "later commit supersedes a pin" `Quick
-            test_later_commit_supersedes_pin;
+          Alcotest.test_case "later commit after a re-sent decide" `Quick
+            test_later_commit_after_resent_decide;
           Alcotest.test_case "versioned write, then a plain write" `Quick
             test_versioned_write_then_plain_write;
           Alcotest.test_case "checkpoint during decide delivery" `Quick
@@ -671,11 +768,22 @@ let () =
             test_same_pages_one_coordinator;
           Alcotest.test_case "plain write after commit survives checkpoint"
             `Quick test_plain_write_after_commit_survives_checkpoint;
+          Alcotest.test_case "re-send after a crash carries versions" `Quick
+            test_resend_after_crash_carries_versions;
+          Alcotest.test_case "checkpointed decision carries versions" `Quick
+            test_checkpointed_decision_carries_versions;
           Alcotest.test_case "unknown txid reads aborted" `Quick
             test_status_presumed_abort;
           Alcotest.test_case "in-doubt resolves after coordinator crash"
             `Quick test_in_doubt_resolves_after_coordinator_crash;
-        ] );
+        ]
+        @ List.map
+            (fun protocol ->
+              Alcotest.test_case
+                (Printf.sprintf "%s commit, coordinator crash" protocol)
+                `Quick
+                (test_commit_without_write_through protocol))
+            [ "versioned"; "eventual"; "wshared"; "release" ] );
       ( "integration",
         [
           Alcotest.test_case "trace reconstructs a transaction" `Quick
