@@ -111,18 +111,6 @@ let replication_targets ?(avoid = []) cfg copyset =
            cfg.replica_targets)
   end
 
-(* The home hands its copy to a fetching replica, which joins the
-   copyset. Returns the new copyset. *)
-let serve_read cfg copyset ~src data ver acc =
-  match data with
-  | Some data ->
-    let copyset = NSet.add src copyset in
-    ( copyset,
-      Sharers_hint (NSet.elements (NSet.add cfg.self copyset))
-      :: Send (src, Read_grant { data; version = ver; fence = 0 })
-      :: acc )
-  | None -> (copyset, Send (src, Nack) :: acc)
-
 (* Home-side: recruit replicas up to [min_replicas] into the copyset, then
    push the current image to [targets recruits] (the recruits, or all). *)
 let push_image ?avoid t targets =
@@ -219,15 +207,19 @@ module Make (P : POLICY) = struct
 
   let handle_msg t src msg =
     match msg with
-    | Read_req when is_home t ->
-      let copyset, acc = serve_read t.cfg t.copyset ~src t.data t.ver [] in
-      t.copyset <- copyset;
-      acc
+    | Read_req when is_home t -> (
+      (* The fetching replica joins the copyset. *)
+      match t.data with
+      | Some data ->
+        t.copyset <- NSet.add src t.copyset;
+        [ Sharers_hint (NSet.elements (NSet.add t.cfg.self t.copyset));
+          Send (src, Read_grant { data; version = t.ver; fence = 0 }) ]
+      | None -> [ Send (src, Nack) ])
     | Pull_req when is_home t -> (
       match t.data with
       | Some data -> [ Send (src, Update { data; version = t.ver }) ]
       | None -> [])
-    | Evict_notify when is_home t ->
+    | Evict_notify _ when is_home t ->
       t.copyset <- NSet.remove src t.copyset;
       []
     | Update _ when is_home t -> P.absorb t ~src msg []
@@ -240,9 +232,9 @@ module Make (P : POLICY) = struct
         pump_local t (adopt t data version [])
       else pump_local t []
     | Nack -> pump_local t (Local_locks.reject_head t.locks "home has no data" [])
-    | Read_req | Pull_req | Evict_notify | Write_req | Own_grant _
-    | Upgrade_grant _ | Invalidate _ | Invalidate_ack | Fetch _ | Fetch_own _
-    | Done _ | Own_return _ | Update_ack | Fence_bump _ ->
+    | Read_req | Pull_req | Evict_notify _ | Write_req | Own_grant _
+    | Upgrade_grant _ | Invalidate _ | Invalidate_ack _ | Fetch _ | Fetch_own _
+    | Done _ | Own_return _ | Update_ack _ | Fence_bump _ ->
       []
 
   let handle t event =
@@ -258,7 +250,7 @@ module Make (P : POLICY) = struct
         else begin
           t.data <- None;
           t.stored <- None;
-          [ Send (t.cfg.home, Evict_notify) ]
+          [ Send (t.cfg.home, Evict_notify { fence = 0 }) ]
         end
       | Abort { req } ->
         Local_locks.abort t.locks req;

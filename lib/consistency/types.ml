@@ -24,8 +24,11 @@ type fence = int
     highest fence that has invalidated or dispossessed them and refuse any
     grant below it. This is what keeps duplicated/reordered grants from
     resurrecting copies that a later transaction already revoked — without
-    it, CREW is only safe on reliable FIFO channels. Protocols that do not
-    revoke copies (release, eventual, write-shared) pass 0. *)
+    it, CREW is only safe on reliable FIFO channels. An [Evict_notify]
+    carries the fence of the grant (or fetch) it answers, so a home ignores
+    a notice older than its latest grant to that node. Both home-serialised
+    protocols, CREW and release, fence every grant; the optimistic ones
+    (eventual, write-shared, versioned) pass 0. *)
 
 type msg =
   | Read_req                                   (* requester -> home *)
@@ -38,13 +41,13 @@ type msg =
       (* owner -> requester *)
   | Upgrade_grant of { fence : fence }         (* home -> owner-requester *)
   | Invalidate of { fence : fence }            (* home -> sharer *)
-  | Invalidate_ack                             (* sharer -> home *)
-  | Done of { mode : mode }                    (* requester -> home *)
+  | Invalidate_ack of { fence : fence }       (* sharer -> home *)
+  | Done of { mode : mode; fence : fence }    (* requester -> home *)
   | Nack                                       (* home -> requester *)
-  | Evict_notify                               (* sharer -> home *)
+  | Evict_notify of { fence : fence }         (* sharer -> home *)
   | Own_return of { data : bytes; version : version } (* owner -> home *)
   | Update of { data : bytes; version : version }     (* writer/home -> replicas *)
-  | Update_ack                                 (* replica -> home *)
+  | Update_ack of { version : version }       (* replica -> home *)
   | Pull_req                                   (* replica -> home (anti-entropy) *)
   | Diff of { patches : (int * bytes) list; version : version }
       (* write-shared: byte ranges changed during one lock interval,
@@ -67,13 +70,13 @@ let msg_kind = function
   | Own_grant _ -> "cm.own_grant"
   | Upgrade_grant _ -> "cm.upgrade_grant"
   | Invalidate _ -> "cm.invalidate"
-  | Invalidate_ack -> "cm.invalidate_ack"
+  | Invalidate_ack _ -> "cm.invalidate_ack"
   | Done _ -> "cm.done"
   | Nack -> "cm.nack"
-  | Evict_notify -> "cm.evict_notify"
+  | Evict_notify _ -> "cm.evict_notify"
   | Own_return _ -> "cm.own_return"
   | Update _ -> "cm.update"
-  | Update_ack -> "cm.update_ack"
+  | Update_ack _ -> "cm.update_ack"
   | Pull_req -> "cm.pull_req"
   | Diff _ -> "cm.diff"
   | Fence_bump _ -> "cm.fence_bump"
@@ -90,6 +93,12 @@ let decode_mode dec =
   | 0 -> Read
   | 1 -> Write
   | n -> raise (Codec.Decode_error (Printf.sprintf "Ctypes.mode: tag %d" n))
+
+(* Acks carry the low bits of what they answer in their one tag byte. *)
+let ack_mask = 63
+let invalidate_ack_tag = 128
+let update_ack_tag = 192
+let ack_matches ~sent n = (n - sent) land ack_mask = 0
 
 let encode_msg enc msg =
   match msg with
@@ -119,12 +128,15 @@ let encode_msg enc msg =
   | Invalidate { fence } ->
     Codec.u8 enc 7;
     Codec.int enc fence
-  | Invalidate_ack -> Codec.u8 enc 8
-  | Done { mode } ->
+  | Invalidate_ack { fence } -> Codec.u8 enc (invalidate_ack_tag + (fence land ack_mask))
+  | Done { mode; fence } ->
+    (* The mode shares its byte with the fence's low bits. *)
     Codec.u8 enc 9;
-    encode_mode enc mode
+    Codec.u8 enc (((fence land ack_mask) lsl 1) lor if mode = Write then 1 else 0)
   | Nack -> Codec.u8 enc 10
-  | Evict_notify -> Codec.u8 enc 11
+  | Evict_notify { fence } ->
+    Codec.u8 enc 11;
+    Codec.int enc fence
   | Own_return { data; version } ->
     Codec.u8 enc 12;
     Codec.bytes enc data;
@@ -133,7 +145,7 @@ let encode_msg enc msg =
     Codec.u8 enc 13;
     Codec.bytes enc data;
     Codec.int enc version
-  | Update_ack -> Codec.u8 enc 14
+  | Update_ack { version } -> Codec.u8 enc (update_ack_tag + (version land ack_mask))
   | Pull_req -> Codec.u8 enc 15
   | Diff { patches; version } ->
     Codec.u8 enc 16;
@@ -167,17 +179,17 @@ let decode_msg dec =
     Own_grant { data; version; fence = Codec.read_int dec }
   | 6 -> Upgrade_grant { fence = Codec.read_int dec }
   | 7 -> Invalidate { fence = Codec.read_int dec }
-  | 8 -> Invalidate_ack
-  | 9 -> Done { mode = decode_mode dec }
+  | 9 ->
+    let b = Codec.read_u8 dec in
+    Done { mode = (if b land 1 = 1 then Write else Read); fence = b lsr 1 }
   | 10 -> Nack
-  | 11 -> Evict_notify
+  | 11 -> Evict_notify { fence = Codec.read_int dec }
   | 12 ->
     let data = Codec.read_bytes dec in
     Own_return { data; version = Codec.read_int dec }
   | 13 ->
     let data = Codec.read_bytes dec in
     Update { data; version = Codec.read_int dec }
-  | 14 -> Update_ack
   | 15 -> Pull_req
   | 16 ->
     let patches =
@@ -187,6 +199,8 @@ let decode_msg dec =
     in
     Diff { patches; version = Codec.read_int dec }
   | 17 -> Fence_bump { floor = Codec.read_int dec }
+  | n when n >= update_ack_tag -> Update_ack { version = n - update_ack_tag }
+  | n when n >= invalidate_ack_tag -> Invalidate_ack { fence = n - invalidate_ack_tag }
   | n -> raise (Codec.Decode_error (Printf.sprintf "Ctypes.msg: tag %d" n))
 
 (** Payload of an MVCC publish: either a whole page image or a sparse set

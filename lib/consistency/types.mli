@@ -31,8 +31,11 @@ type fence = int
     highest fence that has invalidated or dispossessed them and refuse any
     grant below it. This is what keeps duplicated/reordered grants from
     resurrecting copies that a later transaction already revoked — without
-    it, CREW is only safe on reliable FIFO channels. Protocols that do not
-    revoke copies (release, eventual, write-shared, versioned) pass 0. *)
+    it, CREW is only safe on reliable FIFO channels. An [Evict_notify]
+    carries the fence of the grant (or fetch) it answers, so a home ignores
+    a notice older than its latest grant to that node. Both home-serialised
+    protocols, CREW and release, fence every grant; the optimistic ones
+    (eventual, write-shared, versioned) pass 0. *)
 
 (** Wire messages exchanged between CM peers for one page. The same message
     alphabet serves all protocols; each protocol uses a subset. *)
@@ -50,15 +53,19 @@ type msg =
   | Upgrade_grant of { fence : fence }
       (** home -> owner-requester: upgrade in place, no data travels *)
   | Invalidate of { fence : fence }            (** home -> sharer *)
-  | Invalidate_ack                             (** sharer -> home *)
-  | Done of { mode : mode }                    (** requester -> home *)
+  | Invalidate_ack of { fence : fence }
+      (** sharer -> home: the round it answers, as {!ack_matches} reads it *)
+  | Done of { mode : mode; fence : fence }
+      (** requester -> home: the grant it took, as {!ack_matches} reads it *)
   | Nack                                       (** home -> requester *)
-  | Evict_notify                               (** sharer -> home *)
+  | Evict_notify of { fence : fence }
+      (** sharer -> home: "I hold no copy as of [fence]" *)
   | Own_return of { data : bytes; version : version }
       (** owner -> home: ownership comes back with the bytes *)
   | Update of { data : bytes; version : version }
       (** writer/home -> replicas: whole-image propagation *)
-  | Update_ack                                 (** replica -> home *)
+  | Update_ack of { version : version }
+      (** replica -> home: the version it holds, as {!ack_matches} reads it *)
   | Pull_req                                   (** replica -> home (anti-entropy) *)
   | Diff of { patches : (int * bytes) list; version : version }
       (** write-shared: byte ranges changed during one lock interval,
@@ -71,6 +78,13 @@ type msg =
           counter at zero, so every survivor of the old epoch would silently
           refuse it forever; this reply teaches the reborn manager the old
           epoch so it can resume above it. *)
+
+val ack_matches : sent:int -> int -> bool
+(** [ack_matches ~sent n]: does an ack carrying [n] answer a grant or round
+    stamped [sent]? Acks keep their size on the wire, so only the low six
+    bits of their fence or version travel, in a byte they already had; they
+    tell a transaction from the sixty-three before it, which is what a late
+    duplicate ack needs. *)
 
 val msg_kind : msg -> string
 (** Stable dotted label for traces and metrics, e.g. ["cm.read_grant"]. *)
@@ -155,10 +169,12 @@ type event =
       (** The home daemon rebuilt this machine after a crash and is feeding
           it what the persistent page directory remembers: the version of
           the data it recovered and the nodes that held copies in the
-          previous incarnation. Protocols that track a copyset adopt the
-          sharers (over-approximation is safe — invalidation handles
-          non-holders) so stale survivor copies get revoked by the next
-          write instead of lingering forever. No-op off-home. *)
+          previous incarnation, as the last [Sharers_hint] listed them.
+          Protocols that track a copyset adopt the sharers
+          (over-approximation is safe — invalidation handles non-holders)
+          so stale survivor copies get revoked by the next write instead
+          of lingering forever; CREW re-adopts a remote owner. No-op
+          off-home. *)
 
 val event_kind : event -> string
 (** Stable dotted label for traces, e.g. ["acquire.write"]. *)
@@ -181,8 +197,8 @@ type action =
   | Start_timer of { id : timer_id; after : Ksim.Time.t }
       (** Ask for a {!Timeout} event [after] from now. *)
   | Sharers_hint of node_id list
-      (** Home's current view of nodes holding copies; the daemon mirrors it
-          into its page directory. *)
+      (** Home's current view of nodes holding copies (CREW lists its owner
+          first); the daemon mirrors it into its page directory. *)
 
 (** How a machine comes to life on a node. *)
 type init =

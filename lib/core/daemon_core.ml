@@ -296,8 +296,7 @@ let rec machine_for t (region : Region.t) page =
     let slot = { region; packed } in
     let prior_sharers =
       match (init, Page_directory.find t.pdir page) with
-      | Ctypes.Start_owner _, Some entry ->
-        List.filter (fun n -> n <> t.id) entry.Page_directory.sharers
+      | Ctypes.Start_owner _, Some entry -> entry.Page_directory.sharers
       | (Ctypes.Start_owner _ | Ctypes.Start_unknown), _ -> []
     in
     Gaddr.Table.replace t.machines page slot;
@@ -309,7 +308,7 @@ let rec machine_for t (region : Region.t) page =
        copies. Seed the new machine with them — whichever path rebuilds
        first (client op, incoming CM message, or the repair loop) — or
        those copies become stale yet revocable by nothing. *)
-    if prior_sharers <> [] then
+    if List.exists (fun n -> n <> t.id) prior_sharers then
       feed t ~span:Trace.null slot page
         (Ctypes.Reincarnate { version = 0; sharers = prior_sharers });
     slot

@@ -13,7 +13,8 @@
 type entry = {
   region_base : Kutil.Gaddr.t;
   homed_here : bool;
-  mutable sharers : Knet.Topology.node_id list;  (** possibly-stale hint *)
+  mutable sharers : Knet.Topology.node_id list;
+      (** possibly-stale hint; a CREW home lists the owner first *)
 }
 
 type t

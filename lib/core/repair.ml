@@ -48,12 +48,12 @@ let pass c =
            write-invalidate protocols revoke copies before accepting newer
            data. Pull from the sharers the persistent page directory
            remembers, and only fall back to disk when nobody answers. *)
-        let sharers =
+        let recorded =
           match Page_directory.find c.pdir page with
           | None -> []
-          | Some entry ->
-            List.filter (fun n -> n <> c.id) entry.Page_directory.sharers
+          | Some entry -> entry.Page_directory.sharers
         in
+        let sharers = List.filter (fun n -> n <> c.id) recorded in
         let pulled =
           List.fold_left
             (fun best n ->
@@ -77,7 +77,7 @@ let pass c =
             Metrics.incr c.metrics "repair.rebuild";
             ignore (machine_for c region page);
             feed_existing c ~span:Trace.null page
-              (Ctypes.Reincarnate { version; sharers })
+              (Ctypes.Reincarnate { version; sharers = recorded })
           in
           match (pulled, Store.read_immediate c.store page) with
           | Some (data, ver), _ ->
@@ -120,9 +120,12 @@ let pass c =
               match ask c Op_ctx.background ~dst:n (Wire.Page_probe { page }) with
               | Ok (Wire.R_held true) -> true
               | Ok _ ->
+                (* Fenced above every grant: the probe is as fresh as
+                   the books it corrects. *)
                 if alive c pass_epoch then
                   feed_existing c ~span:Trace.null page
-                    (Ctypes.Peer { src = n; msg = Ctypes.Evict_notify });
+                    (Ctypes.Peer
+                       { src = n; msg = Ctypes.Evict_notify { fence = max_int } });
                 false
               | Error _ -> false)
             live

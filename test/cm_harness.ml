@@ -10,6 +10,7 @@ module Machine = Kconsistency.Machine_intf
 
 type t = {
   nodes : int list;
+  make : int -> Ctypes.init -> Machine.packed;  (* a fresh machine for a node *)
   machines : (int, Machine.packed) Hashtbl.t;
   mutable wire : (int * int * Ctypes.msg) list; (* src, dst, msg; in-flight *)
   mutable timers : (int * int) list;            (* node, timer id *)
@@ -21,25 +22,29 @@ type t = {
 }
 
 let create ?(seed = 1) ~protocol ~home ~min_replicas ~nodes ~initial () =
+  let make node init =
+    let cfg =
+      {
+        (Ctypes.default_config ~self:node ~home) with
+        Ctypes.min_replicas;
+        replica_targets = List.filter (fun n -> n <> home) nodes;
+      }
+    in
+    match Kconsistency.Registry.instantiate protocol cfg init with
+    | Some m -> m
+    | None -> failwith ("unknown protocol " ^ protocol)
+  in
   let machines = Hashtbl.create 8 in
   List.iter
     (fun node ->
-      let cfg =
-        {
-          (Ctypes.default_config ~self:node ~home) with
-          Ctypes.min_replicas;
-          replica_targets = List.filter (fun n -> n <> home) nodes;
-        }
-      in
-      let init =
-        if node = home then Ctypes.Start_owner initial else Ctypes.Start_unknown
-      in
-      match Kconsistency.Registry.instantiate protocol cfg init with
-      | Some m -> Hashtbl.replace machines node m
-      | None -> failwith ("unknown protocol " ^ protocol))
+      Hashtbl.replace machines node
+        (make node
+           (if node = home then Ctypes.Start_owner initial
+            else Ctypes.Start_unknown)))
     nodes;
   {
     nodes;
+    make;
     machines;
     wire = [];
     timers = [];
@@ -78,7 +83,15 @@ let deliver_nth t index =
     true
 
 let deliver_one t = deliver_nth t 0
-let deliver_random t = deliver_nth t (Kutil.Rng.int t.rng (max 1 (List.length t.wire)))
+let random_index t = Kutil.Rng.int t.rng (max 1 (List.length t.wire))
+let deliver_random t = deliver_nth t (random_index t)
+
+(* Deliver a copy of a random in-flight message and leave the original in
+   flight: the network duplicated it. *)
+let duplicate_random t =
+  match List.nth_opt t.wire (random_index t) with
+  | None -> ()
+  | Some (src, dst, msg) -> feed t dst (Ctypes.Peer { src; msg })
 
 let rec drain ?(random = false) t =
   if t.wire <> [] then begin
@@ -89,6 +102,10 @@ let rec drain ?(random = false) t =
 (* Drop every in-flight message to or from a node (models its crash). *)
 let drop_node t node =
   t.wire <- List.filter (fun (s, d, _) -> s <> node && d <> node) t.wire
+
+(* Replace [node]'s machine with a fresh one started from [init], as a
+   crash and restart does: a home comes back from its disk image. *)
+let restart t node init = Hashtbl.replace t.machines node (t.make node init)
 
 let fire_all_timers t =
   let timers = t.timers in

@@ -211,7 +211,57 @@ let test_crew_fence_bump_keeps_home_writer_copy () =
   Alcotest.(check bool) "write granted" true (H.is_granted h w);
   Alcotest.(check string) "home owns exclusively" "owned_excl" (H.state h 0)
 
+(* n3 took ownership; then the home crashed and was rebuilt from its disk
+   image. Its page directory lists n3 as a sharer only, so the rebuilt home
+   believes it owns the page. Serving n1's read from its own copy and
+   leaving n3 exclusive let n3's next write be granted locally beside n1's
+   read lock. The rebuilt home must revoke every recorded copy first. *)
+let test_crew_reincarnated_home_revokes_owner () =
+  let h = mk () in
+  ignore (H.acquire_sync h 3 Ctypes.Write);
+  H.release h 3 Ctypes.Write ~data:(Some (Bytes.of_string "n3"));
+  H.restart h 0 (Ctypes.Start_owner initial);
+  H.feed h 0 (Ctypes.Reincarnate { version = 0; sharers = [ 3 ] });
+  let r = H.acquire h 1 Ctypes.Read in
+  H.drain h;
+  Alcotest.(check bool) "read granted" true (H.is_granted h r);
+  let w = H.acquire h 3 Ctypes.Write in
+  H.drain h;
+  Alcotest.(check (option string)) "no writer beside the reader" None
+    (H.crew_invariant_violation h);
+  Alcotest.(check bool) "write waits for the reader" false (H.is_granted h w);
+  H.release h 1 Ctypes.Read ~data:None;
+  H.drain h;
+  Alcotest.(check bool) "then the write" true (H.is_granted h w)
+
 (* ----------------------------- Release ----------------------------- *)
+
+(* n2's Read_grant (v1) is overtaken by the home's Update (v2) fanning out
+   n1's write. n2 adopts v2; the late grant must not install its older image
+   under the machine's newer version. *)
+let test_release_late_grant_keeps_newer_copy () =
+  let h = mk ~protocol:"release" () in
+  let r = H.acquire h 2 Ctypes.Read in
+  let held_back (_, dst, msg) =
+    dst = 2 && match msg with Ctypes.Read_grant _ -> true | _ -> false
+  in
+  let rec deliver_others () =
+    match List.find_index (fun m -> not (held_back m)) h.H.wire with
+    | Some i ->
+      ignore (H.deliver_nth h i);
+      deliver_others ()
+    | None -> ()
+  in
+  let w = H.acquire h 1 Ctypes.Write in
+  deliver_others ();
+  Alcotest.(check bool) "writer granted" true (H.is_granted h w);
+  H.release h 1 Ctypes.Write ~data:(Some (Bytes.of_string "v2"));
+  deliver_others ();
+  Alcotest.(check bool) "reader granted by the update" true (H.is_granted h r);
+  H.drain h;
+  Alcotest.(check int) "n2 at the newer version" 2 (H.version h 2);
+  Alcotest.(check (option string)) "store keeps the newer image" (Some "v2")
+    (Option.map Bytes.to_string (H.installed_data h 2))
 
 let test_release_stale_reads_allowed () =
   let h = mk ~protocol:"release" () in
@@ -458,7 +508,7 @@ let drain_collect h =
 
 let is_ownership_msg = function
   | Ctypes.Own_grant _ | Ctypes.Fetch_own _ | Ctypes.Own_return _
-  | Ctypes.Invalidate _ | Ctypes.Invalidate_ack | Ctypes.Upgrade_grant _ ->
+  | Ctypes.Invalidate _ | Ctypes.Invalidate_ack _ | Ctypes.Upgrade_grant _ ->
     true
   | _ -> false
 
@@ -816,6 +866,8 @@ let () =
             test_crew_owner_crash_failover;
           Alcotest.test_case "fence bump keeps the home writer's copy" `Quick
             test_crew_fence_bump_keeps_home_writer_copy;
+          Alcotest.test_case "reincarnated home revokes the owner" `Quick
+            test_crew_reincarnated_home_revokes_owner;
         ] );
       ( "release",
         [
@@ -827,6 +879,8 @@ let () =
           Alcotest.test_case "fetch on miss" `Quick test_release_no_copy_fetches;
           Alcotest.test_case "writer crash reclaim" `Quick
             test_release_writer_crash_reclaims_token;
+          Alcotest.test_case "late grant keeps the newer copy" `Quick
+            test_release_late_grant_keeps_newer_copy;
         ] );
       ( "eventual",
         [
