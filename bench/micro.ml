@@ -238,11 +238,43 @@ let end_to_end_tests =
       (Staged.stage (fun () -> Khazana.System.run_fiber sys read));
   ]
 
+(* One two-participant transaction per call, as kbench's txn-2pc runs it:
+   the coordinator writes a page it homes (its local prepare leg) and a
+   page homed on a node of the same cluster (a remote prepare and decide),
+   both through its intent log. Its own system, so the rows above keep
+   theirs; built only when the rows run. *)
+let txn_tests () =
+  let sys = Khazana.System.create ~nodes_per_cluster:3 ~clusters:1 () in
+  let coord = Khazana.System.client sys 1 () in
+  let region client =
+    Khazana.System.run_fiber sys (fun () ->
+        match Khazana.Client.create_region client 4096 with
+        | Ok r -> r.Khazana.Region.base
+        | Error _ -> assert false)
+  in
+  let local = region coord and remote = region (Khazana.System.client sys 2 ()) in
+  let payload = Bytes.make 64 't' in
+  let commit () =
+    match
+      Khazana.Client.txn coord (fun txn ->
+          match Khazana.Client.txn_write coord txn ~addr:local payload with
+          | Ok () -> Khazana.Client.txn_write coord txn ~addr:remote payload
+          | Error _ as e -> e)
+    with
+    | Ok () -> ()
+    | Error _ -> assert false
+  in
+  Khazana.System.run_fiber sys commit;
+  [
+    Test.make ~name:"simulated 2PC commit (full stack)"
+      (Staged.stage (fun () -> Khazana.System.run_fiber sys commit));
+  ]
+
 let all_tests () =
   Test.make_grouped ~name:"khazana" ~fmt:"%s %s"
     (u128_tests @ page_tests @ container_tests @ engine_tests @ crew_tests
     @ storage_tests @ durable_write_tests @ codec_tests @ frame_tests
-    @ end_to_end_tests)
+    @ end_to_end_tests @ txn_tests ())
 
 (* Time per call, and heap words allocated per call on the minor and major
    heaps (a page-sized buffer is allocated straight into the major heap). *)

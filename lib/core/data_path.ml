@@ -403,6 +403,18 @@ let read c ctx ~addr ~len =
        | Error e -> Error e)
   end
 
+(* The context's record of a store write of [off, off+n) of [page]. *)
+let wrote c ctx page ~off ~n stored =
+  if stored then begin
+    Gaddr.Table.replace ctx.ctx_written page ();
+    (* Versioned regions track which byte spans actually changed so the
+       publish can ship sparse runs instead of the whole page. *)
+    if versioned_region ctx.ctx_region then
+      Store.note_range c.store page ~off ~len:n;
+    Ok ()
+  end
+  else Error (`Unavailable "page missing from local store")
+
 let write c ctx ~addr data =
   let len = Bytes.length data in
   if ctx.ctx_mode <> Ctypes.Write then Error `Access_denied
@@ -420,16 +432,19 @@ let write c ctx ~addr data =
            if Trace.enabled () then
              Trace.event ~engine:c.engine ~node:c.id ~span "store.write"
                ~attrs:[ ("page", Gaddr.to_string page) ];
-           if Store.write_from c.store page ~off data ~src_off:pos ~len:n then begin
-             Gaddr.Table.replace ctx.ctx_written page ();
-             (* Versioned regions track which byte spans actually changed so
-                the publish can ship sparse runs instead of the whole page. *)
-             if versioned_region ctx.ctx_region then
-               Store.note_range c.store page ~off ~len:n;
-             Ok ()
-           end
-           else Error (`Unavailable "page missing from local store"))
+           wrote c ctx page ~off ~n
+             (Store.write_from c.store page ~off data ~src_off:pos ~len:n))
   end
+
+(* Install the new images of the pages a [write ~addr] of [len] bytes
+   touched, which the caller already built: [image page] is each page's.
+   Charged and recorded as that write, but the store keeps each image
+   itself instead of patching a copy. A 2PC commit installs the images
+   its prepare logged this way. *)
+let write_images c ctx ~addr ~len image =
+  each_page ~page_size:ctx.ctx_region.Region.attr.Attr.page_size addr ~len
+    (fun page ~off ~pos:_ ~n ->
+      wrote c ctx page ~off ~n (Store.write_image c.store page (image page)))
 
 (* The written [pages] of [region] that owe its home a write-through,
    each with the protocol version the home absorbs it at: the one the

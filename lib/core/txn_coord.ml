@@ -419,16 +419,25 @@ let commit t h =
                Txn.step txn "coord.decision_logged";
                if alive c epoch then begin
                  (* Apply locally. The prepared local leg installs its
-                    images; then the buffered writes are staged through the
-                    held lock contexts so the release below propagates the
-                    new images through the consistency machinery exactly
-                    like ordinary writes. *)
+                    images; then each buffered write installs, through its
+                    held lock context, the committed images it touched (the
+                    ones the prepares logged), so the release below
+                    propagates them through the consistency machinery
+                    exactly like ordinary writes. *)
                  if Txid.Table.mem txn.Txn.prepared gtx then
                    Txn.decide txn ~span:sp gtx true;
+                 let image page =
+                   let _, _, img =
+                     List.find (fun (p, _, _) -> Gaddr.equal p page) images
+                   in
+                   img
+                 in
                  List.iter
                    (fun (addr, data) ->
-                     match covering_write h addr ~len:(Bytes.length data) with
-                     | Some lc -> ignore (Data_path.write c lc ~addr data)
+                     let len = Bytes.length data in
+                     match covering_write h addr ~len with
+                     | Some lc ->
+                       ignore (Data_path.write_images c lc ~addr ~len image)
                      | None -> ())
                    (List.rev h.txn_writes);
                  (* Phase two, one message per remote participant, every

@@ -26,13 +26,19 @@ val active : config -> bool
 (** At least one probability is non-zero. *)
 
 val checksum : bytes -> int
-(** FNV-1a-style fold over the buffer's 32-bit little-endian words and
+(** FNV-1a-style fold over the buffer's 64-bit little-endian words and
     then its trailing bytes: every bit of every byte enters the sum, and
     two equal-length buffers differing in a single bit always sum
     differently. Every disk frame and log record carries the checksum of
     its content in memory (no file format stores one); a torn image fails
     verification, which is how recovery discards it instead of serving
     garbage. *)
+
+val checksum_more : int -> bytes -> int
+(** [checksum_more (checksum a) b] continues the fold over [b]: the sum of
+    a record kept in two pieces. It keeps the single-bit property for
+    equal-length pieces, but it is not [checksum] of [a] and [b]
+    concatenated. [checksum_more h Bytes.empty = h]. *)
 
 val tear : Kutil.Rng.t -> intended:bytes -> prior:bytes option -> bytes
 (** A torn image of a write that was cut off partway: a prefix of the

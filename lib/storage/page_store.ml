@@ -344,6 +344,14 @@ let write_from t addr ~off src ~src_off ~len =
     install t addr image ~dirty:true ~charge:true;
     true
 
+(* [write_from] for a caller that already built the page's new image. *)
+let write_image t addr image =
+  match read_frame t addr with
+  | None -> false
+  | Some _ ->
+    install t addr image ~dirty:true ~charge:true;
+    true
+
 let find_frame t addr =
   match Gaddr.Table.find_opt t.ram addr with
   | Some f -> Some f

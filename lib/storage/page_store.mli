@@ -101,6 +101,13 @@ val write_from :
     frame that shares the old bytes both keep them. [false] (and nothing
     written) wherever {!read} would return [None]. *)
 
+val write_image : t -> Kutil.Gaddr.t -> bytes -> bool
+(** [write_image t addr image] is {!write_from} for a caller that already
+    holds the page's new image, such as a transaction commit whose prepare
+    built it: the same latencies, disk promotion, crash fencing and dirty
+    bit, but the store takes ownership of [image] without copying it, as
+    {!write_immediate} does. *)
+
 val read_immediate : t -> Kutil.Gaddr.t -> bytes option
 (** Control-plane read: no simulated latency, no tier promotion. Safe to
     call outside a fiber. Torn disk images are dropped, not served.

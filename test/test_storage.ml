@@ -377,6 +377,41 @@ let test_write_from_latency () =
         (cost ~on_disk old_way) (cost ~on_disk new_way))
     [ false; true ]
 
+(* [write_image] is charged as [write_from] on either tier, and installs
+   the caller's image itself, dirty. *)
+let test_write_image () =
+  List.iter
+    (fun on_disk ->
+      let cost f =
+        let eng, s = mk () in
+        Store.write_immediate s (page 1) (data "v1v1") ~dirty:false;
+        if on_disk then begin
+          Store.flush_immediate s (page 1);
+          Store.crash s
+        end;
+        in_fiber eng (fun () ->
+            let t0 = Ksim.Engine.now eng in
+            f s;
+            (s, Ksim.Engine.now eng - t0))
+      in
+      let img = data "v2v1" in
+      let s, charged =
+        cost (fun s -> ignore (Store.write_image s (page 1) img))
+      in
+      let _, patched =
+        cost (fun s ->
+            ignore
+              (Store.write_from s (page 1) ~off:0 (data "v2") ~src_off:0 ~len:2))
+      in
+      let tier = if on_disk then "disk hit" else "ram hit" in
+      Alcotest.(check int) (tier ^ ": same charge") patched charged;
+      Alcotest.(check bool) (tier ^ ": the image itself") true
+        (match Store.read_immediate s (page 1) with
+         | Some b -> b == img
+         | None -> false);
+      Alcotest.(check bool) (tier ^ ": dirty") true (Store.is_dirty s (page 1)))
+    [ false; true ]
+
 (* Installed images are never mutated: [write_immediate] keeps the very
    buffer it is given, and a later [write_from] installs a fresh image
    instead of reaching a buffer a reader already holds, or the disk frame
@@ -559,14 +594,17 @@ let test_checksum_every_bit () =
     Alcotest.(check int) "restored buffer, same sum" base
       (Kstorage.Disk_fault.checksum b)
   in
-  (* Short buffers: every byte, so every tail length 0-3 is covered. *)
-  for n = 1 to 9 do
+  (* Short buffers: every byte, so every tail length 0-7 is covered. *)
+  for n = 1 to 17 do
     check_len n (List.init n Fun.id)
   done;
   let rng = Kutil.Rng.create ~seed:11 in
   let n = 4096 + 3 in
   let sampled = List.init 64 (fun _ -> Kutil.Rng.int rng n) in
-  check_len n ([ 0; 1; 2; 3; 4; 2047; 4092; 4095; 4096; 4097; 4098 ] @ sampled)
+  check_len n ([ 0; 1; 2; 3; 4; 2047; 4092; 4095; 4096; 4097; 4098 ] @ sampled);
+  (* The last byte of every 64-bit word of a page: its bit 7 is the word's
+     bit 63, which the fold adds apart from the rest. *)
+  check_len 4096 (List.init 512 (fun k -> (8 * k) + 7))
 
 (* ----------------------------- WAL --------------------------------- *)
 
@@ -758,8 +796,11 @@ let test_wal_crash_every_point_sweep () =
   done
 
 
-(* The log owns what it records: a caller may reuse its buffer as soon as
-   an append returns, and replay hands out copies. *)
+(* A page record keeps the caller's image by reference, under the page
+   store's contract (the buffer is never mutated again): replay returns
+   the very buffer logged. Notes, control records and snapshots own their
+   bytes: a caller may reuse its buffer as soon as the append returns, and
+   replay hands out copies. *)
 let test_wal_caller_buffers_not_kept () =
   let w = mk_wal () in
   let img = data "image" and note = data "note" and ctl = data "ctl" in
@@ -768,17 +809,28 @@ let test_wal_caller_buffers_not_kept () =
   Wal.log_note w tx "meta" note;
   Wal.commit w tx;
   Wal.control w "ctl" ctl;
-  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) 'X') [ img; note; ctl ];
+  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) 'X') [ note; ctl ];
   let expected = [ "page:4096:image"; "note:meta:note"; "note:ctl:ctl" ] in
   let r = Wal.replay w in
-  Alcotest.(check (list string)) "appends kept their own bytes" expected
+  Alcotest.(check (list string)) "notes kept their own bytes" expected
     (payload_strings r);
-  (* Scribbling on what replay returned must not reach the log either. *)
+  (match r.Wal.ops with
+   | Wal.Page (_, b) :: _ ->
+     Alcotest.(check bool) "replay returns the logged page buffer" true
+       (b == img)
+   | _ -> Alcotest.fail "page payload missing");
+  (* Scribbling on the notes replay returned must not reach the log. *)
   List.iter
     (function
-      | Wal.Page (_, b) | Wal.Note (_, b) -> Bytes.fill b 0 (Bytes.length b) 'Y')
+      | Wal.Note (_, b) -> Bytes.fill b 0 (Bytes.length b) 'Y'
+      | Wal.Page _ -> ())
     r.Wal.ops;
-  Alcotest.(check (list string)) "replay returned copies" expected
+  Alcotest.(check (list string)) "replay returned copies of notes" expected
+    (payload_strings (Wal.replay w));
+  (* A page buffer changed after its append breaks the contract; the
+     record's checksum catches it and replay reads the record as torn. *)
+  Bytes.set img 0 'X';
+  Alcotest.(check (list string)) "a mutated page record reads as torn" []
     (payload_strings (Wal.replay w));
   let snap = data "SNAP" in
   Wal.checkpoint w snap;
@@ -928,6 +980,47 @@ let test_wal_file_in_doubt_survives path =
   Alcotest.(check int) "its image held, not applied" 1 (List.length payloads);
   Alcotest.(check (list string)) "nothing applied" [] (payload_strings r)
 
+(* The file holds each record as [u32 length][Codec encoding], whether the
+   log keeps the encoding whole or a page image out of line. The expected
+   bytes are encoded here from the record format itself. *)
+let test_wal_file_bytes path =
+  Sys.remove path;
+  let w = mk_wal () in
+  Wal.attach_file w path;
+  let gtx = Kutil.Txid.make ~coord:3 ~epoch:1 ~seq:7 in
+  let img = Bytes.init 4096 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 2) img;
+  Wal.log_note w tx "meta" (data "note");
+  Wal.prepare w tx gtx;
+  Wal.decide w gtx ~commit:true ~participants:[ (1, [ (page 2, 4) ]) ];
+  let module C = Kutil.Codec in
+  let expected = Buffer.create 4400 in
+  let frame encode =
+    let e = C.encoder () in
+    encode e;
+    let len = Bytes.create 4 in
+    Bytes.set_int32_be len 0 (Int32.of_int (C.length e));
+    Buffer.add_bytes expected len;
+    Buffer.add_bytes expected (C.to_bytes e)
+  in
+  let id = 1 in
+  frame (fun e -> C.u8 e 0; C.int e id);
+  frame (fun e -> C.u8 e 1; C.int e id; C.u8 e 0; C.u128 e (page 2); C.bytes e img);
+  frame (fun e ->
+      C.u8 e 1; C.int e id; C.u8 e 1; C.string e "meta"; C.bytes e (data "note"));
+  frame (fun e -> C.u8 e 5; C.int e id; Kutil.Txid.encode e gtx);
+  frame (fun e ->
+      C.u8 e 6;
+      Kutil.Txid.encode e gtx;
+      C.bool e true;
+      Wal.encode_owed e [ (1, [ (page 2, 4) ]) ]);
+  let ic = open_in_bin path in
+  let on_disk = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) "file is the framed encodings" true
+    (String.equal (Buffer.contents expected) on_disk)
+
 (* A coordinator's [Decide] record lists each participant still owed the
    decision with the write-through its decide carries; a restarted process
    reads the same versions back. *)
@@ -1030,6 +1123,8 @@ let () =
             test_promoted_disk_frame_survives_write_from;
           Alcotest.test_case "crash rolls a shared page back" `Quick
             test_crash_rolls_back_shared_page;
+          Alcotest.test_case "write_image charges the same" `Quick
+            test_write_image;
         ] );
       ( "wal",
         [
@@ -1067,5 +1162,7 @@ let () =
             (with_wal_file test_wal_file_in_doubt_survives);
           Alcotest.test_case "decide keeps its versions" `Quick
             (with_wal_file test_wal_file_decide_keeps_versions);
+          Alcotest.test_case "framed encodings on disk" `Quick
+            (with_wal_file test_wal_file_bytes);
         ] );
     ]
