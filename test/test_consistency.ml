@@ -211,6 +211,35 @@ let test_crew_fence_bump_keeps_home_writer_copy () =
   Alcotest.(check bool) "write granted" true (H.is_granted h w);
   Alcotest.(check string) "home owns exclusively" "owned_excl" (H.state h 0)
 
+(* An owner defers a Fetch_own behind its write lock, and the home's timer
+   re-sends the same fetch meanwhile. When the lock drains the owner must
+   serve the transfer once and drop the duplicate: answering it with a
+   Fence_bump made the home take the finished transfer for a crashed
+   manager's and restart it under a fresh fence, in a fault-free run. *)
+let test_crew_deferred_duplicate_fetch () =
+  let h = mk () in
+  ignore (H.acquire_sync h 1 Ctypes.Write);
+  let w = H.acquire h 2 Ctypes.Write in
+  H.drain h;
+  (* The home's ownership-transfer timer fires while n1 still holds the
+     lock: the retry queues behind the first fetch. *)
+  H.fire_all_timers h;
+  H.drain h;
+  Alcotest.(check bool) "n2 waits for the lock" false (H.is_granted h w);
+  H.release h 1 Ctypes.Write ~data:(Some (Bytes.of_string "n1"));
+  let sent = List.map (fun (src, _, msg) -> (src, msg)) h.H.wire in
+  if
+    List.exists
+      (function _, Ctypes.Fence_bump _ -> true | _ -> false)
+      sent
+  then Alcotest.fail "owner answered the duplicate fetch with a Fence_bump";
+  H.drain h;
+  Alcotest.(check bool) "n2 granted" true (H.is_granted h w);
+  Alcotest.(check string) "n2 owns" "owned_excl" (H.state h 2);
+  Alcotest.(check (option string)) "with n1's write" (Some "n1")
+    (Option.map Bytes.to_string (H.installed_data h 2));
+  Alcotest.(check bool) "no transfer left in flight" true (h.H.wire = [])
+
 (* n3 took ownership; then the home crashed and was rebuilt from its disk
    image. Its page directory lists n3 as a sharer only, so the rebuilt home
    believes it owns the page. Serving n1's read from its own copy and
@@ -868,6 +897,8 @@ let () =
             test_crew_fence_bump_keeps_home_writer_copy;
           Alcotest.test_case "reincarnated home revokes the owner" `Quick
             test_crew_reincarnated_home_revokes_owner;
+          Alcotest.test_case "deferred duplicate fetch served once" `Quick
+            test_crew_deferred_duplicate_fetch;
         ] );
       ( "release",
         [
