@@ -7,8 +7,8 @@
    invalidation — so the same contended workload must not collapse:
    throughput from 2 to 16 writers rises, or at worst stays flat.
 
-   Second claim: sub-page diff propagation. A publish whose dirty byte
-   ranges are small ships [Page_diff] runs, not the whole page image; the
+   Second claim: sub-page diff propagation. A publish whose changed bytes
+   are few ships them as [Page_diff] runs, not the whole page image; the
    applied result is byte-identical to whole-image shipping while the
    bytes on the wire drop by orders of magnitude. *)
 

@@ -82,6 +82,36 @@ let crew_tests =
         done));
   ]
 
+(* The one byte compare of page images and its inverse: a 4 KiB page with
+   one 32-byte run changed, and a write-shared home's write release of such
+   a page, which compares the written image once against its copy. *)
+let diff_tests =
+  let module Ct = Kconsistency.Types in
+  let old = Bytes.make 4096 'a' in
+  let run = Bytes.make 32 'b' in
+  let changed = Ct.apply_runs old [ (1024, run) ] in
+  [
+    Test.make ~name:"Types.diff 4 KiB, 32 changed bytes"
+      (Staged.stage (fun () -> Ct.diff ~old ~new_:changed));
+    Test.make ~name:"Types.apply_runs one 32-byte run"
+      (Staged.stage (fun () -> Ct.apply_runs old [ (1024, run) ]));
+    Test.make ~name:"write-shared release 4 KiB, 32 changed bytes"
+      (let m =
+         Kconsistency.Write_shared.create
+           (Ct.default_config ~self:0 ~home:0)
+           (Ct.Start_owner old)
+       in
+       let next = ref changed in
+       Staged.stage (fun () ->
+           ignore
+             (Kconsistency.Write_shared.handle m
+                (Ct.Acquire { req = 0; mode = Ct.Write }));
+           ignore
+             (Kconsistency.Write_shared.handle m
+                (Ct.Release { mode = Ct.Write; data = Some !next }));
+           next := if !next == changed then old else changed));
+  ]
+
 let storage_tests =
   [
     Test.make ~name:"page_store write+read immediate"
@@ -273,7 +303,7 @@ let txn_tests () =
 let all_tests () =
   Test.make_grouped ~name:"khazana" ~fmt:"%s %s"
     (u128_tests @ page_tests @ container_tests @ engine_tests @ crew_tests
-    @ storage_tests @ durable_write_tests @ codec_tests @ frame_tests
+    @ diff_tests @ storage_tests @ durable_write_tests @ codec_tests @ frame_tests
     @ end_to_end_tests @ txn_tests ())
 
 (* Time per call, and heap words allocated per call on the minor and major

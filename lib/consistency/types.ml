@@ -100,6 +100,19 @@ let invalidate_ack_tag = 128
 let update_ack_tag = 192
 let ack_matches ~sent n = (n - sent) land ack_mask = 0
 
+(* The [(offset, bytes)] runs a [Diff] and a [Runs] publish carry. *)
+let encode_runs enc runs =
+  Codec.list enc
+    (fun (off, b) ->
+      Codec.int enc off;
+      Codec.bytes enc b)
+    runs
+
+let decode_runs dec =
+  Codec.read_list dec (fun () ->
+      let off = Codec.read_int dec in
+      (off, Codec.read_bytes dec))
+
 let encode_msg enc msg =
   match msg with
   | Read_req -> Codec.u8 enc 0
@@ -149,11 +162,7 @@ let encode_msg enc msg =
   | Pull_req -> Codec.u8 enc 15
   | Diff { patches; version } ->
     Codec.u8 enc 16;
-    Codec.list enc
-      (fun (off, b) ->
-        Codec.int enc off;
-        Codec.bytes enc b)
-      patches;
+    encode_runs enc patches;
     Codec.int enc version
   | Fence_bump { floor } ->
     Codec.u8 enc 17;
@@ -192,11 +201,7 @@ let decode_msg dec =
     Update { data; version = Codec.read_int dec }
   | 15 -> Pull_req
   | 16 ->
-    let patches =
-      Codec.read_list dec (fun () ->
-          let off = Codec.read_int dec in
-          (off, Codec.read_bytes dec))
-    in
+    let patches = decode_runs dec in
     Diff { patches; version = Codec.read_int dec }
   | 17 -> Fence_bump { floor = Codec.read_int dec }
   | n when n >= update_ack_tag -> Update_ack { version = n - update_ack_tag }
@@ -205,11 +210,38 @@ let decode_msg dec =
 
 (** Payload of an MVCC publish: either a whole page image or a sparse set
     of [(offset, bytes)] runs to apply on top of a parent version. Runs are
-    what {!Kstorage.Page_store} dirty-range tracking produces; the daemon
-    falls back to [Whole] when the dirty density makes runs a net loss. *)
+    the {!diff} of the written page against the writer's copy of the
+    parent; the daemon falls back to [Whole] when they cover too much of
+    the page to save bytes. *)
 type publish_payload =
   | Whole of bytes
   | Runs of (int * bytes) list
+
+(* Contiguous byte ranges where [new_] differs from [old]. If lengths
+   differ (they should not for page data), the whole buffer is one run.
+   Equal stretches are skipped a word at a time. *)
+let diff ~old ~new_ =
+  if Bytes.length old <> Bytes.length new_ then [ (0, new_) ]
+  else begin
+    let n = Bytes.length new_ in
+    let runs = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      if
+        !i + 8 <= n
+        && Int64.equal (Bytes.get_int64_ne old !i) (Bytes.get_int64_ne new_ !i)
+      then i := !i + 8
+      else if Bytes.get old !i <> Bytes.get new_ !i then begin
+        let start = !i in
+        while !i < n && Bytes.get old !i <> Bytes.get new_ !i do
+          incr i
+        done;
+        runs := (start, Bytes.sub new_ start (!i - start)) :: !runs
+      end
+      else incr i
+    done;
+    List.rev !runs
+  end
 
 let apply_runs base runs =
   let img = Bytes.copy base in
@@ -242,20 +274,12 @@ let encode_publish_payload enc = function
     Codec.bytes enc b
   | Runs runs ->
     Codec.u8 enc 1;
-    Codec.list enc
-      (fun (off, b) ->
-        Codec.int enc off;
-        Codec.bytes enc b)
-      runs
+    encode_runs enc runs
 
 let decode_publish_payload dec =
   match Codec.read_u8 dec with
   | 0 -> Whole (Codec.read_bytes dec)
-  | 1 ->
-    Runs
-      (Codec.read_list dec (fun () ->
-           let off = Codec.read_int dec in
-           (off, Codec.read_bytes dec)))
+  | 1 -> Runs (decode_runs dec)
   | n ->
     raise (Codec.Decode_error (Printf.sprintf "Ctypes.publish_payload: tag %d" n))
 

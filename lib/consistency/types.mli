@@ -102,11 +102,20 @@ val decode_msg : Kutil.Codec.decoder -> msg
 
 (** Payload of an MVCC publish: either a whole page image or a sparse set
     of [(offset, bytes)] runs to apply on top of a parent version. Runs are
-    what {!Kstorage.Page_store} dirty-range tracking produces; the daemon
-    falls back to [Whole] when the dirty density makes runs a net loss. *)
+    the {!diff} of the written page against the writer's copy of the
+    parent; the daemon falls back to [Whole] when they cover too much of
+    the page to save bytes. *)
 type publish_payload =
   | Whole of bytes
   | Runs of (int * bytes) list
+
+val diff : old:bytes -> new_:bytes -> (int * bytes) list
+(** The maximal [(offset, bytes)] runs where [new_] differs from [old], in
+    offset order; [[]] when they are equal. Pages of different lengths
+    give one run holding all of [new_]. This is the one byte compare of
+    page images: write-shared ships it as a [Diff], a versioned publish as
+    [Runs]. For pages of equal length, [apply_runs old (diff ~old ~new_)]
+    equals [new_]. *)
 
 val apply_runs : bytes -> (int * bytes) list -> bytes
 (** A copy of [base] with each [(offset, bytes)] run written over it, in

@@ -12,8 +12,9 @@
 
     Division of labour with the daemon: the machine is the authority on
     versions (minting, chain retention, fan-out); the daemon owns diff
-    extraction (dirty-range tracking in the page store), the [Page_diff]
-    RPC that carries a publish to a remote home, and snapshot pinning.
+    extraction ({!Types.diff} of the written page against this machine's
+    copy), the [Page_diff] RPC that carries a publish to a remote home,
+    and snapshot pinning.
     The machine also has a self-contained fallback publish path — a
     [Release] carrying page bytes turns into a whole-image publish — so
     the protocol is complete under the pure-machine test harness with no
@@ -34,7 +35,9 @@ let retained (t : entry list Replica.t) v =
    callers pass and receive an acc that [List.rev] later restores. An
    [absorbed] image follows the core's rule and waits for a local writer's
    release; a publish installs at once, because the home acknowledges it
-   and the install is what puts it in the intent log. *)
+   and the install is what puts it in the intent log. The chain, [data]
+   and the store all share [img]: page images are never changed once
+   made, so no mint copies one. *)
 let mint ?(absorbed = false) (t : entry list Replica.t) ~src img acc =
   let v = t.ver + 1 in
   t.extra <-
@@ -63,10 +66,10 @@ include Replica.Make (struct
 
   let period = Replica.propagate_every
 
-  (* Never absorb a fan-out while a local writer holds the page: the dirty
-     runs the daemon extracts at unlock are relative to the version the
-     writer started from. The skipped update is recovered by the next
-     fan-out round or Pull_req. *)
+  (* Never absorb a fan-out while a local writer holds the page: the
+     daemon diffs the written page against this copy at unlock, so it must
+     stay the version the writer started from. The skipped update is
+     recovered by the next fan-out round or Pull_req. *)
   let fresh (t : extra Replica.t) version =
     version > t.ver && not (Replica.writer_held t)
 
@@ -76,15 +79,14 @@ include Replica.Make (struct
      own parent and does not gate acceptance. *)
   let absorb t ~src msg acc =
     match msg with
-    | Update { data; version = _ } ->
-      mint ~absorbed:true t ~src (Bytes.copy data) acc
+    | Update { data; version = _ } -> mint ~absorbed:true t ~src data acc
     | _ -> acc
 
   (* Machine-only publish path: whole image to the home. The daemon path
      releases with [data = None] and publishes runs itself. *)
   let release (t : extra Replica.t) img acc =
     t.data <- Some img;
-    if Replica.is_home t then mint t ~src:t.cfg.self (Bytes.copy img) acc
+    if Replica.is_home t then mint t ~src:t.cfg.self img acc
     else Send (t.cfg.home, Update { data = img; version = t.ver }) :: acc
 
   (* History did not survive the crash: restart the chain at the best
@@ -133,7 +135,7 @@ let publish (t : t) ~src ~parent ~expected ~payload =
       | Some _ | None -> (
         match payload with
         | Whole img ->
-          let acc = mint t ~src (Bytes.copy img) [] in
+          let acc = mint t ~src img [] in
           (Published t.ver, List.rev acc)
         | Runs runs -> (
           match retained t parent with

@@ -21,27 +21,6 @@
 open Types
 module NSet = Replica.NSet
 
-(* Contiguous byte ranges where [new_] differs from [old]. If lengths
-   differ (they should not for page data), the whole buffer is one patch. *)
-let diff ~old ~new_ =
-  if Bytes.length old <> Bytes.length new_ then [ (0, Bytes.copy new_) ]
-  else begin
-    let n = Bytes.length new_ in
-    let patches = ref [] in
-    let i = ref 0 in
-    while !i < n do
-      if Bytes.get old !i <> Bytes.get new_ !i then begin
-        let start = !i in
-        while !i < n && Bytes.get old !i <> Bytes.get new_ !i do
-          incr i
-        done;
-        patches := (start, Bytes.sub new_ start (!i - start)) :: !patches
-      end
-      else incr i
-    done;
-    List.rev !patches
-  end
-
 include Replica.Make (struct
   type extra = unit
 
@@ -84,18 +63,16 @@ include Replica.Make (struct
     | _ -> acc
 
   let release (t : extra Replica.t) written acc =
-    let img =
+    (* The writer started from [stored] when absorbs moved [data] past it
+       under the lock, else from [data]. One compare against that image
+       finds the bytes it changed; they ship, laid over [data]. *)
+    let img, patches =
       match (t.stored, t.data) with
+      | _, None -> (written, [ (0, written) ])
+      | None, Some seen -> (written, diff ~old:seen ~new_:written)
       | Some (seen, _), Some data ->
-        (* The writer started from [seen], not from the patches merged
-           into [data] since: lay only the bytes it changed over them. *)
-        apply_runs data (diff ~old:seen ~new_:written)
-      | _ -> written
-    in
-    let patches =
-      match t.data with
-      | Some old -> diff ~old ~new_:img
-      | None -> [ (0, Bytes.copy img) ]
+        let patches = diff ~old:seen ~new_:written in
+        (apply_runs data patches, patches)
     in
     t.data <- Some img;
     let acc = Install { data = img; dirty = false } :: acc in

@@ -35,9 +35,10 @@ type config = {
       (** versioned CM: immutable versions retained per page at the home
           (default 8); snapshot pins below the retained window expire *)
   diff_density_max : float;
-      (** versioned CM: publish dirty runs only while they cover at most
-          this fraction of the page (default 0.5); denser writes fall back
-          to shipping the whole image *)
+      (** versioned CM: publish the runs of bytes that differ from the
+          writer's copy only while they cover at most this fraction of
+          the page (default 0.5); denser changes fall back to shipping
+          the whole image *)
 }
 
 val default_config : config

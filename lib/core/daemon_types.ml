@@ -35,9 +35,10 @@ let default_config =
     txn_resolve_after = Ksim.Time.sec 3;
     (* Versioned CM: immutable versions retained per page at the home. *)
     version_chain_depth = 8;
-    (* Versioned CM: publish dirty runs only while they cover at most this
-       fraction of the page; denser writes ship the whole image (runs would
-       cost more than they save once per-run framing is paid). *)
+    (* Versioned CM: publish the runs of changed bytes only while they
+       cover at most this fraction of the page; denser changes ship the
+       whole image (runs would cost more than they save once per-run
+       framing is paid). *)
     diff_density_max = 0.5;
   }
 

@@ -13,10 +13,6 @@ type lock_ctx = {
   ctx_mode : Ctypes.mode;
   ctx_pages : Gaddr.t list;
   ctx_written : unit Gaddr.Table.t;
-  ctx_parents : Ctypes.version Gaddr.Table.t;
-      (* versioned regions, Write mode: the home version each page was at
-         when the lock was granted — the parent a diff publish applies
-         against *)
   mutable ctx_expected : Ctypes.version option;
       (* versioned CAS ({!write_cas}): publish only if the home is still at
          exactly this version *)
@@ -59,10 +55,9 @@ let release_pages c ctx (region : Region.t) mode ?(unpin = false) ?written
       release_page c ctx page mode ~data)
     pages
 
-(* A Read context never writes, and only versioned write intents record
-   parents: every other context shares these, and nothing adds to them. *)
+(* A Read context never writes: every one shares this table, and nothing
+   adds to it. *)
 let nothing_written : unit Gaddr.Table.t = Gaddr.Table.create 1
-let no_parents : Ctypes.version Gaddr.Table.t = Gaddr.Table.create 1
 
 (* Acquire one page of a lock, retrying up to [n] times. Every page of one
    lock shares [backoff] (built on the first retry, see {!retry_pause}) and
@@ -196,26 +191,6 @@ let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
       | Error e -> Error e
       | Ok pages ->
         List.iter (Store.pin c.store) pages;
-        let versioned_write = mode = Ctypes.Write && versioned_region region in
-        (* Versioned write intents remember the home version each page was
-           granted at: that version is the parent a publish diffs against,
-           and — because versioned grants exclude nobody — the way the home
-           tells "applied onto what I have" from "applied onto history". *)
-        let parents =
-          if not versioned_write then no_parents
-          else begin
-            let parents = Gaddr.Table.create 8 in
-            List.iter
-              (fun page ->
-                match Gaddr.Table.find_opt c.machines page with
-                | Some slot ->
-                  Gaddr.Table.replace parents page
-                    (Machine.packed_version slot.packed)
-                | None -> ())
-              pages;
-            parents
-          end
-        in
         Ok
           {
             ctx_op = op;
@@ -227,7 +202,6 @@ let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
             ctx_written =
               (if mode = Ctypes.Write then Gaddr.Table.create 8
                else nothing_written);
-            ctx_parents = parents;
             ctx_expected = None;
             ctx_publish = Ok ();
             ctx_live = true;
@@ -235,13 +209,17 @@ let lock ?(refuse = fun _ -> None) t ~ctx ~addr ~len mode =
     end
 
 (* Versioned publish: push one lock context's written pages to the region
-   home as immutable new versions. Sparse dirty runs ship as [Runs] when
-   they cover at most [diff_density_max] of the page and a parent version
-   to apply them against is known; otherwise the whole image goes. A home
-   whose chain no longer retains the parent answers [Parent_gone] and the
-   publish falls back to the whole image — wider, never wrong. Publishes
-   that cannot reach the home keep retrying in the background and surface
-   as the ambiguous [`Timeout]. A CAS publish ([ctx_expected] set) never
+   home as immutable new versions. Each written page is compared with the
+   copy this node's machine holds, at that copy's version: the writer
+   started from it, because the machine takes no fan-out under a local
+   writer. The bytes that differ ship as [Runs] against that version when
+   they cover at most [diff_density_max] of the page, so the home mints
+   exactly the written image; [Runs []] still mints a version. Without a
+   copy, or past the density, the whole image goes. A home whose chain no
+   longer retains the parent answers [Parent_gone] and the publish falls
+   back to the whole image — wider, never wrong. Publishes that cannot
+   reach the home keep retrying in the background and surface as the
+   ambiguous [`Timeout]. A CAS publish ([ctx_expected] set) never
    background-retries — an ambiguous CAS retried later could apply against
    a version counter that has since moved — and surfaces a mismatch as
    [`Conflict] after repairing the local cache to the home's latest, so
@@ -261,23 +239,24 @@ let publish_written c ctx lctx =
           match Store.read_immediate c.store page with
           | None -> None (* evicted under the lock; nothing left to publish *)
           | Some img ->
-            let parent =
-              Option.value
-                (Gaddr.Table.find_opt lctx.ctx_parents page)
-                ~default:0
+            let held =
+              match Gaddr.Table.find_opt c.machines page with
+              | Some slot -> Machine.packed_read_at slot.packed None
+              | None -> None
             in
-            let ranges = Store.dirty_ranges c.store page in
-            Store.clear_ranges c.store page;
-            let covered = List.fold_left (fun a (_, l) -> a + l) 0 ranges in
-            let payload =
-              if
-                ranges <> [] && parent > 0
-                && float_of_int covered
-                   <= c.cfg.diff_density_max *. float_of_int page_size
-              then
-                Ctypes.Runs
-                  (List.map (fun (o, l) -> (o, Bytes.sub img o l)) ranges)
-              else Ctypes.Whole img
+            let payload, parent =
+              match held with
+              | None -> (Ctypes.Whole img, 0)
+              | Some (copy, version) ->
+                let runs = Ctypes.diff ~old:copy ~new_:img in
+                let covered =
+                  List.fold_left (fun a (_, b) -> a + Bytes.length b) 0 runs
+                in
+                if
+                  float_of_int covered
+                  <= c.cfg.diff_density_max *. float_of_int page_size
+                then (Ctypes.Runs runs, version)
+                else (Ctypes.Whole img, version)
             in
             Some (page, img, parent, payload))
       lctx.ctx_pages
@@ -403,14 +382,10 @@ let read c ctx ~addr ~len =
        | Error e -> Error e)
   end
 
-(* The context's record of a store write of [off, off+n) of [page]. *)
-let wrote c ctx page ~off ~n stored =
+(* The context's record of a store write to [page]. *)
+let wrote ctx page stored =
   if stored then begin
     Gaddr.Table.replace ctx.ctx_written page ();
-    (* Versioned regions track which byte spans actually changed so the
-       publish can ship sparse runs instead of the whole page. *)
-    if versioned_region ctx.ctx_region then
-      Store.note_range c.store page ~off ~len:n;
     Ok ()
   end
   else Error (`Unavailable "page missing from local store")
@@ -432,7 +407,7 @@ let write c ctx ~addr data =
            if Trace.enabled () then
              Trace.event ~engine:c.engine ~node:c.id ~span "store.write"
                ~attrs:[ ("page", Gaddr.to_string page) ];
-           wrote c ctx page ~off ~n
+           wrote ctx page
              (Store.write_from c.store page ~off data ~src_off:pos ~len:n))
   end
 
@@ -443,8 +418,8 @@ let write c ctx ~addr data =
    its prepare logged this way. *)
 let write_images c ctx ~addr ~len image =
   each_page ~page_size:ctx.ctx_region.Region.attr.Attr.page_size addr ~len
-    (fun page ~off ~pos:_ ~n ->
-      wrote c ctx page ~off ~n (Store.write_image c.store page (image page)))
+    (fun page ~off:_ ~pos:_ ~n:_ ->
+      wrote ctx page (Store.write_image c.store page (image page)))
 
 (* The written [pages] of [region] that owe its home a write-through,
    each with the protocol version the home absorbs it at: the one the

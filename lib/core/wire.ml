@@ -101,8 +101,8 @@ type request =
       payload : Ctypes.publish_payload;
     }
       (** Writer -> region home (versioned CM): publish a new immutable
-          page version. [payload] is sparse dirty runs against the
-          retained image of [parent], or a whole image when the write was
+          page version. [payload] is the runs of bytes that differ from
+          the retained image of [parent], or a whole image when they were
           dense (or the parent fell past the home's GC watermark —
           [Parent_gone] tells the writer to resend whole). [expected] is
           the optional per-page CAS: publish only if the home's latest

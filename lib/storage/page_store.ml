@@ -45,10 +45,6 @@ type t = {
   (* Demotions currently inside their disk-latency sleep; a crash catches
      these mid-write and may tear them onto the platter. *)
   mutable in_flight : (Gaddr.t * frame) list;
-  (* Dirty byte ranges per page, noted by the daemon's sub-page writes and
-     consumed by the versioned CM's diff publisher. Advisory: missing
-     entries just mean "ship the whole image". *)
-  ranges : (int * int) list Gaddr.Table.t;
   mutable faults : Disk_fault.config;
   mutable crash_hook : unit -> unit;
   mutable epoch : int;
@@ -78,7 +74,6 @@ let create engine cfg =
     disk = Gaddr.Table.create 256;
     unsynced = Gaddr.Table.create 64;
     in_flight = [];
-    ranges = Gaddr.Table.create 64;
     faults = Disk_fault.none;
     crash_hook = (fun () -> ());
     epoch = 0;
@@ -365,44 +360,6 @@ let read_immediate t addr =
     | Some frame when verify_disk t addr frame -> Some frame.data
     | Some _ | None -> None)
 
-(* Past this many runs the bookkeeping collapses to the bounding hull:
-   a pathological scatter of tiny writes degrades to one wide run (still
-   correct — runs only select which bytes ship) instead of an unbounded
-   list. *)
-let max_tracked_runs = 16
-
-let note_range t addr ~off ~len =
-  if off >= 0 && len > 0 then begin
-    let existing =
-      Option.value (Gaddr.Table.find_opt t.ranges addr) ~default:[]
-    in
-    (* Fold every overlapping-or-adjacent run into the new one. *)
-    let lo, hi, rest =
-      List.fold_left
-        (fun (lo, hi, rest) (o, l) ->
-          if o <= hi && o + l >= lo then (min lo o, max hi (o + l), rest)
-          else (lo, hi, (o, l) :: rest))
-        (off, off + len, [])
-        existing
-    in
-    let runs = (lo, hi - lo) :: rest in
-    let runs =
-      if List.length runs <= max_tracked_runs then runs
-      else begin
-        let lo = List.fold_left (fun a (o, _) -> min a o) max_int runs in
-        let hi = List.fold_left (fun a (o, l) -> max a (o + l)) 0 runs in
-        [ (lo, hi - lo) ]
-      end
-    in
-    Gaddr.Table.replace t.ranges addr runs
-  end
-
-let dirty_ranges t addr =
-  List.sort compare
-    (Option.value (Gaddr.Table.find_opt t.ranges addr) ~default:[])
-
-let clear_ranges t addr = Gaddr.Table.remove t.ranges addr
-
 let mark_clean t addr =
   match find_frame t addr with Some f -> f.dirty <- false | None -> ()
 
@@ -453,15 +410,13 @@ let sync t =
 let drop t addr =
   Gaddr.Table.remove t.ram addr;
   Gaddr.Table.remove t.disk addr;
-  Gaddr.Table.remove t.unsynced addr;
-  Gaddr.Table.remove t.ranges addr
+  Gaddr.Table.remove t.unsynced addr
 
 let crash t =
   (* Fence: fibers asleep inside an operation observe the epoch change and
      abandon their work instead of polluting the post-crash tables. *)
   t.epoch <- t.epoch + 1;
   Gaddr.Table.reset t.ram;
-  Gaddr.Table.reset t.ranges;
   (* Demotions caught mid-write: the write never completed. With the fault
      model on, it may have torn — a partial image lands on disk whose
      checksum (of the intended content) won't verify. *)

@@ -136,27 +136,6 @@ val sync : t -> unit
 val mark_clean : t -> Kutil.Gaddr.t -> unit
 val is_dirty : t -> Kutil.Gaddr.t -> bool
 
-(** {2 Dirty byte ranges (sub-page diff propagation)}
-
-    The daemon notes which byte spans of a page its clients actually
-    wrote; the versioned CM's publisher reads them back to ship sparse
-    [(offset, bytes)] runs instead of whole 4 KiB images. The tracking is
-    advisory: a page with no noted ranges simply publishes whole. Ranges
-    survive until explicitly cleared (after a successful publish) and die
-    with {!drop} and {!crash}. *)
-
-val note_range : t -> Kutil.Gaddr.t -> off:int -> len:int -> unit
-(** Record that [off, off+len) of the page was overwritten. Overlapping
-    and adjacent spans coalesce; past an internal run-count cap the set
-    collapses to its bounding hull (wider, never wrong — runs only select
-    which bytes ship). Zero/negative lengths are ignored. *)
-
-val dirty_ranges : t -> Kutil.Gaddr.t -> (int * int) list
-(** The noted [(off, len)] spans, sorted by offset, [[]] when none. *)
-
-val clear_ranges : t -> Kutil.Gaddr.t -> unit
-(** Forget the noted spans (the publish consumed them). *)
-
 val pin : t -> Kutil.Gaddr.t -> unit
 (** Pinned pages (under an active lock context) are never victimised.
     Pins nest. No-op on non-resident pages — a page can be invalidated or

@@ -331,6 +331,18 @@ let control t ?(sync = true) tag data =
   append t Control ~payload:(Note (tag, data));
   if sync then sync_log t
 
+(* Recount the checkpoint-cadence counter from the records the log holds
+   after a crash or a load: those newer than the last checkpoint record
+   (the checkpoint itself is not counted, matching {!checkpoint} and
+   {!append}). *)
+let recount_since_checkpoint t =
+  let rec after_checkpoint acc = function
+    | [] -> acc
+    | { head = Checkpoint; _ } :: _ -> acc
+    | _ :: rest -> after_checkpoint (acc + 1) rest
+  in
+  t.since_checkpoint <- after_checkpoint 0 t.records
+
 let needs_checkpoint t = t.since_checkpoint >= t.checkpoint_every
 let size t = t.len
 let records_since_checkpoint t = t.since_checkpoint
@@ -484,15 +496,7 @@ let crash t =
     t.records <-
       !survive @ List.filteri (fun i _ -> i >= unsynced) t.records;
     t.len <- t.synced + kept;
-    (* Recount the checkpoint-cadence counter from what actually survived:
-       the records newer than the last checkpoint record (the checkpoint
-       itself is not counted, matching {!checkpoint}/{!append}). *)
-    let rec after_checkpoint acc = function
-      | [] -> acc
-      | { head = Checkpoint; _ } :: _ -> acc
-      | _ :: rest -> after_checkpoint (acc + 1) rest
-    in
-    t.since_checkpoint <- after_checkpoint 0 t.records
+    recount_since_checkpoint t
   end;
   t.synced <- t.len
 
@@ -630,12 +634,7 @@ let attach_file t path =
     t.records <- !loaded;
     t.len <- List.length !loaded;
     t.synced <- t.len;
-    let rec after_checkpoint acc = function
-      | [] -> acc
-      | { head = Checkpoint; _ } :: _ -> acc
-      | _ :: rest -> after_checkpoint (acc + 1) rest
-    in
-    t.since_checkpoint <- after_checkpoint 0 t.records;
+    recount_since_checkpoint t;
     (* Never re-mint a local tx id that appears in the loaded log. *)
     List.iter
       (fun r ->

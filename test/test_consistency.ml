@@ -659,7 +659,7 @@ let test_versioned_snapshot_isolation () =
        (Machine.packed_read_at home None))
 
 let test_versioned_diff_whole_equivalence () =
-  (* Publishing dirty runs against the parent must produce the exact same
+  (* Publishing runs against the parent must produce the exact same
      image as publishing the whole modified page. *)
   let cfg = Ctypes.default_config ~self:0 ~home:0 in
   let base () = Bytes.make 64 'a' in
@@ -837,6 +837,30 @@ let test_out_of_range_runs_skipped () =
   Alcotest.(check (option string)) "published page unchanged" (Some page)
     (Option.map (fun (b, _) -> Bytes.to_string b) (V.read_at m None))
 
+(* The one page compare: laying the runs of [diff ~old ~new_] over [old]
+   gives back [new_], and equal pages differ nowhere. Pages are drawn as
+   an image plus a few byte edits, so runs start, end and touch the page
+   edges in every combination. *)
+let prop_diff_round_trip =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 96 >>= fun n ->
+      pair (string_size (return n) ~gen:(char_range 'a' 'c'))
+        (list_size (int_range 0 12)
+           (pair (int_range 0 (max 0 (n - 1))) (char_range 'a' 'd'))))
+  in
+  QCheck.Test.make ~name:"apply_runs old (diff old new) = new" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (list (pair int char)))
+       gen)
+    (fun (page, edits) ->
+      let old = Bytes.of_string page in
+      let new_ = Bytes.copy old in
+      if Bytes.length new_ > 0 then
+        List.iter (fun (i, c) -> Bytes.set new_ i c) edits;
+      Bytes.equal (Ctypes.apply_runs old (Ctypes.diff ~old ~new_)) new_
+      && Ctypes.diff ~old ~new_:(Bytes.copy old) = [])
+
 (* A cache's whole-image write reaches the home while a home-local writer
    holds the page. The mint waits for that writer's release, and when the
    writer drops its lock without writing, the install it gets then must
@@ -952,4 +976,5 @@ let () =
           Alcotest.test_case "out-of-range runs skipped" `Quick
             test_out_of_range_runs_skipped;
         ] );
+      ("diff", [ QCheck_alcotest.to_alcotest prop_diff_round_trip ]);
     ]

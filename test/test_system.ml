@@ -610,6 +610,22 @@ let test_mvcc_write_cas () =
       Alcotest.(check string) "winner's bytes stand" "cas1"
         (Bytes.to_string (ok (Client.read_bytes c4 ~addr:base 4))))
 
+(* A versioned write of the bytes the page already holds ships no byte
+   that differs, yet it is still a write: the home mints exactly one new
+   version for it, and a CAS expecting that version goes through. *)
+let test_mvcc_unchanged_write_mints () =
+  let sys = mk () in
+  let base = versioned_region sys in
+  let c4 = System.client sys 4 () in
+  System.run_fiber sys (fun () ->
+      let v = ok (Client.page_version c4 base) in
+      ok (Client.write_bytes c4 ~addr:base (bytes_s "aaaa"));
+      let minted = ok (Client.page_version c4 base) in
+      Alcotest.(check int) "one new version" (v + 1) minted;
+      ok (Client.write_cas c4 ~addr:base ~expected:minted (bytes_s "cas1"));
+      Alcotest.(check string) "the CAS write stands" "cas1"
+        (Bytes.to_string (ok (Client.read_bytes c4 ~addr:base 4))))
+
 let test_mvcc_txn_read_your_writes () =
   (* A transaction that wrote a versioned range reads its own buffer (the
      locking path), not the snapshot; aborting leaves no trace. *)
@@ -1026,6 +1042,8 @@ let () =
           Alcotest.test_case "read-only txn not blocked by writer" `Quick
             test_mvcc_readonly_txn_not_blocked;
           Alcotest.test_case "write_cas conflict" `Quick test_mvcc_write_cas;
+          Alcotest.test_case "unchanged write mints a version" `Quick
+            test_mvcc_unchanged_write_mints;
           Alcotest.test_case "txn read-your-writes" `Quick
             test_mvcc_txn_read_your_writes;
         ] );
