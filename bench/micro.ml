@@ -34,6 +34,23 @@ let page_tests =
         Khazana.Region.contains_range region inside ~len:4096));
   ]
 
+(* The lookup every page and region table does: one of 1,024 page keys
+   at [Layout.data_base], a different key each call. *)
+let table_tests =
+  let keys =
+    Array.init 1024 (fun i ->
+        Kutil.Gaddr.add_int Khazana.Layout.data_base (i * 4096))
+  in
+  let table = Kutil.Gaddr.Table.create 1024 in
+  Array.iter (fun k -> Kutil.Gaddr.Table.replace table k ()) keys;
+  let next = ref 0 in
+  [
+    Test.make ~name:"Gaddr.Table.find_opt, 1,024 page keys"
+      (Staged.stage (fun () ->
+           next := (!next + 1) land 1023;
+           Kutil.Gaddr.Table.find_opt table keys.(!next)));
+  ]
+
 let container_tests =
   [
     Test.make ~name:"heap push+pop x100" (Staged.stage (fun () ->
@@ -302,7 +319,7 @@ let txn_tests () =
 
 let all_tests () =
   Test.make_grouped ~name:"khazana" ~fmt:"%s %s"
-    (u128_tests @ page_tests @ container_tests @ engine_tests @ crew_tests
+    (u128_tests @ page_tests @ table_tests @ container_tests @ engine_tests @ crew_tests
     @ diff_tests @ storage_tests @ durable_write_tests @ codec_tests @ frame_tests
     @ end_to_end_tests @ txn_tests ())
 

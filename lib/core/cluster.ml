@@ -65,6 +65,8 @@ let record_report ?now t ~node ~regions ~free_bytes =
   in
   List.iter (Gaddr.Table.remove t.hints) empty
 
+(* The first match is the only one, whatever the table's order: hints
+   describe regions, and regions never overlap. *)
 let lookup t addr =
   let found =
     Gaddr.Table.fold

@@ -42,6 +42,10 @@ type t = {
   pdir : Page_directory.t;
   homed : Region.t Gaddr.Table.t;
   machines : slot Gaddr.Table.t;
+  orphans : unit Gaddr.Table.t;
+      (* homed pages the page directory records but no machine backs,
+         listed when the directory records the page without one or a WAL
+         replay restores it; the repair pass rebuilds them *)
   pending : (int, (unit, error) result Ksim.Promise.t) Hashtbl.t;
   mutable next_req : int;
   mutable up : bool;
@@ -86,7 +90,8 @@ let create ~cfg ?wal_file ~id ~bootstrap ~cluster_manager ~peer_managers
     wal;
     pdir = Page_directory.create ();
     homed = Gaddr.Table.create 32;
-    machines = Gaddr.Table.create 256;
+    machines = Gaddr.Table.create 16;
+    orphans = Gaddr.Table.create 16;
     pending = Hashtbl.create 32;
     next_req = 0;
     up = true;
@@ -124,6 +129,9 @@ let each_page ~page_size addr ~len f =
   in
   go addr 0
 
+(* The first match is the only one, whatever the table's order: homed
+   regions never overlap, since each is carved from a chunk its cluster
+   manager grants once and no address space goes back to a pool. *)
 let homed_containing t addr =
   Gaddr.Table.fold
     (fun _ r acc ->
@@ -193,6 +201,20 @@ let note_homed_del t base =
   Codec.u128 e base;
   Wal.control t.wal "homed.del" (Codec.to_bytes e)
 
+(* The directory entry of [page] if it is an orphan: homed here, with no
+   machine. *)
+let orphan_entry t page =
+  match Page_directory.find t.pdir page with
+  | Some entry
+    when entry.Page_directory.homed_here && not (Gaddr.Table.mem t.machines page)
+    -> Some entry
+  | Some _ | None -> None
+
+(* List [page] for the repair pass if it is an orphan. *)
+let note_orphan t page =
+  if Option.is_some (orphan_entry t page) then
+    Gaddr.Table.replace t.orphans page ()
+
 (* Directory entries for locally-homed pages are the persistent part of the
    page directory. Creation is hint-grade (losing the note merely delays
    the eager post-recovery rebuild until first touch), so it rides unsynced;
@@ -202,6 +224,7 @@ let pdir_ensure_logged t ~page ~region_base ~homed_here =
   let fresh = Page_directory.find t.pdir page = None in
   let entry = Page_directory.ensure t.pdir ~page ~region_base ~homed_here in
   if homed_here && fresh then begin
+    note_orphan t page;
     let e = Codec.encoder () in
     Codec.u128 e page;
     Codec.u128 e region_base;
@@ -228,11 +251,15 @@ let replica_targets t (region : Region.t) =
       (Topology.cluster_members t.topology home_cluster)
   in
   (* Rotate by region identity so replicas spread over the cluster instead
-     of piling onto the lowest-numbered nodes. *)
+     of piling onto the lowest-numbered nodes: the base's low word, not a
+     table hash, so placement stays put whatever the tables hash with. *)
   match members with
   | [] -> []
   | _ :: _ ->
-    let k = Gaddr.hash region.base mod List.length members in
+    let k =
+      (Int64.to_int region.base.Kutil.U128.lo land max_int)
+      mod List.length members
+    in
     let rec rotate i = function
       | [] -> []
       | x :: rest as l -> if i = 0 then l else rotate (i - 1) (rest @ [ x ])
@@ -646,6 +673,7 @@ let crash t =
   Store.crash t.store;
   Wal.crash t.wal;
   Gaddr.Table.reset t.machines;
+  Gaddr.Table.reset t.orphans;
   (* Nothing in memory survives by magic anymore: the homed-region table
      and the page directory die here and come back through WAL replay. *)
   Page_directory.crash t.pdir;

@@ -489,8 +489,10 @@ let write_sync t ~ctx ~addr data =
   let c = t.c in
   let* lctx = lock t ~ctx ~addr ~len:(Bytes.length data) Ctypes.Write in
   let result = write c lctx ~addr data in
+  (* Flushed in address order: the order the write walked its pages. *)
   let written =
     Gaddr.Table.fold (fun page () acc -> page :: acc) lctx.ctx_written []
+    |> List.sort Gaddr.compare
   in
   unlock c lctx;
   let* () = result in

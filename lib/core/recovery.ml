@@ -14,15 +14,19 @@ module Txid = Kutil.Txid
 let checkpoint c (txn : Txn.t) =
   (* A homed page whose committed image is still dirty in RAM would have
      its only recoverable copy die with the truncated log records: push
-     every such page to disk before asserting durability. *)
+     every such page to disk before asserting durability, in address
+     order: a flush may evict from a full disk tier. *)
   Page_directory.fold
-    (fun page entry () ->
+    (fun page entry acc ->
       if
         entry.Page_directory.homed_here
         && Store.where c.store page = Some Store.Ram
         && Store.is_dirty c.store page
-      then Store.flush_immediate c.store page)
-    c.pdir ();
+      then page :: acc
+      else acc)
+    c.pdir []
+  |> List.sort Gaddr.compare
+  |> List.iter (Store.flush_immediate c.store);
   Store.sync c.store;
   let e = Codec.encoder () in
   let regions = Gaddr.Table.fold (fun _ r acc -> r :: acc) c.homed [] in
@@ -172,6 +176,9 @@ let replay c loc (txn : Txn.t) =
         { Txn.p_pages = pages; p_at = []; p_since = Ksim.Engine.now c.engine;
           p_querying = false })
     r.Wal.in_doubt;
+  (* A homed page the directory recorded that comes back without a
+     machine is an orphan, for the repair pass to rebuild. *)
+  Page_directory.fold (fun page _ () -> note_orphan c page) c.pdir ();
   checkpoint c txn;
   Metrics.observe c.metrics "recovery.replayed" (float_of_int r.Wal.replayed);
   if r.Wal.discarded > 0 then

@@ -14,125 +14,158 @@ let serve_pull c page =
     | None -> Wire.R_page None)
   | Some _ | None -> Wire.R_page None
 
-(* One pass of the home-side repair loop.
+(* The pages of [region] this node holds a machine for, with their
+   slots, in address order. Walks whichever is smaller, the region's page
+   range or the machine table. *)
+let machine_pages c (region : Region.t) =
+  if Region.page_count region <= Gaddr.Table.length c.machines then
+    List.filter_map
+      (fun page ->
+        Option.map (fun s -> (page, s)) (Gaddr.Table.find_opt c.machines page))
+      (Region.pages region)
+  else
+    Gaddr.Table.fold
+      (fun page s acc -> if Region.contains region page then (page, s) :: acc else acc)
+      c.machines []
+    |> List.sort (fun (a, _) (b, _) -> Gaddr.compare a b)
 
-   First, re-materialise home machines for pages whose data survived a
-   crash on the persistent tier: the page directory remembers what was
-   homed here, so recovered pages go back into service without waiting
-   for a client to touch them (and without zero-filling pages whose data
-   is genuinely gone — those still rebuild lazily on first touch).
+(* Re-materialise the home machine of an orphan: a page whose data
+   survived a crash on the persistent tier, so it goes back into service
+   without waiting for a client to touch it (a page whose data is
+   genuinely gone is not zero-filled: it still rebuilds lazily on first
+   touch, and stays on the list). *)
+let rebuild c ~pass_epoch page =
+  match orphan_entry c page with
+  | Some entry -> (
+    match Gaddr.Table.find_opt c.homed entry.Page_directory.region_base with
+    | Some region when region.Region.state = Region.Allocated -> (
+      (* Our disk image may predate writes that died with our RAM, but a
+         protocol-valid copy on a live sharer can never be stale — the
+         write-invalidate protocols revoke copies before accepting newer
+         data. Pull from the sharers the persistent page directory
+         remembers, and only fall back to disk when nobody answers. *)
+      let recorded = entry.Page_directory.sharers in
+      let sharers = List.filter (fun n -> n <> c.id) recorded in
+      let pulled =
+        List.fold_left
+          (fun best n ->
+            if Detector.is_suspect c.fd n then best
+            else
+              match
+                ask c Op_ctx.background ~dst:n (Wire.Page_pull { page })
+              with
+              | Ok (Wire.R_page (Some (data, ver))) -> (
+                match best with
+                | Some (_, bver) when bver >= ver -> best
+                | _ -> Some (data, ver))
+              | Ok _ | Error _ -> best)
+          None sharers
+      in
+      (* The pull RPCs block this fiber: re-check that no crash happened
+         meanwhile and that no client raced us into materialising the
+         machine. *)
+      if alive c pass_epoch && not (Gaddr.Table.mem c.machines page) then begin
+        let reincarnate version =
+          Metrics.incr c.metrics "repair.rebuild";
+          ignore (machine_for c region page);
+          feed_existing c ~span:Trace.null page
+            (Ctypes.Reincarnate { version; sharers = recorded })
+        in
+        match (pulled, Store.read_immediate c.store page) with
+        | Some (data, ver), _ ->
+          Metrics.incr c.metrics "repair.pull";
+          Store.write_immediate c.store page data ~dirty:false;
+          reincarnate ver
+        | None, Some _ -> reincarnate 0
+        | None, None -> ()
+      end)
+    | Some _ | None -> ())
+  | None -> ()
 
-   Second, enforce the replica floor: for every home-side machine whose
-   live (unsuspected) holder count fell below min_replicas, evict the
-   suspected holders from the protocol's books and ask the machine to
-   re-replicate around them. Machines mid-transaction are skipped — their
-   own retry/fail-over logic is already reshaping the copyset, and repair
-   would race it. *)
+(* Enforce the replica floor on one home-side machine: if its live
+   (unsuspected) holder count fell below [min_replicas], evict the
+   holders that answer "no copy" from the protocol's books and ask the
+   machine to re-replicate around the suspects. *)
+let maintain c ~pass_epoch ~sus ~min_replicas page slot =
+  (* Suspicion is not evidence of data loss: a partitioned holder still
+     has its copy and must stay in the books so later writes invalidate
+     it. Suspects are merely discounted from the floor; only a confirmed
+     "no copy" answer below evicts. *)
+  let holders = Machine.packed_holders slot.packed in
+  let live = List.filter (fun n -> not (Detector.is_suspect c.fd n)) holders in
+  (* A recorded holder may be a phantom: it crashed (losing its RAM copy)
+     and recovered before this manager rebuilt its books, so it looks
+     alive while holding nothing. Counting it toward the floor would block
+     repair forever — verify remote live holders and evict the ones that
+     answer "no copy". Unreachable ones are merely discounted: they may
+     still hold data that a later invalidation round must revoke. *)
+  let live =
+    List.filter
+      (fun n ->
+        n = c.id
+        ||
+        match ask c Op_ctx.background ~dst:n (Wire.Page_probe { page }) with
+        | Ok (Wire.R_held true) -> true
+        | Ok _ ->
+          (* Fenced above every grant: the probe is as fresh as the books
+             it corrects. *)
+          if alive c pass_epoch then
+            feed_existing c ~span:Trace.null page
+              (Ctypes.Peer
+                 { src = n; msg = Ctypes.Evict_notify { fence = max_int } });
+          false
+        | Error _ -> false)
+      live
+  in
+  if List.length live < min_replicas then begin
+    Metrics.incr c.metrics "repair.maintain";
+    feed_existing c ~span:Trace.null page (Ctypes.Maintain { avoid = sus })
+  end
+
+(* One pass of the home-side repair loop. It visits two kinds of page,
+   each in address order, and counts them in [repair.scanned]:
+
+   - the orphans (mostly left by a WAL replay), which it rebuilds
+     ({!rebuild}); an orphan leaves the list once a machine backs it or
+     the directory drops it;
+   - the pages with a machine of every allocated homed region whose
+     current descriptor asks for [min_replicas > 1], whose floor it
+     enforces ({!maintain}). Machines mid-transaction are skipped — their
+     own retry/fail-over logic is already reshaping the copyset, and
+     repair would race it.
+
+   A node that has not crashed, with every region at one replica, visits
+   nothing. *)
 let pass c =
   let pass_epoch = c.epoch in
   let orphans =
-    Page_directory.fold
-      (fun page entry acc ->
-        if entry.Page_directory.homed_here
-           && not (Gaddr.Table.mem c.machines page)
-        then (page, entry.Page_directory.region_base) :: acc
-        else acc)
-      c.pdir []
+    Gaddr.Table.fold (fun page () acc -> page :: acc) c.orphans []
+    |> List.sort Gaddr.compare
   in
   List.iter
-    (fun (page, base) ->
-      match Gaddr.Table.find_opt c.homed base with
-      | Some region when region.Region.state = Region.Allocated -> (
-        (* Our disk image may predate writes that died with our RAM, but a
-           protocol-valid copy on a live sharer can never be stale — the
-           write-invalidate protocols revoke copies before accepting newer
-           data. Pull from the sharers the persistent page directory
-           remembers, and only fall back to disk when nobody answers. *)
-        let recorded =
-          match Page_directory.find c.pdir page with
-          | None -> []
-          | Some entry -> entry.Page_directory.sharers
-        in
-        let sharers = List.filter (fun n -> n <> c.id) recorded in
-        let pulled =
-          List.fold_left
-            (fun best n ->
-              if Detector.is_suspect c.fd n then best
-              else
-                match
-                  ask c Op_ctx.background ~dst:n (Wire.Page_pull { page })
-                with
-                | Ok (Wire.R_page (Some (data, ver))) -> (
-                  match best with
-                  | Some (_, bver) when bver >= ver -> best
-                  | _ -> Some (data, ver))
-                | Ok _ | Error _ -> best)
-            None sharers
-        in
-        (* The pull RPCs block this fiber: re-check that no crash happened
-           meanwhile and that no client raced us into materialising the
-           machine. *)
-        if alive c pass_epoch && not (Gaddr.Table.mem c.machines page) then begin
-          let rebuild version =
-            Metrics.incr c.metrics "repair.rebuild";
-            ignore (machine_for c region page);
-            feed_existing c ~span:Trace.null page
-              (Ctypes.Reincarnate { version; sharers = recorded })
-          in
-          match (pulled, Store.read_immediate c.store page) with
-          | Some (data, ver), _ ->
-            Metrics.incr c.metrics "repair.pull";
-            Store.write_immediate c.store page data ~dirty:false;
-            rebuild ver
-          | None, Some _ -> rebuild 0
-          | None, None -> ()
-        end)
-      | Some _ | None -> ())
+    (fun page ->
+      Metrics.incr c.metrics "repair.scanned";
+      rebuild c ~pass_epoch page;
+      if Option.is_none (orphan_entry c page) then
+        Gaddr.Table.remove c.orphans page)
     orphans;
   let sus = Detector.suspects c.fd in
-  let slots = Gaddr.Table.fold (fun page s acc -> (page, s) :: acc) c.machines [] in
+  let floored =
+    Gaddr.Table.fold
+      (fun _ (r : Region.t) acc ->
+        if r.state = Region.Allocated && r.attr.Attr.min_replicas > 1 then
+          r :: acc
+        else acc)
+      c.homed []
+    |> List.sort (fun (a : Region.t) b -> Gaddr.compare a.base b.base)
+    |> List.concat_map (fun (r : Region.t) ->
+           List.map
+             (fun (page, slot) -> (r.attr.Attr.min_replicas, page, slot))
+             (machine_pages c r))
+  in
   List.iter
-    (fun (page, slot) ->
-      let region = slot.region in
-      if region.Region.home = c.id
-         && region.Region.state = Region.Allocated
-         && region.Region.attr.Attr.min_replicas > 1
-         && not (Machine.packed_busy slot.packed)
-      then begin
-        (* Suspicion is not evidence of data loss: a partitioned holder
-           still has its copy and must stay in the books so later writes
-           invalidate it. Suspects are merely discounted from the floor;
-           only a confirmed "no copy" answer below evicts. *)
-        let holders = Machine.packed_holders slot.packed in
-        let live = List.filter (fun n -> not (Detector.is_suspect c.fd n)) holders in
-        (* A recorded holder may be a phantom: it crashed (losing its RAM
-           copy) and recovered before this manager rebuilt its books, so
-           it looks alive while holding nothing. Counting it toward the
-           floor would block repair forever — verify remote live holders
-           and evict the ones that answer "no copy". Unreachable ones are
-           merely discounted: they may still hold data that a later
-           invalidation round must revoke. *)
-        let live =
-          List.filter
-            (fun n ->
-              n = c.id
-              ||
-              match ask c Op_ctx.background ~dst:n (Wire.Page_probe { page }) with
-              | Ok (Wire.R_held true) -> true
-              | Ok _ ->
-                (* Fenced above every grant: the probe is as fresh as
-                   the books it corrects. *)
-                if alive c pass_epoch then
-                  feed_existing c ~span:Trace.null page
-                    (Ctypes.Peer
-                       { src = n; msg = Ctypes.Evict_notify { fence = max_int } });
-                false
-              | Error _ -> false)
-            live
-        in
-        if List.length live < region.Region.attr.Attr.min_replicas then begin
-          Metrics.incr c.metrics "repair.maintain";
-          feed_existing c ~span:Trace.null page (Ctypes.Maintain { avoid = sus })
-        end
-      end)
-    slots
+    (fun (min_replicas, page, slot) ->
+      Metrics.incr c.metrics "repair.scanned";
+      if not (Machine.packed_busy slot.packed) then
+        maintain c ~pass_epoch ~sus ~min_replicas page slot)
+    floored

@@ -19,6 +19,10 @@ val diff : t -> t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** {!U128.hash}: mixes every bit into the low bits that a {!Table}
+    masks, so page-aligned addresses spread over the buckets. Placement
+    must not depend on it; it may change with the mixer. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

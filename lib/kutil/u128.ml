@@ -185,6 +185,19 @@ let to_string v =
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
+(* The murmur3 64-bit finaliser, its multipliers cut to OCaml's 63-bit
+   ints: every input bit reaches every output bit, low bits included. *)
+let fmix h =
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x3F51AFD7ED558CCD in
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x04CEB9FE1A85EC53 in
+  h lxor (h lsr 33)
+
+(* [Int64.to_int] drops bit 63 of each half; [top] puts both back. *)
 let hash v =
-  let mix a b = (a * 0x9E3779B1) lxor (b + (a lsl 6) + (a lsr 2)) in
-  mix (Int64.to_int v.hi) (Int64.to_int v.lo) land max_int
+  let top =
+    Int64.to_int (Int64.shift_right_logical v.hi 63) lsl 1
+    lor Int64.to_int (Int64.shift_right_logical v.lo 63)
+  in
+  fmix (Int64.to_int v.lo lxor fmix (Int64.to_int v.hi lxor top)) land max_int

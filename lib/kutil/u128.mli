@@ -71,3 +71,8 @@ val to_string : t -> string
 (** Compact form: hex with leading zeros elided, ["0x"]-prefixed. *)
 
 val hash : t -> int
+(** A non-negative hash that mixes all 128 bits into every output bit.
+    [Hashtbl] picks a bucket from the hash's low bits, and the addresses
+    in use differ only in high bits of the low word (page-aligned, and
+    [hi = 0]): a hash that passed those bits through would put every page
+    of a table in one bucket. *)

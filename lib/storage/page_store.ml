@@ -70,9 +70,9 @@ let create engine cfg =
     engine;
     cfg;
     rng = Kutil.Rng.split (Ksim.Engine.rng engine);
-    ram = Gaddr.Table.create 64;
-    disk = Gaddr.Table.create 256;
-    unsynced = Gaddr.Table.create 64;
+    ram = Gaddr.Table.create 16;
+    disk = Gaddr.Table.create 16;
+    unsynced = Gaddr.Table.create 16;
     in_flight = [];
     faults = Disk_fault.none;
     crash_hook = (fun () -> ());
@@ -145,7 +145,9 @@ let install_disk t addr frame =
   Gaddr.Table.replace t.disk addr frame
 
 (* Least-recently-used unpinned entry of a table; O(size), which is fine at
-   simulated-cache scale. *)
+   simulated-cache scale. The table's order never picks the victim: no two
+   entries share a tick, since [touch] gives each tick to one frame and a
+   frame's copies (flushed, promoted, torn) stay at its address. *)
 let victim table =
   Gaddr.Table.fold
     (fun addr frame best ->

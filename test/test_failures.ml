@@ -243,6 +243,114 @@ let test_home_recover_restores_replica_floor () =
       Alcotest.(check string) "re-served after recover" "evermore"
         (Bytes.to_string b))
 
+(* -- what the repair pass visits -- *)
+
+let counter sys n name =
+  Option.value ~default:0
+    (List.assoc_opt name (Ktrace.Metrics.counters (Daemon.metrics (System.daemon sys n))))
+
+let page_addr (r : Region.t) i =
+  Kutil.Gaddr.add_int r.Region.base (i * r.Region.attr.Attr.page_size)
+
+(* Several seconds of traffic over one-replica regions, homed on three
+   nodes and cached on others: no node has crashed and no region asks for
+   a floor, so no repair pass has a page to visit. *)
+let test_repair_fault_free_visits_nothing () =
+  let sys = mk () in
+  let regions =
+    System.run_fiber sys (fun () ->
+        List.map
+          (fun home ->
+            let c = System.client sys home () in
+            let r = ok (Client.create_region c (4 * 4096)) in
+            for i = 0 to 3 do
+              ok (Client.write_bytes c ~addr:(page_addr r i) (bytes_s "page"))
+            done;
+            r)
+          [ 1; 2; 3 ])
+  in
+  System.run_fiber sys (fun () ->
+      List.iter
+        (fun reader ->
+          let c = System.client sys reader () in
+          List.iter
+            (fun r ->
+              for i = 0 to 3 do
+                ignore (ok (Client.read_bytes c ~addr:(page_addr r i) 4))
+              done)
+            regions)
+        [ 4; 5 ]);
+  System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
+  Alcotest.(check bool) "passes ran" true (System.now sys > Ksim.Time.sec 3);
+  Alcotest.(check bool) "node 4 caches a remote page" true
+    (Daemon.holds_page (System.daemon sys 4) (page_addr (List.hd regions) 0));
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "node %d repair.scanned" n)
+        0 (counter sys n "repair.scanned"))
+    (List.init 6 Fun.id)
+
+(* A restarted home rebuilds the machine of every homed page with a disk
+   image on its own, then has nothing left to visit. The page nobody
+   wrote has no directory record and stays unmaterialised. *)
+let test_repair_rebuilds_after_restart () =
+  let sys = mk () in
+  let c1 = System.client sys 1 () in
+  let r =
+    System.run_fiber sys (fun () ->
+        let r = ok (Client.create_region c1 (4 * 4096)) in
+        for i = 0 to 2 do
+          ok (Client.write_bytes c1 ~addr:(page_addr r i) (bytes_s "kept"))
+        done;
+        r)
+  in
+  let d1 = System.daemon sys 1 in
+  System.crash sys 1;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
+  System.recover sys 1;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 3) sys;
+  for i = 0 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "page %d rebuilt" i)
+      true
+      (Daemon.machine_state d1 (page_addr r i) <> None)
+  done;
+  Alcotest.(check (option string)) "unwritten page left alone" None
+    (Daemon.machine_state d1 (page_addr r 3));
+  Alcotest.(check int) "repair.rebuild" 3 (counter sys 1 "repair.rebuild");
+  let scanned = counter sys 1 "repair.scanned" in
+  Alcotest.(check bool) "orphans visited" true (scanned >= 3);
+  System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
+  Alcotest.(check int) "nothing left to visit" scanned
+    (counter sys 1 "repair.scanned");
+  let c2 = System.client sys 2 () in
+  System.run_fiber sys (fun () ->
+      let b = ok (Client.read_bytes c2 ~addr:(page_addr r 2) 4) in
+      Alcotest.(check string) "served after restart" "kept" (Bytes.to_string b))
+
+(* The pass reads the floor from the region's current descriptor, so a
+   [set_attr] that raises [min_replicas] reaches the next pass: it probes
+   the page and feeds its machine [Maintain]. *)
+let test_repair_follows_set_attr () =
+  let sys = mk () in
+  let c1 = System.client sys 1 () in
+  let r =
+    System.run_fiber sys (fun () ->
+        let r = ok (Client.create_region c1 4096) in
+        ok (Client.write_bytes c1 ~addr:r.Region.base (bytes_s "floor"));
+        r)
+  in
+  System.run_until_quiet ~limit:(Ksim.Time.sec 1) sys;
+  Alcotest.(check int) "no floor, nothing visited" 0
+    (counter sys 1 "repair.scanned");
+  System.run_fiber sys (fun () ->
+      let attr = ok (Client.get_attr c1 r.Region.base) in
+      ok (Client.set_attr c1 r.Region.base { attr with Attr.min_replicas = 2 }));
+  System.run_until_quiet ~limit:(Ksim.Time.ms 600) sys;
+  Alcotest.(check bool) "Maintain fed" true (counter sys 1 "repair.maintain" >= 1);
+  Alcotest.(check bool) "page visited" true (counter sys 1 "repair.scanned" >= 1)
+
 let test_cluster_walk_survives_map_outage () =
   (* §3.1: "If the set of nodes specified in a given region's address map
      entry is stale, the region can still be located using a cluster-walk
@@ -368,5 +476,14 @@ let () =
             test_lossy_wan_ops_still_complete;
           Alcotest.test_case "availability sweep shape" `Slow
             test_availability_sweep_shape;
+        ] );
+      ( "repair",
+        [
+          Alcotest.test_case "fault-free pass visits nothing" `Quick
+            test_repair_fault_free_visits_nothing;
+          Alcotest.test_case "restarted home rebuilds its pages" `Quick
+            test_repair_rebuilds_after_restart;
+          Alcotest.test_case "raised floor reaches the next pass" `Quick
+            test_repair_follows_set_attr;
         ] );
     ]

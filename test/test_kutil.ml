@@ -256,6 +256,39 @@ let test_diff () =
   Alcotest.check_raises "negative" (Invalid_argument "Gaddr.diff: negative")
     (fun () -> ignore (Gaddr.diff (Gaddr.of_int 1) (Gaddr.of_int 2)))
 
+(* A table masks the hash's low bits to pick a bucket. The addresses in
+   use are page-aligned and far above 2^32 ([Layout]'s data starts at
+   2^40, each cluster's slice at 2^50): a hash that kept those low bits
+   as they are would put every page in one bucket. *)
+let max_bucket keys =
+  let t = Gaddr.Table.create 16 in
+  List.iter (fun k -> Gaddr.Table.replace t k ()) keys;
+  Alcotest.(check int) "every key kept" (List.length keys) (Gaddr.Table.length t);
+  (Gaddr.Table.stats t).Hashtbl.max_bucket_length
+
+let test_table_spread_pages () =
+  let pages =
+    List.init 1024 (fun i ->
+        Gaddr.add_int Khazana.Layout.data_base (i * Gaddr.default_page_size))
+  in
+  let longest = max_bucket pages in
+  if longest > 8 then
+    Alcotest.failf "1,024 page keys: longest bucket holds %d" longest
+
+let test_table_spread_regions () =
+  let bases =
+    List.concat_map
+      (fun cluster ->
+        List.init 128 (fun i ->
+            Gaddr.add_int
+              (Khazana.Layout.cluster_slice_base cluster)
+              (i * 16 * 1024)))
+      [ 0; 1 ]
+  in
+  let longest = max_bucket bases in
+  if longest > 8 then
+    Alcotest.failf "256 region bases: longest bucket holds %d" longest
+
 (* ------------------------------- Rng ------------------------------- *)
 
 let test_rng_deterministic () =
@@ -633,6 +666,10 @@ let () =
           Alcotest.test_case "page math" `Quick test_page_math;
           Alcotest.test_case "pages_in" `Quick test_pages_in;
           Alcotest.test_case "diff" `Quick test_diff;
+          Alcotest.test_case "table spreads 1,024 page keys" `Quick
+            test_table_spread_pages;
+          Alcotest.test_case "table spreads 256 region bases" `Quick
+            test_table_spread_regions;
         ] );
       ( "rng",
         [
