@@ -27,7 +27,7 @@ let next_version ~current ~origin =
 let propagate_every = Ksim.Time.ms 100
 
 type 'x t = {
-  cfg : config;
+  mutable cfg : config;
   (* cache role *)
   mutable data : bytes option;
   mutable ver : version;
@@ -267,6 +267,9 @@ module Make (P : POLICY) = struct
         end
         else []
       | Maintain { avoid } -> if is_home t then push_image ~avoid t Fun.id else []
+      | Set_floor { min_replicas } ->
+        t.cfg <- { t.cfg with min_replicas };
+        []
       | Unreachable _ ->
         (* Fan-outs to a suspect just drop; nothing here waits on acks, and
            a partitioned replica keeps its copyset slot. *)

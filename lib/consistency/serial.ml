@@ -73,7 +73,7 @@ module type POLICY = sig
 end
 
 type t = {
-  cfg : config;
+  mutable cfg : config;
   (* ---- cache role ---- *)
   mutable cstate : cache_state;
   mutable data : bytes option;
@@ -856,6 +856,9 @@ module Make (P : POLICY) = struct
         end
         else if t.txn = Idle then push_replicas ~avoid t []
         else []
+      | Set_floor { min_replicas } ->
+        t.cfg <- { t.cfg with min_replicas };
+        []
       | Unreachable { node } -> (
         (* A hint: it cuts a CREW read's retries short and lets a release
            round go on without the suspect, which keeps its copyset slot. *)

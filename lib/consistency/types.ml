@@ -325,6 +325,10 @@ type event =
           the [avoid] nodes (currently suspected dead/partitioned) as
           neither holders nor candidates. No-op off-home and while a
           transaction is already reshaping the copyset. *)
+  | Set_floor of { min_replicas : int }
+      (** The region's descriptor changed its replica floor (a [set_attr]
+          at the home): adopt [min_replicas] for later writes and repair
+          ticks. Moves no copy; the next {!Maintain} tops the set up. *)
   | Unreachable of { node : node_id }
       (** The daemon just tried to send this machine's traffic to [node]
           while the failure detector suspects it — the moral equivalent of a
@@ -351,6 +355,7 @@ let event_kind = function
   | Abort _ -> "abort"
   | Timeout _ -> "timer"
   | Maintain _ -> "maintain"
+  | Set_floor _ -> "set_floor"
   | Unreachable _ -> "unreachable"
   | Reincarnate _ -> "reincarnate"
 

@@ -155,6 +155,7 @@ let serve_set_attr t base attr =
     Gaddr.Table.replace c.homed base region';
     note_homed_put c region';
     Region_directory.put t.loc.rdir region';
+    redescribe c region';
     Wire.R_unit
   | None -> Wire.R_error "unknown region"
 

@@ -90,7 +90,7 @@ let create ~cfg ?wal_file ~id ~bootstrap ~cluster_manager ~peer_managers
     wal;
     pdir = Page_directory.create ();
     homed = Gaddr.Table.create 32;
-    machines = Gaddr.Table.create 16;
+    machines = Gaddr.Table.create 256;
     orphans = Gaddr.Table.create 16;
     pending = Hashtbl.create 32;
     next_req = 0;
@@ -432,6 +432,21 @@ and feed_later t ~after page event =
   ignore
     (Ksim.Engine.schedule t.engine ~after (fun () ->
          if alive t epoch then feed_existing t ~span:Trace.null page event))
+
+(* A region homed here took a new descriptor (a [set_attr]): its machines
+   carry it from now on and adopt its replica floor, so later writes and
+   repair passes keep the floor the descriptor asks for. *)
+let redescribe t (region : Region.t) =
+  Gaddr.Table.fold
+    (fun page slot acc ->
+      if Gaddr.equal slot.region.Region.base region.base then (page, slot) :: acc
+      else acc)
+    t.machines []
+  |> List.iter (fun (page, slot) ->
+         let slot = { slot with region } in
+         Gaddr.Table.replace t.machines page slot;
+         feed t ~span:Trace.null slot page
+           (Ctypes.Set_floor { min_replicas = region.attr.Attr.min_replicas }))
 
 (* Serve page traffic addressed to [region_base] with the machine for
    [page] — only where that region is homed here and holds the page. *)

@@ -14,21 +14,6 @@ let serve_pull c page =
     | None -> Wire.R_page None)
   | Some _ | None -> Wire.R_page None
 
-(* The pages of [region] this node holds a machine for, with their
-   slots, in address order. Walks whichever is smaller, the region's page
-   range or the machine table. *)
-let machine_pages c (region : Region.t) =
-  if Region.page_count region <= Gaddr.Table.length c.machines then
-    List.filter_map
-      (fun page ->
-        Option.map (fun s -> (page, s)) (Gaddr.Table.find_opt c.machines page))
-      (Region.pages region)
-  else
-    Gaddr.Table.fold
-      (fun page s acc -> if Region.contains region page then (page, s) :: acc else acc)
-      c.machines []
-    |> List.sort (fun (a, _) (b, _) -> Gaddr.compare a b)
-
 (* Re-materialise the home machine of an orphan: a page whose data
    survived a crash on the persistent tier, so it goes back into service
    without waiting for a client to touch it (a page whose data is
@@ -129,8 +114,9 @@ let maintain c ~pass_epoch ~sus ~min_replicas page slot =
      ({!rebuild}); an orphan leaves the list once a machine backs it or
      the directory drops it;
    - the pages with a machine of every allocated homed region whose
-     current descriptor asks for [min_replicas > 1], whose floor it
-     enforces ({!maintain}). Machines mid-transaction are skipped — their
+     current descriptor asks for [min_replicas > 1], found by one fold of
+     the machine table when such a region exists, whose floor it enforces
+     ({!maintain}). Machines mid-transaction are skipped — their
      own retry/fail-over logic is already reshaping the copyset, and
      repair would race it.
 
@@ -150,18 +136,20 @@ let pass c =
         Gaddr.Table.remove c.orphans page)
     orphans;
   let sus = Detector.suspects c.fd in
+  let floor (r : Region.t) =
+    if r.state = Region.Allocated then r.attr.Attr.min_replicas else 1
+  in
   let floored =
-    Gaddr.Table.fold
-      (fun _ (r : Region.t) acc ->
-        if r.state = Region.Allocated && r.attr.Attr.min_replicas > 1 then
-          r :: acc
-        else acc)
-      c.homed []
-    |> List.sort (fun (a : Region.t) b -> Gaddr.compare a.base b.base)
-    |> List.concat_map (fun (r : Region.t) ->
-           List.map
-             (fun (page, slot) -> (r.attr.Attr.min_replicas, page, slot))
-             (machine_pages c r))
+    if not (Gaddr.Table.fold (fun _ r any -> any || floor r > 1) c.homed false)
+    then []
+    else
+      Gaddr.Table.fold
+        (fun page slot acc ->
+          match Gaddr.Table.find_opt c.homed slot.region.Region.base with
+          | Some r when floor r > 1 -> (floor r, page, slot) :: acc
+          | Some _ | None -> acc)
+        c.machines []
+      |> List.sort (fun (_, a, _) (_, b, _) -> Gaddr.compare a b)
   in
   List.iter
     (fun (min_replicas, page, slot) ->

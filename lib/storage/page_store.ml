@@ -70,9 +70,9 @@ let create engine cfg =
     engine;
     cfg;
     rng = Kutil.Rng.split (Ksim.Engine.rng engine);
-    ram = Gaddr.Table.create 16;
-    disk = Gaddr.Table.create 16;
-    unsynced = Gaddr.Table.create 16;
+    ram = Gaddr.Table.create 64;
+    disk = Gaddr.Table.create 256;
+    unsynced = Gaddr.Table.create 64;
     in_flight = [];
     faults = Disk_fault.none;
     crash_hook = (fun () -> ());

@@ -329,9 +329,9 @@ let test_repair_rebuilds_after_restart () =
       let b = ok (Client.read_bytes c2 ~addr:(page_addr r 2) 4) in
       Alcotest.(check string) "served after restart" "kept" (Bytes.to_string b))
 
-(* The pass reads the floor from the region's current descriptor, so a
-   [set_attr] that raises [min_replicas] reaches the next pass: it probes
-   the page and feeds its machine [Maintain]. *)
+(* A [set_attr] that raises [min_replicas] reaches the home's machine and
+   the next repair pass, which puts a copy on a second node; lowering it
+   again leaves the pass nothing to visit. *)
 let test_repair_follows_set_attr () =
   let sys = mk () in
   let c1 = System.client sys 1 () in
@@ -341,15 +341,30 @@ let test_repair_follows_set_attr () =
         ok (Client.write_bytes c1 ~addr:r.Region.base (bytes_s "floor"));
         r)
   in
+  let holders () =
+    List.filter
+      (fun n -> Daemon.holds_page (System.daemon sys n) r.Region.base)
+      (List.init 6 Fun.id)
+  in
+  let set_floor k =
+    System.run_fiber sys (fun () ->
+        let attr = ok (Client.get_attr c1 r.Region.base) in
+        ok (Client.set_attr c1 r.Region.base { attr with Attr.min_replicas = k }))
+  in
   System.run_until_quiet ~limit:(Ksim.Time.sec 1) sys;
   Alcotest.(check int) "no floor, nothing visited" 0
     (counter sys 1 "repair.scanned");
-  System.run_fiber sys (fun () ->
-      let attr = ok (Client.get_attr c1 r.Region.base) in
-      ok (Client.set_attr c1 r.Region.base { attr with Attr.min_replicas = 2 }));
+  Alcotest.(check (list int)) "home alone holds the page" [ 1 ] (holders ());
+  set_floor 2;
   System.run_until_quiet ~limit:(Ksim.Time.ms 600) sys;
-  Alcotest.(check bool) "Maintain fed" true (counter sys 1 "repair.maintain" >= 1);
-  Alcotest.(check bool) "page visited" true (counter sys 1 "repair.scanned" >= 1)
+  Alcotest.(check bool) "page visited" true (counter sys 1 "repair.scanned" >= 1);
+  Alcotest.(check int) "a second node holds the page" 2 (List.length (holders ()));
+  set_floor 1;
+  System.run_until_quiet ~limit:(Ksim.Time.ms 600) sys;
+  let scanned = counter sys 1 "repair.scanned" in
+  System.run_until_quiet ~limit:(Ksim.Time.sec 1) sys;
+  Alcotest.(check int) "lowered floor, nothing visited" scanned
+    (counter sys 1 "repair.scanned")
 
 let test_cluster_walk_survives_map_outage () =
   (* §3.1: "If the set of nodes specified in a given region's address map
