@@ -90,7 +90,9 @@ let create ~cfg ?wal_file ~id ~bootstrap ~cluster_manager ~peer_managers
     wal;
     pdir = Page_directory.create ();
     homed = Gaddr.Table.create 32;
-    machines = Gaddr.Table.create 256;
+    (* Small to start: keys spread over the buckets, so a table grows as
+       it fills instead of being allocated for a node's peak up front. *)
+    machines = Gaddr.Table.create 16;
     orphans = Gaddr.Table.create 16;
     pending = Hashtbl.create 32;
     next_req = 0;

@@ -9,7 +9,7 @@ type entry = {
 
 type t = entry Gaddr.Table.t
 
-let create () = Gaddr.Table.create 256
+let create () = Gaddr.Table.create 16
 
 let ensure t ~page ~region_base ~homed_here =
   match Gaddr.Table.find_opt t page with

@@ -70,9 +70,11 @@ let create engine cfg =
     engine;
     cfg;
     rng = Kutil.Rng.split (Ksim.Engine.rng engine);
-    ram = Gaddr.Table.create 64;
-    disk = Gaddr.Table.create 256;
-    unsynced = Gaddr.Table.create 64;
+    (* Small to start: keys spread over the buckets, so a tier's table
+       grows as it fills. *)
+    ram = Gaddr.Table.create 16;
+    disk = Gaddr.Table.create 16;
+    unsynced = Gaddr.Table.create 16;
     in_flight = [];
     faults = Disk_fault.none;
     crash_hook = (fun () -> ());
