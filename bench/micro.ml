@@ -51,6 +51,38 @@ let table_tests =
            Kutil.Gaddr.Table.find_opt table keys.(!next)));
   ]
 
+(* A cluster manager's two hot paths: a member's periodic report that
+   lists the same 160 regions as its last one, and a location query, with
+   256 hints held (members 1 and 2 each claim 160 regions, 64 of them
+   shared). *)
+let cluster_tests =
+  let cm = Khazana.Cluster.create ~cluster_id:0 in
+  let attr = Khazana.Attr.make ~owner:0 () in
+  let region i =
+    Khazana.Region.make
+      ~base:(Kutil.Gaddr.add_int Khazana.Layout.data_base (i * 65536))
+      ~len:32768 ~attr ~home:0
+  in
+  let regions = Array.init 256 region in
+  let claims lo = List.init 160 (fun i -> regions.(lo + i)) in
+  let report node lo =
+    Khazana.Cluster.record_report cm ~node ~regions:(claims lo) ~free_bytes:0
+  in
+  ignore (report 1 0);
+  ignore (report 2 96);
+  let unchanged = claims 0 in
+  let next = ref 0 in
+  [
+    Test.make ~name:"Cluster.record_report, unchanged 160-region report, 256 hints"
+      (Staged.stage (fun () ->
+           Khazana.Cluster.record_report cm ~node:1 ~regions:unchanged ~free_bytes:0));
+    Test.make ~name:"Cluster.lookup, 256 hints"
+      (Staged.stage (fun () ->
+           next := (!next + 1) land 255;
+           Khazana.Cluster.lookup cm
+             (Kutil.Gaddr.add_int regions.(!next).Khazana.Region.base 4096)));
+  ]
+
 let container_tests =
   [
     Test.make ~name:"heap push+pop x100" (Staged.stage (fun () ->
@@ -319,7 +351,7 @@ let txn_tests () =
 
 let all_tests () =
   Test.make_grouped ~name:"khazana" ~fmt:"%s %s"
-    (u128_tests @ page_tests @ table_tests @ container_tests @ engine_tests @ crew_tests
+    (u128_tests @ page_tests @ table_tests @ cluster_tests @ container_tests @ engine_tests @ crew_tests
     @ diff_tests @ storage_tests @ durable_write_tests @ codec_tests @ frame_tests
     @ end_to_end_tests @ txn_tests ())
 

@@ -20,12 +20,19 @@ val record_report :
   ?now:Ksim.Time.t ->
   t ->
   node:Knet.Topology.node_id ->
-  regions:(Kutil.Gaddr.t * Region.t) list ->
+  regions:Region.t list ->
   free_bytes:int ->
-  unit
+  int
 (** Refresh hints from a member's periodic report: which regions it caches
-    or homes, and how much unreserved pool it still holds. When [now] is
-    given the report also counts as a heartbeat. *)
+    or homes, and how much unreserved pool it still holds. The report
+    replaces the member's earlier claims wholesale; a base listed twice
+    counts once. When [now] is given the report also counts as a
+    heartbeat.
+
+    Returns the claims the report changed: bases the member did not claim
+    before, plus bases it claimed before and no longer lists (an unchanged
+    report returns 0). The manager's work is proportional to the report
+    and those dropped claims, not to the number of hints it holds. *)
 
 (** {1 Failure detection}
 
@@ -45,10 +52,16 @@ val suspects : t -> now:Ksim.Time.t -> timeout:Ksim.Time.t -> Knet.Topology.node
 val lookup :
   t -> Kutil.Gaddr.t -> (Region.t option * Knet.Topology.node_id list)
 (** Hint answer for "is the region containing this address cached in this
-    cluster, and by whom?". *)
+    cluster, and by whom?": one predecessor search by base.
 
-val forget_node : t -> Knet.Topology.node_id -> unit
-(** Drop all hints about a (crashed) member. *)
+    The descriptor is the one the hint's first claimant reported; a later
+    claimant's different descriptor for the same base does not replace it
+    while anyone still claims the base. The holders are the members whose
+    latest report lists the base, most recent reporter first.
+
+    Hints change only with reports. A crashed member's claims stay, and it
+    stays among the holders, until its first report after it restarts
+    replaces them; a member that never comes back keeps them. *)
 
 val free_bytes_hint : t -> (Knet.Topology.node_id * int) list
 (** Last reported unreserved pool size per member. *)

@@ -148,11 +148,14 @@ let handle t ctx ~src (req : Wire.request) =
   | Wire.Tx_status { gtx } -> Some (Wire.R_tx_status (Txn.status t.txn ~src gtx))
   | Wire.Page_pull { page } -> Some (Repair.serve_pull c page)
   | Wire.Page_probe { page } -> Some (Wire.R_held (Daemon_core.holds_page c page))
-  | Wire.Cluster_report { node_regions; free_bytes } ->
+  | Wire.Cluster_report { regions; free_bytes } ->
     (match c.cm_state with
      | Some cm ->
-       Cluster.record_report ~now:(Ksim.Engine.now c.engine) cm ~node:src
-         ~regions:node_regions ~free_bytes
+       let changed =
+         Cluster.record_report ~now:(Ksim.Engine.now c.engine) cm ~node:src
+           ~regions ~free_bytes
+       in
+       Metrics.incr c.metrics ~by:changed "cluster.claim_change"
      | None -> ());
     None
   | Wire.Suspect_hint { cluster; suspects } ->
@@ -193,14 +196,12 @@ let start_reporting t =
          | Some sus -> send_hint c ~cluster:my_cluster sus (members @ c.peer_managers)
          | None -> ())
        | None ->
-         let node_regions =
-           List.fold_left
-             (fun acc r -> (r.Region.base, r) :: acc)
-             (Gaddr.Table.fold (fun base r acc -> (base, r) :: acc) c.homed [])
-             (Region_directory.entries t.loc.rdir)
+         let regions =
+           List.rev_append (Region_directory.entries t.loc.rdir)
+             (Gaddr.Table.fold (fun _ r acc -> r :: acc) c.homed [])
          in
          Wire.Transport.notify c.transport ~src:c.id ~dst:c.cluster_manager
-           (Wire.Cluster_report { node_regions; free_bytes = pool_bytes t }));
+           (Wire.Cluster_report { regions; free_bytes = pool_bytes t }));
       Ksim.Fiber.sleep c.cfg.report_every;
       loop ()
     end

@@ -35,9 +35,11 @@ type request =
           when the address map is stale or unreachable — "the region can
           still be located using a cluster-walk algorithm". Answered from
           local hints only; never forwarded further. *)
-  | Cluster_report of { node_regions : (Gaddr.t * Region.t) list; free_bytes : int }
+  | Cluster_report of { regions : Region.t list; free_bytes : int }
       (** One-way hint refresh: regions this node caches/homes, free pool.
-          Doubles as the failure detector's heartbeat. *)
+          Doubles as the failure detector's heartbeat. Each entry is
+          encoded as its base, then the whole descriptor (which repeats
+          the base). *)
   | Suspect_hint of { cluster : int; suspects : Knet.Topology.node_id list }
       (** One-way, cluster manager -> members and peer managers: the
           manager's current suspicion list for its cluster (nodes whose
@@ -205,13 +207,13 @@ let encode_request enc req =
   | Cluster_walk { addr } ->
     Codec.u8 enc 8;
     Codec.u128 enc addr
-  | Cluster_report { node_regions; free_bytes } ->
+  | Cluster_report { regions; free_bytes } ->
     Codec.u8 enc 9;
     Codec.list enc
-      (fun (base, desc) ->
-        Codec.u128 enc base;
+      (fun desc ->
+        Codec.u128 enc desc.Region.base;
         Region.encode enc desc)
-      node_regions;
+      regions;
     Codec.int enc free_bytes
   | Suspect_hint { cluster; suspects } ->
     Codec.u8 enc 10;
@@ -276,12 +278,12 @@ let decode_request dec =
   | 7 -> Cluster_lookup { addr = Codec.read_u128 dec }
   | 8 -> Cluster_walk { addr = Codec.read_u128 dec }
   | 9 ->
-    let node_regions =
+    let regions =
       Codec.read_list dec (fun () ->
-          let base = Codec.read_u128 dec in
-          (base, Region.decode dec))
+          ignore (Codec.read_u128 dec);
+          Region.decode dec)
     in
-    Cluster_report { node_regions; free_bytes = Codec.read_int dec }
+    Cluster_report { regions; free_bytes = Codec.read_int dec }
   | 10 ->
     let cluster = Codec.read_int dec in
     Suspect_hint { cluster; suspects = Codec.read_list dec (fun () -> Codec.read_u32 dec) }

@@ -126,7 +126,11 @@ let test_rdir_invalidate () =
   let rd = Khazana.Region_directory.create ~capacity:4 in
   Khazana.Region_directory.put rd (mk_region ~base:0x10000 ~len:8192 ());
   Khazana.Region_directory.invalidate_containing rd (addr 0x11500);
-  Alcotest.(check int) "gone" 0 (Khazana.Region_directory.length rd)
+  Alcotest.(check int) "gone" 0 (Khazana.Region_directory.length rd);
+  Khazana.Region_directory.invalidate_containing rd (addr 0x11500);
+  Khazana.Region_directory.remove rd (addr 0x10000);
+  Alcotest.(check int) "absent entries leave the count" 0
+    (Khazana.Region_directory.length rd)
 
 let test_rdir_replace_updates () =
   let rd = Khazana.Region_directory.create ~capacity:4 in
@@ -198,30 +202,194 @@ let test_cluster_chunks_disjoint () =
 let test_cluster_hints () =
   let cm = Khazana.Cluster.create ~cluster_id:0 in
   let r = mk_region ~base:0x50000 ~len:8192 () in
-  Khazana.Cluster.record_report cm ~node:3 ~regions:[ (r.Region.base, r) ]
-    ~free_bytes:1000;
+  ignore (Khazana.Cluster.record_report cm ~node:3 ~regions:[ r ] ~free_bytes:1000);
   (match Khazana.Cluster.lookup cm (addr 0x51000) with
    | Some _, holders -> Alcotest.(check (list int)) "holder" [ 3 ] holders
    | None, _ -> Alcotest.fail "hint missing");
   Alcotest.(check (list (pair int int))) "free pool" [ (3, 1000) ]
     (Khazana.Cluster.free_bytes_hint cm);
   (* A refreshed report replaces the old claims. *)
-  Khazana.Cluster.record_report cm ~node:3 ~regions:[] ~free_bytes:500;
+  ignore (Khazana.Cluster.record_report cm ~node:3 ~regions:[] ~free_bytes:500);
   Alcotest.(check bool) "claims dropped" true
     (fst (Khazana.Cluster.lookup cm (addr 0x51000)) = None)
 
-let test_cluster_forget_node () =
+let report cm node regions =
+  Khazana.Cluster.record_report cm ~node ~regions ~free_bytes:0
+
+let holders_at cm a = snd (Khazana.Cluster.lookup cm (addr a))
+
+let test_cluster_holders_order () =
   let cm = Khazana.Cluster.create ~cluster_id:0 in
-  let r = mk_region ~base:0x50000 () in
-  Khazana.Cluster.record_report cm ~node:3 ~regions:[ (r.Region.base, r) ] ~free_bytes:0;
-  Khazana.Cluster.record_report cm ~node:4 ~regions:[ (r.Region.base, r) ] ~free_bytes:0;
-  Khazana.Cluster.forget_node cm 3;
-  (match Khazana.Cluster.lookup cm (addr 0x50000) with
-   | Some _, holders -> Alcotest.(check (list int)) "only n4" [ 4 ] holders
-   | None, _ -> Alcotest.fail "hint lost entirely");
-  Khazana.Cluster.forget_node cm 4;
-  Alcotest.(check bool) "now empty" true
-    (fst (Khazana.Cluster.lookup cm (addr 0x50000)) = None)
+  let r = mk_region ~base:0x50000 () and other = mk_region ~base:0x60000 () in
+  ignore (report cm 3 [ r ]);
+  ignore (report cm 4 [ r ]);
+  ignore (report cm 5 [ other ]);
+  Alcotest.(check (list int)) "latest first" [ 4; 3 ] (holders_at cm 0x50000);
+  ignore (report cm 3 [ r ]);
+  Alcotest.(check (list int)) "a repeat moves up" [ 3; 4 ] (holders_at cm 0x50000);
+  ignore (report cm 4 []);
+  Alcotest.(check (list int)) "a dropped claim leaves" [ 3 ] (holders_at cm 0x50000);
+  Alcotest.(check (list int)) "other region" [ 5 ] (holders_at cm 0x60000)
+
+let test_cluster_first_descriptor () =
+  let cm = Khazana.Cluster.create ~cluster_id:0 in
+  let first = mk_region ~base:0x50000 ~len:8192 ()
+  and later = mk_region ~base:0x50000 ~len:4096 () in
+  let desc_len a =
+    Option.map (fun d -> d.Region.len) (fst (Khazana.Cluster.lookup cm (addr a)))
+  in
+  ignore (report cm 3 [ first ]);
+  ignore (report cm 4 [ later ]);
+  Alcotest.(check (option int)) "first claimant's" (Some 8192) (desc_len 0x50000);
+  ignore (report cm 3 []);
+  ignore (report cm 4 [ later ]);
+  Alcotest.(check (option int)) "kept while anyone claims it" (Some 8192)
+    (desc_len 0x51000);
+  ignore (report cm 4 []);
+  Alcotest.(check (option int)) "gone with the last claim" None (desc_len 0x50000);
+  ignore (report cm 4 [ later ]);
+  Alcotest.(check (option int)) "a fresh hint takes the new one" (Some 4096)
+    (desc_len 0x50000);
+  Alcotest.(check (option int)) "past its end" None (desc_len 0x51000)
+
+let test_cluster_claim_changes () =
+  let cm = Khazana.Cluster.create ~cluster_id:0 in
+  let a = mk_region ~base:0x50000 () and b = mk_region ~base:0x60000 ()
+  and c = mk_region ~base:0x70000 () in
+  Alcotest.(check int) "two added" 2 (report cm 3 [ a; b ]);
+  Alcotest.(check int) "unchanged repeat" 0 (report cm 3 [ a; b ]);
+  Alcotest.(check int) "reordered, listed twice" 0 (report cm 3 [ b; a; b ]);
+  Alcotest.(check int) "another member's claim" 1 (report cm 4 [ a ]);
+  Alcotest.(check int) "one added, one dropped" 2 (report cm 3 [ a; c ]);
+  Alcotest.(check int) "all dropped" 2 (report cm 3 [])
+
+(* The manager as it was before claims were indexed per member: one table
+   of hints whose holder lists every report rescans. It is the reference
+   the indexed manager must agree with. *)
+module List_model = struct
+  type hint = { desc : Region.t; mutable holders : int list }
+
+  let create () : hint Gaddr.Table.t = Gaddr.Table.create 64
+
+  let record_report hints ~node ~regions =
+    Gaddr.Table.iter
+      (fun _ hint -> hint.holders <- List.filter (fun n -> n <> node) hint.holders)
+      hints;
+    List.iter
+      (fun (base, desc) ->
+        match Gaddr.Table.find_opt hints base with
+        | Some hint ->
+          if not (List.mem node hint.holders) then
+            hint.holders <- node :: hint.holders
+        | None -> Gaddr.Table.replace hints base { desc; holders = [ node ] })
+      regions;
+    let empty =
+      Gaddr.Table.fold
+        (fun base hint acc -> if hint.holders = [] then base :: acc else acc)
+        hints []
+    in
+    List.iter (Gaddr.Table.remove hints) empty
+
+  let lookup hints addr =
+    let found =
+      Gaddr.Table.fold
+        (fun _ hint best ->
+          match best with
+          | Some _ -> best
+          | None -> if Region.contains hint.desc addr then Some hint else None)
+        hints None
+    in
+    match found with
+    | Some hint -> (Some hint.desc, hint.holders)
+    | None -> (None, [])
+end
+
+(* 40 disjoint regions 64 KiB apart; each base has two descriptors of
+   different lengths, so whose descriptor a hint kept shows at its last
+   byte. *)
+let model_regions = 40
+let model_stride = 0x10000
+let model_base i = 0x100000 + (i * model_stride)
+
+let model_desc (i, long) =
+  mk_region ~base:(model_base i) ~len:(if long then 0x8000 else 0x6000) ()
+
+type model_report = Fresh of (int * bool) list | Repeat | Empty
+
+type model_step = { node : int; report : model_report }
+
+let pp_model_step { node; report } =
+  let body =
+    match report with
+    | Fresh entries ->
+      String.concat " "
+        (List.map (fun (i, long) -> Printf.sprintf "%d%s" i (if long then "L" else "s")) entries)
+    | Repeat -> "repeat"
+    | Empty -> "empty"
+  in
+  Printf.sprintf "n%d:[%s]" node body
+
+let gen_model_step =
+  let open QCheck.Gen in
+  let entry = pair (int_bound (model_regions - 1)) bool in
+  let fresh =
+    map
+      (fun (entries, twice) ->
+        match entries with
+        | e :: _ when twice -> Fresh (entries @ [ e ])
+        | _ -> Fresh entries)
+      (pair (list_size (int_bound 16) entry) bool)
+  in
+  map2
+    (fun node report -> { node; report })
+    (int_range 1 4)
+    (frequency [ (6, fresh); (2, return Repeat); (1, return Empty) ])
+
+let arb_model_steps =
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun steps -> String.concat "; " (List.map pp_model_step steps))
+    QCheck.Gen.(list_size (int_range 1 30) gen_model_step)
+
+(* Each region's first byte, the last byte of either descriptor, one byte
+   past the longer one's end, and an address in the gap after it. *)
+let model_probes =
+  List.concat_map
+    (fun i ->
+      let b = model_base i in
+      List.map addr [ b; b + 0x6000 - 1; b + 0x8000 - 1; b + 0x8000; b + 0xc000 ])
+    (List.init model_regions Fun.id)
+
+let prop_cluster_matches_list_model =
+  QCheck.Test.make ~name:"matches the list model" ~count:500 arb_model_steps
+    (fun steps ->
+      let cm = Khazana.Cluster.create ~cluster_id:0 in
+      let model = List_model.create () in
+      let last = Hashtbl.create 4 in
+      let claimed node =
+        Option.value (Hashtbl.find_opt last node) ~default:[]
+        |> List.map fst |> List.sort_uniq compare
+      in
+      List.for_all
+        (fun { node; report } ->
+          let entries =
+            match report with
+            | Fresh entries -> entries
+            | Repeat -> Option.value (Hashtbl.find_opt last node) ~default:[]
+            | Empty -> []
+          in
+          let before = claimed node in
+          Hashtbl.replace last node entries;
+          let after = claimed node in
+          let regions = List.map model_desc entries in
+          let changed = Khazana.Cluster.record_report cm ~node ~regions ~free_bytes:0 in
+          List_model.record_report model ~node
+            ~regions:(List.map (fun d -> (d.Region.base, d)) regions);
+          let only xs ys = List.filter (fun x -> not (List.mem x ys)) xs in
+          changed = List.length (only after before) + List.length (only before after)
+          && List.for_all
+               (fun a -> Khazana.Cluster.lookup cm a = List_model.lookup model a)
+               model_probes)
+        steps)
 
 (* ------------------------------ Layout ----------------------------- *)
 
@@ -296,7 +464,11 @@ let () =
         [
           Alcotest.test_case "chunks" `Quick test_cluster_chunks_disjoint;
           Alcotest.test_case "hints" `Quick test_cluster_hints;
-          Alcotest.test_case "forget node" `Quick test_cluster_forget_node;
+          Alcotest.test_case "holders order" `Quick test_cluster_holders_order;
+          Alcotest.test_case "first claimant's descriptor" `Quick
+            test_cluster_first_descriptor;
+          Alcotest.test_case "claim changes" `Quick test_cluster_claim_changes;
+          QCheck_alcotest.to_alcotest prop_cluster_matches_list_model;
         ] );
       ( "layout+wire",
         [

@@ -363,6 +363,24 @@ let test_lookup_path_stats () =
         (s2.Daemon.rdir_hits > s1.Daemon.rdir_hits);
       Alcotest.(check int) "no extra walk" s1.Daemon.map_walks s2.Daemon.map_walks)
 
+(* A new region reaches the manager as claims added; once the system is
+   idle, every member's report repeats its last one and changes nothing. *)
+let test_cluster_claim_changes () =
+  let sys = mk () in
+  let manager = System.daemon sys 0 in
+  let claim_changes () =
+    Option.value ~default:0
+      (List.assoc_opt "cluster.claim_change"
+         (Ktrace.Metrics.counters (Daemon.metrics manager)))
+  in
+  System.run_fiber sys (fun () ->
+      ignore (ok (Client.create_region (System.client sys 1 ()) 4096));
+      Ksim.Fiber.sleep (Ksim.Time.sec 2);
+      let settled = claim_changes () in
+      Alcotest.(check bool) "the region was claimed" true (settled > 0);
+      Ksim.Fiber.sleep (Ksim.Time.sec 5);
+      Alcotest.(check int) "unchanged reports" settled (claim_changes ()))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end tracing: one cross-node operation = one connected trace.  *)
 (* ------------------------------------------------------------------ *)
@@ -1030,6 +1048,7 @@ let () =
             test_address_pool_accounting;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
           Alcotest.test_case "lookup path stats" `Quick test_lookup_path_stats;
+          Alcotest.test_case "cluster claim changes" `Quick test_cluster_claim_changes;
           Alcotest.test_case "wshared keeps a held writer's bytes" `Quick
             test_wshared_no_lost_update;
           Alcotest.test_case "eventual write interval is atomic" `Quick
